@@ -1,7 +1,8 @@
 """Command-line entry points: run, replay, validate.
 
 Exit codes: 0 clean completion, 2 the surrogate plasma disrupted, 3 the
-discharge ended inside a shutdown-type scenario, 64 schedule invalid.
+discharge ended inside a shutdown-type scenario, 64 schedule invalid or
+trace unusable, 1 an output file could not be written.
 """
 
 from __future__ import annotations
@@ -17,17 +18,30 @@ from . import harness
 from .errors import ConfigError, TraceError
 
 
+def _list_index(node: list, key: str, path: str) -> int:
+    try:
+        index = int(key)
+    except ValueError:
+        raise ConfigError(f"override path {path!r}: {key!r} is not a list index") from None
+    if not -len(node) <= index < len(node):
+        raise ConfigError(f"override path {path!r}: index {index} outside a list of {len(node)}")
+    return index
+
+
 def _apply_override(doc: dict, assignment: str) -> None:
     """Apply one ``dotted.path=value`` override onto the raw document."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     path, raw_value = assignment.split("=", 1)
-    value = yaml.safe_load(raw_value)
+    try:
+        value = yaml.safe_load(raw_value)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"override {assignment!r}: value is not valid YAML: {exc}") from None
     keys = path.split(".")
     node = doc
     for key in keys[:-1]:
         if isinstance(node, list):
-            node = node[int(key)]
+            node = node[_list_index(node, key, path)]
         elif isinstance(node, dict):
             if key not in node:
                 raise ConfigError(f"override path {path!r}: no such key {key!r}")
@@ -36,7 +50,7 @@ def _apply_override(doc: dict, assignment: str) -> None:
             raise ConfigError(f"override path {path!r}: cannot descend into {key!r}")
     leaf = keys[-1]
     if isinstance(node, list):
-        node[int(leaf)] = value
+        node[_list_index(node, leaf, path)] = value
     elif isinstance(node, dict):
         node[leaf] = value
     else:
@@ -45,14 +59,26 @@ def _apply_override(doc: dict, assignment: str) -> None:
 
 def _load_schedule(path: str, overrides: List[str], until: Optional[float]) -> cfg.PulseSchedule:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh.read())
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: schedule document must be a mapping")
+        doc = cfg.load_document(fh.read())
     for assignment in overrides:
         _apply_override(doc, assignment)
-    if until is not None:
-        doc.setdefault("run", {})["duration"] = until
-    return cfg.parse(yaml.safe_dump(doc, sort_keys=False))
+    if until is not None and isinstance(doc.get("run"), dict):
+        doc["run"]["duration"] = until
+    return cfg.parse_document(doc)
+
+
+def _write(text: str, out: Optional[str], what: str) -> bool:
+    """Write ``text`` to ``out`` (stdout when None); False after reporting an I/O failure."""
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_diagnostics(diagnostics) -> None:
@@ -86,14 +112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(result.trace_text)
-        else:
-            sys.stdout.write(result.trace_text)
-    except OSError as exc:
-        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+    if not _write(result.trace_text, args.out, "trace"):
         return 1
     status = {
         harness.EXIT_CLEAN: "completed",
@@ -116,12 +135,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
-    text = harness.replay_to_csv(rows, compiled)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _write(harness.replay_to_csv(rows, compiled), args.out, "decisions"):
+        return 1
     return harness.EXIT_CLEAN
 
 

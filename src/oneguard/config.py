@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
@@ -624,8 +625,8 @@ def _parse_plant(node: Any, sh: _Shape) -> PlantSpec:
     )
 
 
-def parse(text: str) -> PulseSchedule:
-    """Parse a schedule document, raising ConfigError on shape problems."""
+def load_document(text: str) -> Dict[str, Any]:
+    """Load schedule text into its raw mapping, raising ConfigError if it is not one."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -634,7 +635,16 @@ def parse(text: str) -> PulseSchedule:
         raise ConfigError("schedule document is empty")
     if not isinstance(doc, dict):
         raise ConfigError("schedule document must be a mapping")
+    return doc
 
+
+def parse(text: str) -> PulseSchedule:
+    """Parse a schedule document, raising ConfigError on shape problems."""
+    return parse_document(load_document(text))
+
+
+def parse_document(doc: Dict[str, Any]) -> PulseSchedule:
+    """Shape-check a loaded schedule mapping, raising ConfigError on problems."""
     sh = _Shape()
     top = sh.mapping(doc, "schedule", _TOP_KEYS)
 
@@ -903,6 +913,98 @@ def _task_needs_reference(kind: str, cfg: Mapping[str, Any]) -> bool:
     return kind == "gas_shaper" and cfg.get("mode") == MODE_SLOW_RAMP
 
 
+def _combos_with_max(per_one: Sequence[Sequence[int]], maxima: set) -> Iterator[Tuple[int, ...]]:
+    """The tuples of ``itertools.product(*per_one)`` whose maximum is in ``maxima``, in product order.
+
+    A prefix is extended only while some completion of it has its maximum
+    in ``maxima``, so the walk visits at most ``len(per_one)`` prefixes per
+    tuple it yields, however many tuples it skips.
+    """
+    n = len(per_one)
+    # ceiling[i]: least k such that every position from i on has a value <= k.
+    # values[i]: the values some position from i on can take.
+    ceiling: List[float] = [REACTION_MIN] * (n + 1)
+    values: List[frozenset] = [frozenset()] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        ceiling[i] = max(ceiling[i + 1], min(per_one[i], default=math.inf))
+        values[i] = values[i + 1] | frozenset(per_one[i])
+
+    def reachable(i: int, top: int) -> bool:
+        return any(k >= top and k >= ceiling[i] and (k == top or k in values[i]) for k in maxima)
+
+    def walk(i: int, prefix: Tuple[int, ...], top: int) -> Iterator[Tuple[int, ...]]:
+        if i == n:
+            yield prefix
+            return
+        for r in per_one[i]:
+            if reachable(i + 1, max(top, r)):
+                yield from walk(i + 1, prefix + (r,), max(top, r))
+
+    if reachable(0, REACTION_MIN - 1):
+        yield from walk(0, (), REACTION_MIN - 1)
+
+
+def _fallback_rule(combo: Tuple[int, ...]) -> str:
+    top = max(combo)
+    if top == REACTION_MIN:
+        return "default scenario"
+    return f"max-severity fallback to type {SCENARIO_TYPE_FOR_REACTION[top].value!r}"
+
+
+def _coverage_diagnostics(
+    per_one: Sequence[Sequence[int]], row_map: Mapping[Tuple[int, ...], str], types_present: set
+) -> List[Diagnostic]:
+    """Check every reachable reaction tuple against the rows and the fallback rule.
+
+    ``per_one`` holds the reachable reaction levels of each event, in event
+    order. A tuple without a row falls back on its maximum level alone, so
+    the tuples are counted per maximum level k instead of enumerated: the
+    reachable tuples with maximum k number prod|R_i & [0, k]| minus
+    prod|R_i & [0, k-1]|, less the rows among them. Only the tuples a
+    diagnostic names, and the rows met on the way to them, are walked.
+    """
+    rows_by_max = Counter(max(c) for c in row_map if all(r in rs for r, rs in zip(c, per_one)))
+    uncovered = {}
+    below = 0  # reachable tuples whose levels all lie below k
+    for k in range(REACTION_MIN, REACTION_MAX + 1):
+        upto = math.prod(sum(r <= k for r in rs) for rs in per_one)
+        uncovered[k] = upto - below - rows_by_max[k]
+        below = upto
+    # The all-zero tuple always has the default scenario.
+    stranded = {
+        k for k, count in uncovered.items()
+        if k > REACTION_MIN and count and SCENARIO_TYPE_FOR_REACTION[k].value not in types_present
+    }
+
+    out: List[Diagnostic] = []
+    for combo in _combos_with_max(per_one, stranded):
+        if combo not in row_map:
+            wanted = SCENARIO_TYPE_FOR_REACTION[max(combo)]
+            out.append(
+                Diagnostic(
+                    "error",
+                    "os_mapping.rows",
+                    f"reachable combination {list(combo)} has no row and no "
+                    f"{wanted.value!r} scenario to fall back to",
+                )
+            )
+    n_fallback = sum(count for k, count in uncovered.items() if k not in stranded)
+    if n_fallback:
+        hits = itertools.islice(
+            (c for c in itertools.product(*per_one) if c not in row_map and max(c) not in stranded), 4
+        )
+        shown = "; ".join(f"{list(c)} -> {_fallback_rule(c)}" for c in hits)
+        out.append(
+            Diagnostic(
+                "warning",
+                "os_mapping.rows",
+                f"{n_fallback} reachable combination(s) have no explicit row and rely on "
+                f"the fallback rule (max reaction level picks the scenario type): {shown}",
+            )
+        )
+    return out
+
+
 def validate(ps: PulseSchedule) -> List[Diagnostic]:
     """Semantic checks. Returns diagnostics; never raises on content."""
     out: List[Diagnostic] = []
@@ -1159,36 +1261,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         for v in ps.virtual_ones:
             levels = sorted({lvl for _, lvl in v.rows})
             per_one.append(_reachable_reactions(v.danger, v.reaction, levels))
-        types_present = {sc.type for sc in ps.scenarios}
-        fallback_hits = []
-        for combo in itertools.product(*per_one):
-            if combo in row_map:
-                continue
-            if all(r == 0 for r in combo):
-                fallback_hits.append((combo, "default scenario"))
-                continue
-            wanted = SCENARIO_TYPE_FOR_REACTION[max(combo)]
-            if wanted.value not in types_present:
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "os_mapping.rows",
-                        f"reachable combination {list(combo)} has no row and no "
-                        f"{wanted.value!r} scenario to fall back to",
-                    )
-                )
-            else:
-                fallback_hits.append((combo, f"max-severity fallback to type {wanted.value!r}"))
-        if fallback_hits:
-            shown = "; ".join(f"{list(c)} -> {how}" for c, how in fallback_hits[:4])
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "os_mapping.rows",
-                    f"{len(fallback_hits)} reachable combination(s) have no explicit row and rely on "
-                    f"the fallback rule (max reaction level picks the scenario type): {shown}",
-                )
-            )
+        out.extend(_coverage_diagnostics(per_one, row_map, {sc.type for sc in ps.scenarios}))
 
     return out
 

@@ -1,8 +1,14 @@
+import itertools
+import time
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneguard import config as cfg
 from oneguard.errors import ConfigError
+from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
 
 MINIMAL = """
 run: {dt: 0.01 s, duration: 0.1 s}
@@ -140,6 +146,16 @@ class TestParse:
     def test_parse_serialize_round_trip(self, density_limit_schedule, dual_ntm_schedule):
         for ps in (density_limit_schedule, dual_ntm_schedule):
             assert cfg.parse(cfg.serialize(ps)) == ps
+
+    def test_parse_is_load_then_parse_document(self):
+        assert cfg.parse_document(cfg.load_document(MINIMAL)) == cfg.parse(MINIMAL)
+
+    @pytest.mark.parametrize(
+        "text, message", [("", "empty"), ("- 1\n", "mapping"), ("run: [1\n", "not valid YAML")]
+    )
+    def test_load_document_rejects_non_mappings(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg.load_document(text)
 
 
 class TestValidate:
@@ -285,3 +301,103 @@ class TestCompile:
         by_id = {t.id: t for t in normal.tasks}
         assert by_id["ff_power_nor"].reference == 0.65
         assert by_id["ff_gas_nor"].reference(0.0) == 15.0
+
+
+def brute_force_coverage(per_one, row_map, types_present):
+    """The coverage check as it was first written: walk every reachable tuple."""
+    out = []
+    fallback_hits = []
+    for combo in itertools.product(*per_one):
+        if combo in row_map:
+            continue
+        if all(r == 0 for r in combo):
+            fallback_hits.append((combo, "default scenario"))
+            continue
+        wanted = SCENARIO_TYPE_FOR_REACTION[max(combo)]
+        if wanted.value not in types_present:
+            out.append(
+                cfg.Diagnostic(
+                    "error",
+                    "os_mapping.rows",
+                    f"reachable combination {list(combo)} has no row and no "
+                    f"{wanted.value!r} scenario to fall back to",
+                )
+            )
+        else:
+            fallback_hits.append((combo, f"max-severity fallback to type {wanted.value!r}"))
+    if fallback_hits:
+        shown = "; ".join(f"{list(c)} -> {how}" for c, how in fallback_hits[:4])
+        out.append(
+            cfg.Diagnostic(
+                "warning",
+                "os_mapping.rows",
+                f"{len(fallback_hits)} reachable combination(s) have no explicit row and rely on "
+                f"the fallback rule (max reaction level picks the scenario type): {shown}",
+            )
+        )
+    return out
+
+
+@st.composite
+def coverage_cases(draw):
+    n = draw(st.integers(1, 6))
+    per_one = [tuple(sorted(draw(st.sets(st.integers(0, 4))))) for _ in range(n)]
+    # Rows mostly name reachable levels, so that they cover tuples the walk must skip.
+    levels = [st.sampled_from(rs) | st.integers(0, 4) if rs else st.integers(0, 4) for rs in per_one]
+    rows = draw(st.lists(st.tuples(*levels), max_size=12))
+    types_present = draw(st.sets(st.sampled_from([t.value for t in ScenarioType])))
+    return per_one, {row: "s" for row in rows}, types_present
+
+
+class TestCoverage:
+    @settings(max_examples=300, deadline=None)
+    @given(coverage_cases())
+    def test_counting_matches_brute_force(self, case):
+        per_one, row_map, types_present = case
+        assert cfg._coverage_diagnostics(per_one, row_map, types_present) == brute_force_coverage(
+            per_one, row_map, types_present
+        )
+
+    def test_twenty_events_validate_by_counting(self):
+        # 3**20 (about 3.5e9) reachable tuples: far too many to enumerate.
+        n = 20
+        doc = minimal_doc()
+        doc["ones"] = [
+            {
+                "id": f"watch{i}",
+                "signal": "h98y2",
+                "direction": "falling",
+                "thresholds": [0.5, 0.4],
+                "danger": {0: "no", 1: "low", 2: "medium"},
+                "reaction": {"no": 0, "low": 1, "medium": 2, "high": 3, "very_high": 3},
+            }
+            for i in range(n)
+        ]
+        one_hot = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        unreachable = [3] + [0] * (n - 1)
+        doc["os_mapping"]["rows"] = (
+            [{"reactions": [0] * n, "scenario": "normal"}]
+            + [{"reactions": r, "scenario": "recovery"} for r in one_hot]
+            + [{"reactions": unreachable, "scenario": "shutdown"}]
+        )
+        doc["scenarios"].append({"id": "backup", "type": "backup", "tasks": []})
+        ps = parse_doc(doc)
+
+        started = time.perf_counter()
+        diagnostics = cfg.validate(ps)
+        assert time.perf_counter() - started < 5.0
+        assert error_messages(diagnostics) == []
+        (warning,) = [d for d in diagnostics if d.path == "os_mapping.rows"]
+        reachable_rows = 1 + n
+
+        def tail(*levels):
+            return [0] * (n - len(levels)) + list(levels)
+
+        assert warning.message == (
+            f"{3 ** n - reachable_rows} reachable combination(s) have no explicit row and rely on "
+            "the fallback rule (max reaction level picks the scenario type): "
+            f"{tail(2)} -> max-severity fallback to type 'backup'; "
+            f"{tail(1, 1)} -> max-severity fallback to type 'recovery'; "
+            f"{tail(1, 2)} -> max-severity fallback to type 'backup'; "
+            f"{tail(2, 0)} -> max-severity fallback to type 'backup'"
+        )

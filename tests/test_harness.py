@@ -210,3 +210,44 @@ class TestCli:
         code = cli.main(["run", str(DENSITY_LIMIT), "--out", str(missing_dir)])
         assert code == 1
         assert "cannot write trace" in capsys.readouterr().err
+
+    def test_unwritable_replay_path_exits_1(self, tmp_path, capsys):
+        missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
+        code = cli.main(["replay", str(DUAL_NTM_EVENTS), str(DUAL_NTM), "--out", str(missing_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write decisions")
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("ones.x.thresholds=1", "not a list index"),
+            ("ones.9.id=foo", "index 9 outside"),
+            ("ones.0.thresholds.7=0.2", "index 7 outside"),
+            ("run.dt=[", "not valid YAML"),
+        ],
+    )
+    def test_bad_override_exits_64(self, tmp_path, capsys, assignment, message):
+        out = tmp_path / "x.csv"
+        code = cli.main(["run", str(DENSITY_LIMIT), "--out", str(out), "--set", assignment])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
+        bad = tmp_path / "broken.yaml"
+        bad.write_text("run: [1\n")
+        assert cli.main(["run", str(bad), "--out", str(tmp_path / "x.csv")]) == 64
+        assert "not valid YAML" in capsys.readouterr().err
+
+    def test_run_parses_the_overridden_document_once(self, tmp_path, monkeypatch):
+        # The overridden document goes straight to the parser: no dump and reload.
+        loads = []
+        real_load = yaml.safe_load
+        monkeypatch.setattr(yaml, "safe_load", lambda text: loads.append(text) or real_load(text))
+        monkeypatch.setattr(yaml, "safe_dump", lambda *a, **k: pytest.fail("schedule was re-dumped"))
+        code = cli.main(
+            ["run", str(DENSITY_LIMIT), "--out", str(tmp_path / "x.csv"), "--set", "plant.gas_init=5.0"]
+        )
+        assert code == 2
+        assert loads[0] == DENSITY_LIMIT.read_text() and loads[1:] == ["5.0"]
