@@ -103,12 +103,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         ps = _load_schedule(args.schedule, args.set or [], args.until)
-        diagnostics = cfg.validate(ps)
-        if cfg.errors_of(diagnostics):
-            _print_diagnostics(diagnostics)
-            return harness.EXIT_CONFIG
         compiled = cfg.compile_schedule(ps)
         result = harness.run(compiled)
+    except cfg.ValidationFailed as exc:
+        _print_diagnostics(exc.diagnostics)
+        return harness.EXIT_CONFIG
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG

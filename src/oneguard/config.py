@@ -20,7 +20,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
@@ -628,7 +628,8 @@ def _parse_plant(node: Any, sh: _Shape) -> PlantSpec:
 def load_document(text: str) -> Dict[str, Any]:
     """Load schedule text into its raw mapping, raising ConfigError if it is not one."""
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's safe loader where PyYAML has it builds the same documents several times faster.
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"schedule is not valid YAML: {exc}") from None
     if doc is None:
@@ -1005,6 +1006,25 @@ def _coverage_diagnostics(
     return out
 
 
+def _combiner_gap(ranges: Sequence[range], table: Mapping[Tuple[int, ...], int]) -> Optional[str]:
+    """The "combiner not total" message for a virtual event's table, None if it is total.
+
+    ``table``'s keys all have one level per input. The missing input
+    combinations are counted (the size of the input product less the keys
+    inside it), and the product is walked only up to the fourth missing one
+    for the examples.
+    """
+    covered = sum(1 for key in table if all(level in r for level, r in zip(key, ranges)))
+    missing = math.prod(len(r) for r in ranges) - covered
+    if not missing:
+        return None
+    examples = itertools.islice(
+        (combo for combo in itertools.product(*ranges) if combo not in table), min(missing, 4)
+    )
+    shown = ", ".join(str(list(c)) for c in examples)
+    return f"combiner not total: {missing} missing combinations (e.g. {shown})"
+
+
 def validate(ps: PulseSchedule) -> List[Diagnostic]:
     """Semantic checks. Returns diagnostics; never raises on content."""
     out: List[Diagnostic] = []
@@ -1141,18 +1161,9 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             if lvl < 0:
                 out.append(Diagnostic("error", f"{path}.rows", f"output level {lvl} must be >= 0"))
         if all(len(levels) == len(v.inputs) for levels, _ in v.rows):
-            missing = [
-                combo for combo in itertools.product(*ranges) if combo not in table
-            ]
-            if missing:
-                shown = ", ".join(str(list(c)) for c in missing[:4])
-                out.append(
-                    Diagnostic(
-                        "error",
-                        f"{path}.rows",
-                        f"combiner not total: {len(missing)} missing combinations (e.g. {shown})",
-                    )
-                )
+            gap = _combiner_gap(ranges, table)
+            if gap is not None:
+                out.append(Diagnostic("error", f"{path}.rows", gap))
         _check_danger_map(v.danger, v.max_level, f"{path}.danger", out)
         _check_reaction_map(v.reaction, f"{path}.reaction", out)
         for lvl in v.irreversible:
@@ -1282,6 +1293,14 @@ class CompiledSchedule:
     controllers: Mapping[str, Mapping[str, Any]]
     plant: PlantParams
     scripted: Mapping[str, Waveform]
+    #: Base event id -> monitored signal name (virtual events are absent).
+    event_signals: Mapping[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        signals: Dict[str, str] = {}
+        for one in self.source.ones:
+            signals.setdefault(one.id, one.signal)
+        object.__setattr__(self, "event_signals", signals)
 
     @property
     def one_ids(self) -> Tuple[str, ...]:
@@ -1289,19 +1308,32 @@ class CompiledSchedule:
 
     def signal_of(self, one_id: str) -> Optional[str]:
         """Monitored signal name of a base event; None for virtual events."""
-        for one in self.source.ones:
-            if one.id == one_id:
-                return one.signal
-        return None
+        return self.event_signals.get(one_id)
+
+
+class ValidationFailed(ConfigError):
+    """``compile_schedule`` refused a schedule that has validation errors.
+
+    ``diagnostics`` holds every finding of that validation, warnings
+    included, so a caller can report them without validating again.
+    """
+
+    def __init__(self, diagnostics: Sequence[Diagnostic]):
+        self.diagnostics = list(diagnostics)
+        super().__init__(
+            "schedule failed validation:\n  "
+            + "\n  ".join(str(d) for d in errors_of(self.diagnostics))
+        )
 
 
 def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
-    """Build runtime objects from a schedule, insisting on zero errors."""
-    problems = errors_of(validate(ps))
-    if problems:
-        raise ConfigError(
-            "schedule failed validation:\n  " + "\n  ".join(str(d) for d in problems)
-        )
+    """Build runtime objects from a schedule, insisting on zero errors.
+
+    Raises ``ValidationFailed`` if ``validate`` reports an error.
+    """
+    diagnostics = validate(ps)
+    if errors_of(diagnostics):
+        raise ValidationFailed(diagnostics)
 
     tables = {
         one.id: ThresholdTable(

@@ -43,10 +43,10 @@ class Waveform:
             raise ConfigError("waveform breakpoint times must be strictly increasing")
         if self.interpolation not in (HOLD, LINEAR):
             raise ConfigError(f"unknown interpolation {self.interpolation!r}")
+        object.__setattr__(self, "_times", tuple(times))
 
     def __call__(self, time: float) -> float:
-        times = [t for t, _ in self.points]
-        idx = bisect_right(times, time) - 1
+        idx = bisect_right(self._times, time) - 1
         if idx < 0:
             return self.points[0][1]
         if idx >= len(self.points) - 1:
@@ -124,8 +124,13 @@ def pid_step(
         derivative = -state.kd * (measurement - state.prev_measurement) / dt
     output = state.kp * error + integrator + derivative
     output = min(max(output, state.lo), state.hi)
-    new_state = replace(
-        state,
+    new_state = PidState(
+        kp=state.kp,
+        ki=state.ki,
+        kd=state.kd,
+        lo=state.lo,
+        hi=state.hi,
+        anti_windup=state.anti_windup,
         integrator=integrator,
         prev_error=error,
         prev_measurement=measurement,

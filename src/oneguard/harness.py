@@ -105,7 +105,12 @@ class ControlLoop:
         commands, violations = merge_commands(outputs, allocation, cs.groups, priorities)
         self.prev_commands = commands
 
-        grants_per_group = {gid: allocation.group_total(gid) for gid in cs.groups}
+        # Per group, the same sum over tasks in grant order as Allocation.group_total.
+        granted: Dict[str, List[float]] = {gid: [] for gid in cs.groups}
+        for task_grants in allocation.grants.values():
+            for gid, amount in task_grants.items():
+                granted[gid].append(amount)
+        grants_per_group = {gid: sum(amounts, 0.0) for gid, amounts in granted.items()}
         return TickRecord(
             time=time,
             signals=signals,
@@ -140,20 +145,25 @@ def trace_header(schedule: CompiledSchedule) -> List[str]:
     return cols
 
 
+_DANGER_LABELS = {level: level.label for level in DangerLevel}
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
 def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState) -> List[str]:
     row = [_fmt(record.time)]
+    signals = record.signals
+    event_signals = schedule.event_signals
     for one_id in schedule.one_ids:
-        signal_name = schedule.signal_of(one_id)
-        if signal_name is None or signal_name not in record.signals:
+        signal_name = event_signals.get(one_id)
+        if signal_name is None or signal_name not in signals:
             row.append("")
         else:
-            row.append(_fmt(record.signals[signal_name]))
+            row.append(_fmt(signals[signal_name]))
         row.append(str(record.events[one_id].level))
-        row.append(record.dangers[one_id].label)
+        row.append(_DANGER_LABELS[record.dangers[one_id]])
         row.append(str(record.reactions[one_id]))
     row.append(record.scenario_id)
     row.append(";".join(record.task_ids))

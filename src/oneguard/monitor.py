@@ -77,15 +77,12 @@ class ThresholdTable:
 
     def bucket(self, value: float) -> int:
         """Stateless bucket index of ``value`` (no hysteresis)."""
-        if self.direction == RISING:
-            crossed = [value >= t for t in self.thresholds]
-        else:
-            crossed = [value <= t for t in self.thresholds]
-        level = 0
-        for i, hit in enumerate(crossed, start=1):
-            if hit:
-                level = i
-        return level
+        ts = self.thresholds
+        rising = self.direction == RISING
+        for level in range(len(ts), 0, -1):
+            if (value >= ts[level - 1]) if rising else (value <= ts[level - 1]):
+                return level
+        return 0
 
     def holds_level(self, value: float, level: int) -> bool:
         """Whether ``value`` is still within the hysteresis band of ``level``."""
@@ -95,33 +92,41 @@ class ThresholdTable:
             return value >= t - h
         return value <= t + h
 
+    def check_previous(self, previous_level: int) -> None:
+        """Raise ConfigError unless ``previous_level`` is a level of this table."""
+        if not 0 <= previous_level <= self.max_level:
+            raise ConfigError(
+                f"previous level {previous_level} outside [0, {self.max_level}] "
+                f"for {self.signal!r}"
+            )
+
+    def next_level(self, value: float, previous_level: int) -> int:
+        """Event level after sample ``value``, given the previous level.
+
+        Escalation follows the stateless bucket; de-escalation from the
+        previous level only happens once the value clears the hysteresis
+        band of each level it leaves. Arguments are not checked here.
+        """
+        bucket = self.bucket(value)
+        if bucket >= previous_level:
+            return bucket
+        level = previous_level
+        while level > bucket and not self.holds_level(value, level):
+            level -= 1
+        return level
+
 
 def discretize(signal: ContinuousSignal, table: ThresholdTable, previous_level: int) -> EventState:
-    """Map one signal sample to a discrete event level.
-
-    Escalation follows the stateless bucket; de-escalation from the
-    previous level only happens once the value clears the hysteresis band
-    of each level it leaves.
-    """
+    """Map one signal sample to a discrete event level (see ``ThresholdTable.next_level``)."""
     if signal.name != table.signal:
         raise ConfigError(f"signal {signal.name!r} fed to table for {table.signal!r}")
-    if not 0 <= previous_level <= table.max_level:
-        raise ConfigError(
-            f"previous level {previous_level} outside [0, {table.max_level}] "
-            f"for {table.signal!r}"
-        )
+    table.check_previous(previous_level)
     if not math.isfinite(signal.value):
         # ContinuousSignal normally rejects this, but guard against callers
         # bypassing the type.
         raise MonitorFault(f"non-finite value for {signal.name!r}")
 
-    bucket = table.bucket(signal.value)
-    if bucket >= previous_level:
-        level = bucket
-    else:
-        level = previous_level
-        while level > bucket and not table.holds_level(signal.value, level):
-            level -= 1
+    level = table.next_level(signal.value, previous_level)
     return EventState(one_id=table.signal, level=level, time=signal.time)
 
 
@@ -210,9 +215,12 @@ def monitor_step(
             faults.append((one_id, f"signal {table.signal!r} unavailable or non-finite"))
             events[one_id] = EventState(one_id=one_id, level=prev_level, time=time)
             continue
-        sample = ContinuousSignal(name=table.signal, value=value, time=time)
-        raw = discretize(sample, table, prev_level)
-        events[one_id] = EventState(one_id=one_id, level=raw.level, time=time)
+        # The checks a ContinuousSignal sample and discretize would make.
+        if time < 0.0:
+            raise ValueError(f"signal {table.signal!r} has negative time {time!r}")
+        table.check_previous(prev_level)
+        level = table.next_level(value, prev_level)
+        events[one_id] = EventState(one_id=one_id, level=level, time=time)
 
     for rule in config.virtual_rules:
         events[rule.id] = compose_virtual(list(events.values()), rule)

@@ -16,16 +16,32 @@ against the closed-form solution.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from .errors import ConfigError, SimFault
 
 # End segments of the limit curve are continued this far in density so the
 # signed distance stays continuous for any state the surrogate can reach.
 _EXTENSION = 1.0e6
+
+
+def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """``numpy.interp(x, xs, ys)`` for one point, with numpy's float operations.
+
+    Holds ``ys[0]`` below the first breakpoint and ``ys[-1]`` at or past
+    the last one; ``xs`` must be strictly increasing.
+    """
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j >= len(xs) - 1:
+        return ys[-1]
+    if xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 @dataclass(frozen=True)
@@ -43,38 +59,54 @@ class DisruptionBoundary:
     def __post_init__(self) -> None:
         if len(self.vertices) < 2:
             raise ConfigError("disruption boundary needs at least two vertices")
-        xs = [x for x, _ in self.vertices]
+        xs = tuple(float(x) for x, _ in self.vertices)
+        ys = tuple(float(y) for _, y in self.vertices)
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ConfigError("boundary vertices must have strictly increasing density")
-        pts = np.asarray(self.vertices, dtype=float)
-        first = pts[0] + (pts[0] - pts[1]) / abs(pts[0][0] - pts[1][0]) * _EXTENSION
-        last = pts[-1] + (pts[-1] - pts[-2]) / abs(pts[-1][0] - pts[-2][0]) * _EXTENSION
-        extended = np.vstack([first, pts, last])
-        object.__setattr__(self, "_segments_a", extended[:-1])
-        object.__setattr__(self, "_segments_b", extended[1:])
+
+        def extended(i: int, j: int) -> Tuple[float, float]:
+            """End vertex ``i`` moved away from its neighbour ``j``, _EXTENSION in density."""
+            run = abs(xs[i] - xs[j])
+            return (
+                xs[i] + (xs[i] - xs[j]) / run * _EXTENSION,
+                ys[i] + (ys[i] - ys[j]) / run * _EXTENSION,
+            )
+
+        points = [extended(0, 1), *zip(xs, ys), extended(-1, -2)]
+        segments = []
+        for (ax, ay), (bx, by) in zip(points, points[1:]):
+            abx, aby = bx - ax, by - ay
+            segments.append((ax, ay, abx, aby, abx * abx + aby * aby))
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        # Extended segments as (ax, ay, abx, aby, ab.ab).
+        object.__setattr__(self, "_segments", tuple(segments))
 
     def h_limit(self, ne: float) -> float:
         """Curve height at ``ne`` (end segments extrapolated)."""
-        xs = [x for x, _ in self.vertices]
-        ys = [y for _, y in self.vertices]
+        xs, ys = self._xs, self._ys
         if ne < xs[0]:
             slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
             return ys[0] + slope * (ne - xs[0])
         if ne > xs[-1]:
             slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
             return ys[-1] + slope * (ne - xs[-1])
-        return float(np.interp(ne, xs, ys))
+        return _interp(ne, xs, ys)
 
     def signed_distance(self, ne: float, h98: float) -> float:
         """Euclidean distance to the curve, negative once past the limit."""
-        p = np.array([ne, h98], dtype=float)
-        a = self._segments_a
-        b = self._segments_b
-        ab = b - a
-        t = np.einsum("ij,ij->i", p - a, ab) / np.einsum("ij,ij->i", ab, ab)
-        t = np.clip(t, 0.0, 1.0)
-        closest = a + t[:, None] * ab
-        dist = float(np.min(np.hypot(*(p - closest).T)))
+        dist = math.inf
+        for ax, ay, abx, aby, ab2 in self._segments:
+            t = ((ne - ax) * abx + (h98 - ay) * aby) / ab2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            # abs(complex) is the C library's hypot, as numpy.hypot is;
+            # math.hypot rounds differently in the last bit.
+            d = abs(complex(ne - (ax + t * abx), h98 - (ay + t * aby)))
+            if d < dist:
+                dist = d
         return dist if h98 >= self.h_limit(ne) else -dist
 
 
@@ -105,14 +137,14 @@ class PlantParams:
                 raise ConfigError(f"plant: {name} must be positive")
         if self.nbi_energy_limit <= 0.0:
             raise ConfigError("plant: nbi_energy_limit must be positive")
-        xs = [x for x, _ in self.degradation]
+        xs = tuple(float(x) for x, _ in self.degradation)
         if len(xs) < 2 or any(a >= b for a, b in zip(xs, xs[1:])):
             raise ConfigError("plant: degradation table needs strictly increasing densities")
+        object.__setattr__(self, "_deg_xs", xs)
+        object.__setattr__(self, "_deg_ys", tuple(float(y) for _, y in self.degradation))
 
     def degradation_at(self, ne: float) -> float:
-        xs = [x for x, _ in self.degradation]
-        ys = [y for _, y in self.degradation]
-        return float(np.interp(ne, xs, ys))
+        return _interp(ne, self._deg_xs, self._deg_ys)
 
     def h98_at(self, ne: float) -> float:
         return (self.tau_e / self.tau_98) * self.degradation_at(ne)
@@ -120,7 +152,11 @@ class PlantParams:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Snapshot of the surrogate plasma and its actuators."""
+    """Snapshot of the surrogate plasma and its actuators.
+
+    ``distance`` is the boundary's signed distance at
+    (``ne_edge_norm``, ``h98y2``), computed once when the state is made.
+    """
 
     h98y2: float
     ne_edge_norm: float
@@ -129,19 +165,22 @@ class PlantState:
     nbi_energy: float
     gas_flux: float
     time: float
+    distance: float
     disrupted: bool = False
 
 
 def initial_state(params: PlantParams) -> PlantState:
     ne = params.ne_init
+    h98 = params.h98_at(ne)
     return PlantState(
-        h98y2=params.h98_at(ne),
+        h98y2=h98,
         ne_edge_norm=ne,
         w_mj=params.w_init,
         nbi_power=0.0,
         nbi_energy=0.0,
         gas_flux=params.gas_init,
         time=0.0,
+        distance=params.boundary.signed_distance(ne, h98),
     )
 
 
@@ -174,7 +213,7 @@ def plant_step(
     ne = target + (state.ne_edge_norm - target) * math.exp(-dt / params.tau_n)
     h98 = params.h98_at(ne)
     nbi_energy = state.nbi_energy + dt * p_nbi
-    disrupted = params.boundary.signed_distance(ne, h98) <= 0.0
+    dist = params.boundary.signed_distance(ne, h98)
     return PlantState(
         h98y2=h98,
         ne_edge_norm=ne,
@@ -183,7 +222,8 @@ def plant_step(
         nbi_energy=nbi_energy,
         gas_flux=gas_flux,
         time=state.time + dt,
-        disrupted=disrupted,
+        distance=dist,
+        disrupted=dist <= 0.0,
     )
 
 
@@ -204,5 +244,5 @@ def plant_signals(state: PlantState, params: PlantParams) -> dict:
         "nbi_energy": state.nbi_energy,
         "nbi_energy_frac": nbi_energy_check(state.nbi_energy, params.nbi_energy_limit),
         "gas_flux": state.gas_flux,
-        "d_ne_edge": distance(state.h98y2, state.ne_edge_norm, params.boundary),
+        "d_ne_edge": state.distance,
     }

@@ -10,6 +10,8 @@ from oneguard import config as cfg
 from oneguard.errors import ConfigError
 from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
 
+from conftest import DENSITY_LIMIT, DUAL_NTM
+
 MINIMAL = """
 run: {dt: 0.01 s, duration: 0.1 s}
 plant:
@@ -156,6 +158,15 @@ class TestParse:
     def test_load_document_rejects_non_mappings(self, text, message):
         with pytest.raises(ConfigError, match=message):
             cfg.load_document(text)
+
+    def test_bad_yaml_error_carries_line_and_column(self):
+        with pytest.raises(ConfigError, match=r"^schedule is not valid YAML: (.|\n)*line 2, column 4"):
+            cfg.load_document("a: b\n  c: d: e\n")
+
+    @pytest.mark.parametrize("path", [DENSITY_LIMIT, DUAL_NTM])
+    def test_load_document_equals_the_pure_python_loader(self, path):
+        text = path.read_text()
+        assert cfg.load_document(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 class TestValidate:
@@ -400,4 +411,45 @@ class TestCoverage:
             f"{tail(1, 1)} -> max-severity fallback to type 'recovery'; "
             f"{tail(1, 2)} -> max-severity fallback to type 'backup'; "
             f"{tail(2, 0)} -> max-severity fallback to type 'backup'"
+        )
+
+
+def listed_combiner_gap(ranges, table):
+    """The combiner totality check as it was first written: list every missing combination."""
+    missing = [combo for combo in itertools.product(*ranges) if combo not in table]
+    if not missing:
+        return None
+    shown = ", ".join(str(list(c)) for c in missing[:4])
+    return f"combiner not total: {len(missing)} missing combinations (e.g. {shown})"
+
+
+@st.composite
+def combiner_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 4), max_size=5))
+    # Keys mostly inside the input product, some one level past either end.
+    levels = [st.integers(0, n - 1) | st.integers(-1, n) for n in sizes]
+    keys = draw(st.lists(st.tuples(*levels), max_size=40))
+    return [range(n) for n in sizes], {key: 0 for key in keys}
+
+
+class TestCombinerTotality:
+    @settings(max_examples=300, deadline=None)
+    @given(combiner_cases())
+    def test_counting_matches_the_listing(self, case):
+        ranges, table = case
+        assert cfg._combiner_gap(ranges, table) == listed_combiner_gap(ranges, table)
+
+    def test_twelve_inputs_are_counted_not_listed(self):
+        # 4**12 (about 1.7e7) combinations: listing them takes seconds and gigabytes.
+        ranges = [range(4)] * 12
+        started = time.perf_counter()
+        message = cfg._combiner_gap(ranges, {(0,) * 12: 0})
+        assert time.perf_counter() - started < 1.0
+
+        def tail(*levels):
+            return [0] * (12 - len(levels)) + list(levels)
+
+        assert message == (
+            f"combiner not total: {4 ** 12 - 1} missing combinations "
+            f"(e.g. {tail(1)}, {tail(2)}, {tail(3)}, {tail(1, 0)})"
         )

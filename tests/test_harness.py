@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -9,7 +13,7 @@ from oneguard import config as cfg
 from oneguard import harness
 from oneguard.errors import TraceError
 
-from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
+from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS, REPO
 
 
 def run_schedule(path, mutate=None):
@@ -242,12 +246,60 @@ class TestCli:
 
     def test_run_parses_the_overridden_document_once(self, tmp_path, monkeypatch):
         # The overridden document goes straight to the parser: no dump and reload.
+        # yaml.load sees every load: the schedule's, and the override value's
+        # through yaml.safe_load.
         loads = []
-        real_load = yaml.safe_load
-        monkeypatch.setattr(yaml, "safe_load", lambda text: loads.append(text) or real_load(text))
+        real_load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda text, Loader: loads.append(text) or real_load(text, Loader))
         monkeypatch.setattr(yaml, "safe_dump", lambda *a, **k: pytest.fail("schedule was re-dumped"))
         code = cli.main(
             ["run", str(DENSITY_LIMIT), "--out", str(tmp_path / "x.csv"), "--set", "plant.gas_init=5.0"]
         )
         assert code == 2
         assert loads[0] == DENSITY_LIMIT.read_text() and loads[1:] == ["5.0"]
+
+    @pytest.mark.parametrize(
+        "argv, sha256, exit_code, rows",
+        [
+            ([str(DENSITY_LIMIT)], "dc0c6ec7b115e4c0fff1548db5de867600f91dcea7d6cac22ebb589d9b586747", 2, 61),
+            (
+                [str(DUAL_NTM), "--until", "30"],
+                "5aa778d70e9da9d3697e036db8b2c284102f116239f097005e14640616e2b9ad",
+                0,
+                3000,
+            ),
+        ],
+    )
+    def test_shipped_traces_are_pinned(self, tmp_path, argv, sha256, exit_code, rows):
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", *argv, "--out", str(out)]) == exit_code
+        data = out.read_bytes()
+        assert data.count(b"\n") - 1 == rows
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+    def test_run_validates_once_and_reports_every_diagnostic(self, tmp_path, monkeypatch, capsys):
+        doc = yaml.safe_load(open(DENSITY_LIMIT).read())
+        del doc["ones"][0]["reaction"]["medium"]
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert cli.main(["validate", str(bad)]) == 64
+        expected = capsys.readouterr().err
+
+        calls = []
+        real_validate = cfg.validate
+        monkeypatch.setattr(cfg, "validate", lambda ps: calls.append(ps) or real_validate(ps))
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", str(bad), "--out", str(out)]) == 64
+        assert capsys.readouterr().err == expected and "non-total" in expected
+        assert not out.exists()
+        assert cli.main(["run", str(DENSITY_LIMIT), "--out", str(out)]) == 2
+        assert len(calls) == 2
+
+    def test_import_does_not_load_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        probe = "import sys, oneguard.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

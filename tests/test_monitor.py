@@ -273,3 +273,24 @@ class TestMonitorStep:
         ev_fwd, _ = monitor_step(signals, fwd, {}, 0.0)
         ev_rev, _ = monitor_step(signals, rev, {}, 0.0)
         assert ev_fwd["combo"] == ev_rev["combo"]
+
+    def test_levels_follow_discretize_over_a_random_walk(self):
+        config = density_limit_monitor()
+        rng = random.Random(8)
+        events, levels = {}, {one_id: 0 for one_id in config.tables}
+        for k in range(2000):
+            signals = {"d_ne_edge": rng.uniform(-0.1, 0.6), "nbi_energy_frac": rng.uniform(0.8, 1.1)}
+            events, _ = monitor_step(signals, config, events, k * 0.01)
+            for one_id, table in config.tables.items():
+                sample = sig(table.signal, signals[table.signal], k * 0.01)
+                levels[one_id] = discretize(sample, table, levels[one_id]).level
+                assert events[one_id].level == levels[one_id]
+
+    def test_rejects_what_a_sample_and_discretize_reject(self):
+        config = density_limit_monitor()
+        signals = {"d_ne_edge": 0.3, "nbi_energy_frac": 0.2}
+        with pytest.raises(ValueError, match="signal 'd_ne_edge' has negative time -0.5"):
+            monitor_step(signals, config, {}, -0.5)
+        previous = {"d_ne_edge": EventState("d_ne_edge", 4, 0.0)}
+        with pytest.raises(ConfigError, match=r"previous level 4 outside \[0, 3\] for 'd_ne_edge'"):
+            monitor_step(signals, config, previous, 0.0)

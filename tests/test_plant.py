@@ -6,9 +6,11 @@ import pytest
 
 from oneguard.errors import ConfigError, SimFault
 from oneguard.plant import (
+    _EXTENSION,
     DisruptionBoundary,
     PlantParams,
     PlantState,
+    _interp,
     distance,
     initial_state,
     nbi_energy_check,
@@ -57,6 +59,39 @@ def sample_polyline(boundary, margin=50.0, n=2_000_000):
     return np.vstack(cloud)
 
 
+def numpy_signed_distance(boundary, ne, h98):
+    """The boundary distance as first written, with numpy over all extended segments."""
+    pts = np.asarray(boundary.vertices, dtype=float)
+    first = pts[0] + (pts[0] - pts[1]) / abs(pts[0][0] - pts[1][0]) * _EXTENSION
+    last = pts[-1] + (pts[-1] - pts[-2]) / abs(pts[-1][0] - pts[-2][0]) * _EXTENSION
+    extended = np.vstack([first, pts, last])
+    a, b = extended[:-1], extended[1:]
+    p = np.array([ne, h98], dtype=float)
+    ab = b - a
+    t = np.einsum("ij,ij->i", p - a, ab) / np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    dist = float(np.min(np.hypot(*(p - closest).T)))
+    return dist if h98 >= boundary.h_limit(ne) else -dist
+
+
+def random_table(rng, n):
+    xs = sorted(rng.sample(range(1, 10_000), n))
+    return [x / 997.0 for x in xs], [rng.uniform(-2.0, 2.0) for _ in range(n)]
+
+
+class TestInterp:
+    def test_equals_numpy_interp_bit_for_bit(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            xs, ys = random_table(rng, rng.randint(2, 7))
+            points = [rng.uniform(xs[0] - 1.0, xs[-1] + 1.0) for _ in range(50)]
+            points += xs + [xs[0] - 5.0, xs[-1] + 5.0, math.nextafter(xs[0], -math.inf)]
+            points += [math.nextafter(x, math.inf) for x in xs]
+            for x in points:
+                assert _interp(x, xs, ys).hex() == float(np.interp(x, xs, ys)).hex(), (x, xs, ys)
+
+
 class TestDistance:
     def test_point_on_boundary_is_zero(self):
         assert distance(0.5, 0.8, BOUNDARY) == pytest.approx(0.0, abs=1e-12)
@@ -95,6 +130,20 @@ class TestDistance:
             point = point + step
             after = distance(point[1], point[0], BOUNDARY)
             assert abs(after - before) <= np.hypot(*step) * (1.0 + 1e-9) + 1e-12
+
+    def test_equals_the_numpy_formula_bit_for_bit(self):
+        rng = random.Random(20251018)
+        boundaries = [BOUNDARY] + [
+            DisruptionBoundary(vertices=tuple(zip(*random_table(rng, rng.randint(2, 6)))))
+            for _ in range(20)
+        ]
+        for boundary in boundaries:
+            xs = [x for x, _ in boundary.vertices]
+            points = [(rng.uniform(xs[0] - 1.0, xs[-1] + 1.0), rng.uniform(-3.0, 3.0)) for _ in range(500)]
+            points += list(boundary.vertices) + [(x, 0.0) for x in xs]
+            for ne, h98 in points:
+                got = boundary.signed_distance(ne, h98)
+                assert got.hex() == numpy_signed_distance(boundary, ne, h98).hex(), (ne, h98)
 
     def test_boundary_validation(self):
         with pytest.raises(ConfigError):
@@ -201,6 +250,35 @@ class TestPlantStep:
             distance(state.h98y2, state.ne_edge_norm, BOUNDARY)
         )
         assert signals["nbi_energy_frac"] == 0.0
+
+
+class TestCarriedDistance:
+    """PlantState.distance is the boundary distance of the state it sits on."""
+
+    def fresh(self, p, state):
+        return p.boundary.signed_distance(state.ne_edge_norm, state.h98y2)
+
+    def test_initial_state(self):
+        for ne in (0.0, 0.3, 0.95, 1.6):
+            p = params(ne_init=ne)
+            state = initial_state(p)
+            assert state.distance == self.fresh(p, state)
+            assert plant_signals(state, p)["d_ne_edge"] == state.distance
+
+    def test_every_step_and_the_frozen_disrupted_state(self):
+        p = params()
+        state = initial_state(p)
+        for k in range(2000):
+            state = plant_step(state, p, p_nbi=0.65, gas_flux=15.0 + 0.6 * k, dt=0.01)
+            assert state.distance == self.fresh(p, state)
+            assert state.disrupted == (state.distance <= 0.0)
+            if state.disrupted:
+                break
+        assert state.disrupted
+        for _ in range(5):
+            state = plant_step(state, p, p_nbi=1.3, gas_flux=99.0, dt=0.01)
+            assert state.distance == self.fresh(p, state) <= 0.0
+            assert plant_signals(state, p)["d_ne_edge"] == state.distance
 
 
 class TestEnergyCheck:
