@@ -1,7 +1,7 @@
 """Actuator manager: resource allocation and command merging.
 
 Allocation is greedy in task-priority order (priority 1 first): each
-request gets ``min(requested, remaining availability)`` if that clears its
+request gets ``min(requested, remaining capacity)`` if that clears its
 minimum acceptable amount, otherwise nothing. This is exactly the
 priority-lexicographic optimum (verified against a brute-force oracle in
 the tests) and is deterministic and cheap enough for a real-time tick.
@@ -16,7 +16,7 @@ as a violation rather than silently applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import ConfigError
 from .model import Allocation, ResourceRequest
@@ -27,38 +27,25 @@ EXCLUSIVE = "exclusive"
 
 @dataclass(frozen=True)
 class ActuatorGroup:
-    """One shared actuator resource pool."""
+    """One shared actuator resource pool.
+
+    Every allocation round may grant up to ``capacity``. ``command_range``
+    clamps the merged command of an exclusive group.
+    """
 
     id: str
     capacity: float
+    command_range: Tuple[float, float]
     semantics: str = ADDITIVE
-    command_range: Tuple[float, float] = (0.0, 0.0)
     unit: str = ""
-    availability: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0.0:
-            raise ConfigError(f"group {self.id!r}: negative capacity")
-        if self.semantics not in (ADDITIVE, EXCLUSIVE):
-            raise ConfigError(f"group {self.id!r}: bad semantics {self.semantics!r}")
-        if self.command_range == (0.0, 0.0):
-            object.__setattr__(self, "command_range", (0.0, self.capacity))
-        lo, hi = self.command_range
-        if lo > hi:
-            raise ConfigError(f"group {self.id!r}: command range inverted")
-        if self.availability is None:
-            object.__setattr__(self, "availability", self.capacity)
-        if not 0.0 <= self.availability <= self.capacity:
-            raise ConfigError(f"group {self.id!r}: availability outside [0, capacity]")
 
 
 @dataclass(frozen=True)
 class ActuatorCommand:
-    """A value commanded on one group at one instant."""
+    """A value commanded on one group."""
 
     group_id: str
     value: float
-    time: float = 0.0
 
 
 def allocate(
@@ -73,7 +60,7 @@ def allocate(
     whose request cannot reach its minimum acceptable amount are granted
     zero and listed in ``Allocation.starved``. The minimum comparison
     carries a 1e-9 slack so accumulated float error in the remaining
-    availability cannot starve an exactly-satisfiable request.
+    capacity cannot starve an exactly-satisfiable request.
     """
     seen: set = set()
     for req in requests:
@@ -86,7 +73,7 @@ def allocate(
         if req.task_id not in priorities:
             raise ConfigError(f"request from inactive task {req.task_id!r}")
 
-    remaining = {gid: g.availability for gid, g in groups.items()}
+    remaining = {gid: g.capacity for gid, g in groups.items()}
     # Stable order: priority first, then group id so multi-group tasks
     # allocate deterministically.
     ordered = sorted(requests, key=lambda r: (priorities[r.task_id], r.group_id))

@@ -5,9 +5,10 @@ The schedule is a YAML document with sections ``run``, ``plant``,
 ``controllers`` and ``actuator_groups``. Parsing is strict about shape
 (unknown keys are rejected, every number must be finite, unit suffixes
 must match the field's declared unit); ``validate`` then reports semantic
-problems as diagnostics without throwing. A schedule that validates with
-zero errors compiles into runtime objects that cannot raise ConfigError
-on any input trace.
+problems as diagnostics without throwing. ``validate`` is the only place
+the schedule's rules are checked: the runtime objects assume them, and a
+schedule that validates with zero errors compiles into runtime objects
+that cannot raise ConfigError on any input trace.
 
 YAML 1.1 note: an unquoted ``no`` loads as boolean false. Since "no" is a
 legitimate danger-level name, bare booleans in danger positions are read
@@ -194,15 +195,6 @@ def _danger_name(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WaveformSpec:
-    points: Tuple[Tuple[float, float], ...]
-    interpolation: str = LINEAR
-
-    def build(self) -> Waveform:
-        return Waveform(points=self.points, interpolation=self.interpolation)
-
-
-@dataclass(frozen=True)
 class RunSpec:
     dt: float
     duration: float
@@ -259,74 +251,30 @@ class VirtualOneSpec:
 
 
 @dataclass(frozen=True)
-class ActivationSpec:
-    t_start: float = 0.0
-    t_end: Optional[float] = None
-    one: Optional[str] = None
-    min_level: int = 0
-    max_level: Optional[int] = None
-
-    def build(self) -> Activation:
-        trigger = None
-        if self.one is not None:
-            trigger = EventTrigger(one_id=self.one, min_level=self.min_level, max_level=self.max_level)
-        return Activation(t_start=self.t_start, t_end=self.t_end, trigger=trigger)
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    id: str
-    priority: int
-    controller: str
-    group: str
-    reference: Optional[Any]  # float or WaveformSpec
-    activation: ActivationSpec
-
-    def build(self) -> ControlTask:
-        ref = self.reference
-        if isinstance(ref, WaveformSpec):
-            ref = ref.build()
-        return ControlTask(
-            id=self.id,
-            priority=self.priority,
-            controller=self.controller,
-            group=self.group,
-            reference=ref,
-            activation=self.activation.build(),
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     id: str
     type: str
-    tasks: Tuple[TaskSpec, ...]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    id: str
-    capacity: float
-    semantics: str
-    command_range: Tuple[float, float]
-    unit: str
+    tasks: Tuple[ControlTask, ...]
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Typed mirror of one schedule document."""
+    """Typed mirror of one schedule document.
 
-    doc: Mapping[str, Any]
+    Waveforms, tasks and actuator groups are already the runtime types;
+    they take whatever the document says, and ``validate`` checks it.
+    """
+
     run: RunSpec
     plant: PlantSpec
-    scripted: Tuple[Tuple[str, WaveformSpec], ...]
+    scripted: Tuple[Tuple[str, Waveform], ...]
     ones: Tuple[OneSpec, ...]
     virtual_ones: Tuple[VirtualOneSpec, ...]
     os_default: str
     os_rows: Tuple[Tuple[Tuple[int, ...], str], ...]
     scenarios: Tuple[ScenarioSpec, ...]
     controllers: Tuple[Tuple[str, Mapping[str, Any]], ...]
-    groups: Tuple[GroupSpec, ...]
+    groups: Tuple[ActuatorGroup, ...]
 
     @property
     def one_ids(self) -> Tuple[str, ...]:
@@ -338,7 +286,7 @@ class PulseSchedule:
     def controller_map(self) -> Dict[str, Mapping[str, Any]]:
         return dict(self.controllers)
 
-    def group_map(self) -> Dict[str, GroupSpec]:
+    def group_map(self) -> Dict[str, ActuatorGroup]:
         return {g.id: g for g in self.groups}
 
 
@@ -359,7 +307,7 @@ _TOP_KEYS = {
 }
 
 
-def _parse_waveform(node: Any, path: str, sh: _Shape) -> WaveformSpec:
+def _parse_waveform(node: Any, path: str, sh: _Shape) -> Waveform:
     m = sh.mapping(node, path, {"points": True, "interpolation": False, "unit": False})
     unit = m.get("unit")
     if unit is not None and not isinstance(unit, str):
@@ -374,7 +322,7 @@ def _parse_waveform(node: Any, path: str, sh: _Shape) -> WaveformSpec:
         t = sh.number(pt[0], f"{path}.points[{i}].time", unit="s")
         v = sh.number(pt[1], f"{path}.points[{i}].value", unit=unit)
         points.append((t, v))
-    return WaveformSpec(points=tuple(points), interpolation=interpolation)
+    return Waveform(points=tuple(points), interpolation=interpolation)
 
 
 def _parse_reference(node: Any, path: str, sh: _Shape) -> Optional[Any]:
@@ -494,27 +442,27 @@ def _parse_virtual(node: Any, path: str, sh: _Shape) -> VirtualOneSpec:
     )
 
 
-def _parse_activation(node: Any, path: str, sh: _Shape) -> ActivationSpec:
+def _parse_activation(node: Any, path: str, sh: _Shape) -> Activation:
     if node is None:
-        return ActivationSpec()
+        return Activation()
     m = sh.mapping(node, path, {"t_start": False, "t_end": False, "event": False})
     t_start = sh.number(m.get("t_start"), f"{path}.t_start", unit="s", default=0.0)
     t_end = None
     if m.get("t_end") is not None:
         t_end = sh.number(m.get("t_end"), f"{path}.t_end", unit="s")
-    one = None
-    min_level = 0
-    max_level = None
+    trigger = None
     if m.get("event") is not None:
         em = sh.mapping(m.get("event"), f"{path}.event", {"one": True, "min_level": False, "max_level": False})
         one = sh.string(em.get("one"), f"{path}.event.one")
         min_level = sh.integer(em.get("min_level"), f"{path}.event.min_level", default=0)
+        max_level = None
         if em.get("max_level") is not None:
             max_level = sh.integer(em.get("max_level"), f"{path}.event.max_level")
-    return ActivationSpec(t_start=t_start, t_end=t_end, one=one, min_level=min_level, max_level=max_level)
+        trigger = EventTrigger(one_id=one, min_level=min_level, max_level=max_level)
+    return Activation(t_start=t_start, t_end=t_end, trigger=trigger)
 
 
-def _parse_task(node: Any, path: str, sh: _Shape) -> TaskSpec:
+def _parse_task(node: Any, path: str, sh: _Shape) -> ControlTask:
     m = sh.mapping(
         node,
         path,
@@ -527,7 +475,7 @@ def _parse_task(node: Any, path: str, sh: _Shape) -> TaskSpec:
             "activation": False,
         },
     )
-    return TaskSpec(
+    return ControlTask(
         id=sh.string(m.get("id"), f"{path}.id"),
         priority=sh.integer(m.get("priority"), f"{path}.priority", default=1),
         controller=sh.string(m.get("controller"), f"{path}.controller"),
@@ -550,7 +498,7 @@ def _parse_scenario(node: Any, path: str, sh: _Shape) -> ScenarioSpec:
     )
 
 
-def _parse_group(node: Any, path: str, sh: _Shape) -> GroupSpec:
+def _parse_group(node: Any, path: str, sh: _Shape) -> ActuatorGroup:
     m = sh.mapping(
         node,
         path,
@@ -569,7 +517,7 @@ def _parse_group(node: Any, path: str, sh: _Shape) -> GroupSpec:
     else:
         sh.fail(f"{path}.command_range", "expected a [lo, hi] pair")
         command_range = (0.0, capacity)
-    return GroupSpec(
+    return ActuatorGroup(
         id=sh.string(m.get("id"), f"{path}.id"),
         capacity=capacity,
         semantics=sh.string(m.get("semantics"), f"{path}.semantics", default=ADDITIVE),
@@ -663,7 +611,7 @@ def parse_document(doc: Dict[str, Any]) -> PulseSchedule:
 
     plant = _parse_plant(top.get("plant"), sh)
 
-    scripted: List[Tuple[str, WaveformSpec]] = []
+    scripted: List[Tuple[str, Waveform]] = []
     sig_node = top.get("signals") or {}
     if not isinstance(sig_node, dict):
         sh.fail("signals", "expected a mapping of signal name to waveform")
@@ -716,7 +664,6 @@ def parse_document(doc: Dict[str, Any]) -> PulseSchedule:
         raise ConfigError("schedule has shape errors:\n  " + "\n  ".join(sh.errors))
 
     return PulseSchedule(
-        doc=doc,
         run=run,
         plant=plant,
         scripted=tuple(scripted),
@@ -735,11 +682,6 @@ def parse_file(path) -> PulseSchedule:
         return parse(fh.read())
 
 
-def serialize(ps: PulseSchedule) -> str:
-    """Dump a schedule back to YAML; ``parse(serialize(ps)) == ps``."""
-    return yaml.safe_dump(dict(ps.doc), sort_keys=False)
-
-
 # ---------------------------------------------------------------------------
 # Validate (semantic pass).
 # ---------------------------------------------------------------------------
@@ -748,7 +690,7 @@ _DANGER_NAMES = tuple(d.label for d in DangerLevel)
 _SCENARIO_TYPES = tuple(t.value for t in ScenarioType)
 
 
-def _check_waveform(spec: WaveformSpec, path: str, out: List[Diagnostic]) -> None:
+def _check_waveform(spec: Waveform, path: str, out: List[Diagnostic]) -> None:
     if not spec.points:
         out.append(Diagnostic("error", path, "waveform has no breakpoints"))
         return
@@ -796,6 +738,23 @@ def _check_reaction_map(
         out.append(Diagnostic("error", path, f"non-total mapping: missing danger levels {missing}"))
 
 
+def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[Diagnostic]) -> None:
+    """The danger map, reaction map and irreversible set of a base or virtual event."""
+    _check_danger_map(spec.danger, spec.max_level, f"{path}.danger", out)
+    _check_reaction_map(spec.reaction, f"{path}.reaction", out)
+    for lvl in spec.irreversible:
+        if not REACTION_MIN <= lvl <= REACTION_MAX:
+            out.append(Diagnostic("error", f"{path}.irreversible", f"level {lvl} outside [0, 4]"))
+    if not {3, 4} <= set(spec.irreversible):
+        out.append(
+            Diagnostic(
+                "warning",
+                f"{path}.irreversible",
+                "set does not cover the conventional irreversible levels {3, 4}",
+            )
+        )
+
+
 def _reachable_reactions(
     danger: Tuple[Tuple[int, str], ...],
     reaction: Tuple[Tuple[str, int], ...],
@@ -829,7 +788,7 @@ def _check_controller(
         out.append(Diagnostic("error", path, f"unknown controller type {kind!r}"))
         return
 
-    def need_number(key: str, required: bool = True, positive: bool = False) -> None:
+    def need_number(key: str, required: bool = True, positive: bool = False, non_negative: bool = False) -> None:
         if key not in cfg:
             if required:
                 out.append(Diagnostic("error", path, f"missing required field {key!r}"))
@@ -840,6 +799,8 @@ def _check_controller(
             return
         if positive and float(v) <= 0.0:
             out.append(Diagnostic("error", path, f"field {key!r} must be positive"))
+        if non_negative and float(v) < 0.0:
+            out.append(Diagnostic("error", path, f"field {key!r} must be >= 0"))
 
     def need_signal(key: str) -> None:
         name = cfg.get(key)
@@ -857,7 +818,7 @@ def _check_controller(
     groups = ps.group_map()
     if kind == "feedforward":
         allow_keys("min_request")
-        need_number("min_request", required=False)
+        need_number("min_request", required=False, non_negative=True)
     elif kind == "pid":
         allow_keys("kp", "ki", "kd", "lo", "hi", "anti_windup", "measurement")
         for key in ("kp", "ki", "kd", "lo"):
@@ -875,7 +836,7 @@ def _check_controller(
         if cfg.get("mode") not in (MODE_NORMAL, MODE_RECOVERY):
             out.append(Diagnostic("error", path, f"mode must be one of {MODE_NORMAL!r}, {MODE_RECOVERY!r}"))
         need_number("d_critical1")
-        need_number("gain", required=False)
+        need_number("gain", required=False, non_negative=True)
         need_number("p_max", positive=True)
         need_signal("signal")
     elif kind == "gas_shaper":
@@ -1115,19 +1076,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
                     out.append(Diagnostic("error", f"{path}.thresholds", "must be strictly decreasing"))
                 elif any(ts[j] - hs[j] <= ts[j + 1] + hs[j + 1] for j in range(len(ts) - 1)):
                     out.append(Diagnostic("error", f"{path}.hysteresis", "bands overlap neighbouring thresholds"))
-        _check_danger_map(one.danger, one.max_level, f"{path}.danger", out)
-        _check_reaction_map(one.reaction, f"{path}.reaction", out)
-        for lvl in one.irreversible:
-            if not REACTION_MIN <= lvl <= REACTION_MAX:
-                out.append(Diagnostic("error", f"{path}.irreversible", f"level {lvl} outside [0, 4]"))
-        if not {3, 4} <= set(one.irreversible):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    f"{path}.irreversible",
-                    "set does not cover the conventional irreversible levels {3, 4}",
-                )
-            )
+        _check_classification(one, path, out)
 
     # Virtual events.
     for i, v in enumerate(ps.virtual_ones):
@@ -1164,19 +1113,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             gap = _combiner_gap(ranges, table)
             if gap is not None:
                 out.append(Diagnostic("error", f"{path}.rows", gap))
-        _check_danger_map(v.danger, v.max_level, f"{path}.danger", out)
-        _check_reaction_map(v.reaction, f"{path}.reaction", out)
-        for lvl in v.irreversible:
-            if not REACTION_MIN <= lvl <= REACTION_MAX:
-                out.append(Diagnostic("error", f"{path}.irreversible", f"level {lvl} outside [0, 4]"))
-        if not {3, 4} <= set(v.irreversible):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    f"{path}.irreversible",
-                    "set does not cover the conventional irreversible levels {3, 4}",
-                )
-            )
+        _check_classification(v, path, out)
 
     # Scenarios and tasks.
     seen_scenarios = set()
@@ -1218,17 +1155,18 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
                     out.append(Diagnostic("error", tpath, "ntm task group must differ from aim_group"))
             if task.group not in groups:
                 out.append(Diagnostic("error", tpath, f"unknown actuator group {task.group!r}"))
-            if isinstance(task.reference, WaveformSpec):
+            if isinstance(task.reference, Waveform):
                 _check_waveform(task.reference, f"{tpath}.reference", out)
             act = task.activation
             if act.t_end is not None and act.t_end <= act.t_start:
                 out.append(Diagnostic("error", f"{tpath}.activation", "t_end must exceed t_start"))
-            if act.one is not None:
-                if act.one not in ps.one_ids:
-                    out.append(Diagnostic("error", f"{tpath}.activation", f"unknown event {act.one!r}"))
-                if act.min_level < 0:
+            trigger = act.trigger
+            if trigger is not None:
+                if trigger.one_id not in ps.one_ids:
+                    out.append(Diagnostic("error", f"{tpath}.activation", f"unknown event {trigger.one_id!r}"))
+                if trigger.min_level < 0:
                     out.append(Diagnostic("error", f"{tpath}.activation", "min_level must be >= 0"))
-                if act.max_level is not None and act.max_level < act.min_level:
+                if trigger.max_level is not None and trigger.max_level < trigger.min_level:
                     out.append(Diagnostic("error", f"{tpath}.activation", "max_level below min_level"))
 
     # Controllers.
@@ -1306,10 +1244,6 @@ class CompiledSchedule:
     def one_ids(self) -> Tuple[str, ...]:
         return self.supervisor.one_ids
 
-    def signal_of(self, one_id: str) -> Optional[str]:
-        """Monitored signal name of a base event; None for virtual events."""
-        return self.event_signals.get(one_id)
-
 
 class ValidationFailed(ConfigError):
     """``compile_schedule`` refused a schedule that has validation errors.
@@ -1371,7 +1305,7 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         sc.id: Scenario(
             id=sc.id,
             type=ScenarioType.from_name(sc.type),
-            tasks=tuple(t.build() for t in sc.tasks),
+            tasks=tuple(sorted(sc.tasks, key=lambda t: t.priority)),
         )
         for sc in ps.scenarios
     }
@@ -1388,16 +1322,6 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         os_mapping=os_mapping,
     )
 
-    groups = {
-        g.id: ActuatorGroup(
-            id=g.id,
-            capacity=g.capacity,
-            semantics=g.semantics,
-            command_range=g.command_range,
-            unit=g.unit,
-        )
-        for g in ps.groups
-    }
     plant = PlantParams(
         tau_e=ps.plant.tau_e,
         tau_98=ps.plant.tau_98,
@@ -1411,14 +1335,13 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         ne_init=ps.plant.ne_init,
         gas_init=ps.plant.gas_init,
     )
-    scripted = {name: spec.build() for name, spec in ps.scripted}
     return CompiledSchedule(
         source=ps,
         run=ps.run,
         monitor=monitor,
         supervisor=supervisor,
-        groups=groups,
+        groups=ps.group_map(),
         controllers=ps.controller_map(),
         plant=plant,
-        scripted=scripted,
+        scripted=dict(ps.scripted),
     )

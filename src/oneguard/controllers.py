@@ -29,21 +29,15 @@ class Waveform:
 
     Evaluation holds the first value before the first breakpoint and the
     last value after the last one. ``hold`` interpolation steps at each
-    breakpoint; ``linear`` interpolates between neighbours.
+    breakpoint; ``linear`` interpolates between neighbours. There is at
+    least one breakpoint, with strictly increasing times.
     """
 
     points: Tuple[Tuple[float, float], ...]
     interpolation: str = LINEAR
 
     def __post_init__(self) -> None:
-        if not self.points:
-            raise ConfigError("waveform needs at least one breakpoint")
-        times = [t for t, _ in self.points]
-        if any(a >= b for a, b in zip(times, times[1:])):
-            raise ConfigError("waveform breakpoint times must be strictly increasing")
-        if self.interpolation not in (HOLD, LINEAR):
-            raise ConfigError(f"unknown interpolation {self.interpolation!r}")
-        object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_times", tuple(t for t, _ in self.points))
 
     def __call__(self, time: float) -> float:
         idx = bisect_right(self._times, time) - 1
@@ -68,12 +62,6 @@ def as_waveform(reference) -> Waveform:
     raise ConfigError(f"cannot use {reference!r} as a reference")
 
 
-def feedforward_step(wf: Waveform, time: float) -> Tuple[float, float]:
-    """Pre-programmed playback: request and command are both ``wf(time)``."""
-    value = wf(time)
-    return value, value
-
-
 @dataclass(frozen=True)
 class PidState:
     """Discrete PID state.
@@ -90,14 +78,9 @@ class PidState:
     hi: float
     anti_windup: bool = True
     integrator: float = 0.0
-    prev_error: float = 0.0
     prev_measurement: Optional[float] = None
     last_output: float = 0.0
     fault: bool = False
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ConfigError("PID output limits inverted")
 
 
 def pid_step(
@@ -132,7 +115,6 @@ def pid_step(
         hi=state.hi,
         anti_windup=state.anti_windup,
         integrator=integrator,
-        prev_error=error,
         prev_measurement=measurement,
         last_output=output,
         fault=False,
@@ -154,12 +136,8 @@ def da_power_step(
     continuous there), clamped at ``p_max``. In recovery mode it always
     asks for ``p_max``.
     """
-    if p_max <= 0.0:
-        raise ConfigError("da_power: p_max must be positive")
     if mode == MODE_RECOVERY:
         return p_max, p_max
-    if mode != MODE_NORMAL:
-        raise ConfigError(f"da_power: unknown mode {mode!r}")
     if distance >= d_critical1:
         return 0.0, 0.0
     value = min(gain * (d_critical1 - distance), p_max)
@@ -193,19 +171,10 @@ def da_gas_step(
         return base_command + factor * ramp_increment
     if mode == MODE_FREEZE:
         return entry_value
-    if mode == MODE_CUTOFF:
-        if ramp_down <= 0.0:
-            return 0.0
-        remaining = 1.0 - (time - entry_time) / ramp_down
-        return entry_value * min(max(remaining, 0.0), 1.0)
-    raise ConfigError(f"gas shaper: unknown mode {mode!r}")
-
-
-def ntm_step(mode_position: float, granted_power: float) -> Tuple[float, float]:
-    """Beam-deposition passthrough: aim at the mode, spend the full grant."""
-    if not 0.0 <= mode_position <= 1.0:
-        raise ConfigError(f"mode position {mode_position} outside [0, 1]")
-    return mode_position, granted_power
+    if ramp_down <= 0.0:
+        return 0.0
+    remaining = 1.0 - (time - entry_time) / ramp_down
+    return entry_value * min(max(remaining, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +219,7 @@ class FeedforwardRuntime(TaskRuntime):
         self.min_request = min_request
 
     def _request_at(self, time: float) -> List[ResourceRequest]:
-        amount, _ = feedforward_step(self.waveform, time)
-        amount = max(amount, 0.0)
+        amount = max(self.waveform(time), 0.0)
         return [
             ResourceRequest(
                 task_id=self.task.id,
@@ -265,9 +233,8 @@ class FeedforwardRuntime(TaskRuntime):
         return self._request_at(ctx.time)
 
     def step(self, ctx, grants):
-        _, desired = feedforward_step(self.waveform, ctx.time)
-        value = min(max(desired, 0.0), grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value, time=ctx.time)
+        value = min(max(self.waveform(ctx.time), 0.0), grants.get(self.task.group, 0.0))
+        cmd = ActuatorCommand(group_id=self.task.group, value=value)
         return [cmd], self._request_at(ctx.time + ctx.dt)
 
 
@@ -307,7 +274,7 @@ class PidRuntime(TaskRuntime):
     def step(self, ctx, grants):
         request, command, self.state = self._output(ctx)
         value = min(max(command, 0.0), grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value, time=ctx.time)
+        cmd = ActuatorCommand(group_id=self.task.group, value=value)
         next_req = ResourceRequest(
             task_id=self.task.id, group_id=self.task.group, amount=max(request, 0.0)
         )
@@ -350,7 +317,7 @@ class DaPowerRuntime(TaskRuntime):
     def step(self, ctx, grants):
         desired = self._desired(ctx)
         value = min(desired, grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value, time=ctx.time)
+        cmd = ActuatorCommand(group_id=self.task.group, value=value)
         next_req = ResourceRequest(
             task_id=self.task.id, group_id=self.task.group, amount=desired
         )
@@ -374,8 +341,6 @@ class GasShaperRuntime(TaskRuntime):
         ramp_down: float = 0.1,
     ):
         super().__init__(task)
-        if mode not in (MODE_SLOW_RAMP, MODE_FREEZE, MODE_CUTOFF):
-            raise ConfigError(f"gas shaper: unknown mode {mode!r}")
         if mode == MODE_SLOW_RAMP:
             self.waveform = as_waveform(task.reference)
         else:
@@ -438,7 +403,7 @@ class GasShaperRuntime(TaskRuntime):
             self.entry_time = ctx.time
         desired = self._shape(ctx)
         value = min(desired, grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value, time=ctx.time)
+        cmd = ActuatorCommand(group_id=self.task.group, value=value)
         next_req = ResourceRequest(
             task_id=self.task.id, group_id=self.task.group, amount=self._project(value, ctx)
         )
@@ -482,11 +447,9 @@ class NtmRuntime(TaskRuntime):
         rho = ctx.signals.get(self.position_signal, math.nan)
         if not math.isfinite(rho):
             rho = 0.0
-        rho = min(max(rho, 0.0), 1.0)
-        deposition, power = ntm_step(rho, grants.get(self.task.group, 0.0))
         cmds = [
-            ActuatorCommand(group_id=self.task.group, value=power, time=ctx.time),
-            ActuatorCommand(group_id=self.aim_group, value=deposition, time=ctx.time),
+            ActuatorCommand(group_id=self.task.group, value=grants.get(self.task.group, 0.0)),
+            ActuatorCommand(group_id=self.aim_group, value=min(max(rho, 0.0), 1.0)),
         ]
         return cmds, self.requests(ctx)
 

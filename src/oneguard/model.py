@@ -91,15 +91,11 @@ class ContinuousSignal:
 
 @dataclass(frozen=True)
 class EventState:
-    """Discrete level of one off-normal event at one instant."""
+    """Discrete level (>= 0) of one off-normal event at one instant."""
 
     one_id: str
     level: int
     time: float
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"event {self.one_id!r} has negative level {self.level}")
 
 
 @dataclass(frozen=True)
@@ -154,32 +150,20 @@ class ControlTask:
     reference: Any = None
     activation: Activation = field(default_factory=Activation)
 
-    def __post_init__(self) -> None:
-        if self.priority < 1:
-            raise ValueError(f"task {self.id!r}: priority must be >= 1")
-
 
 @dataclass(frozen=True)
 class ResourceRequest:
     """A task asking one actuator group for an amount of resource.
 
     ``min_acceptable`` is the smallest grant worth having; anything less
-    and the task prefers to be starved outright.
+    and the task prefers to be starved outright. The controllers keep
+    ``0 <= min_acceptable <= amount`` for every validated schedule.
     """
 
     task_id: str
     group_id: str
     amount: float
     min_acceptable: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.amount < 0.0 or self.min_acceptable < 0.0:
-            raise ValueError(f"request {self.task_id}/{self.group_id}: amounts must be >= 0")
-        if self.min_acceptable > self.amount:
-            raise ValueError(
-                f"request {self.task_id}/{self.group_id}: "
-                f"min_acceptable {self.min_acceptable} exceeds amount {self.amount}"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,66 +183,3 @@ class Allocation:
 
     def group_total(self, group_id: str) -> float:
         return sum(g.get(group_id, 0.0) for g in self.grants.values())
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers. Traces and tooling exchange these values as plain
-# dicts; round-tripping through to_dict/from_dict must be the identity.
-# ---------------------------------------------------------------------------
-
-def signal_to_dict(s: ContinuousSignal) -> dict:
-    return {"name": s.name, "value": s.value, "time": s.time}
-
-
-def signal_from_dict(d: Mapping[str, Any]) -> ContinuousSignal:
-    return ContinuousSignal(name=d["name"], value=float(d["value"]), time=float(d["time"]))
-
-
-def event_to_dict(e: EventState) -> dict:
-    return {"one_id": e.one_id, "level": e.level, "time": e.time}
-
-
-def event_from_dict(d: Mapping[str, Any]) -> EventState:
-    return EventState(one_id=d["one_id"], level=int(d["level"]), time=float(d["time"]))
-
-
-def task_to_dict(t: ControlTask) -> dict:
-    act: dict[str, Any] = {"t_start": t.activation.t_start, "t_end": t.activation.t_end}
-    if t.activation.trigger is not None:
-        act["trigger"] = {
-            "one_id": t.activation.trigger.one_id,
-            "min_level": t.activation.trigger.min_level,
-            "max_level": t.activation.trigger.max_level,
-        }
-    return {
-        "id": t.id,
-        "priority": t.priority,
-        "controller": t.controller,
-        "group": t.group,
-        "reference": t.reference,
-        "activation": act,
-    }
-
-
-def task_from_dict(d: Mapping[str, Any]) -> ControlTask:
-    act = d.get("activation", {})
-    trigger = None
-    if act.get("trigger") is not None:
-        tr = act["trigger"]
-        trigger = EventTrigger(
-            one_id=tr["one_id"],
-            min_level=int(tr.get("min_level", 0)),
-            max_level=tr.get("max_level"),
-        )
-    return ControlTask(
-        id=d["id"],
-        priority=int(d["priority"]),
-        controller=d["controller"],
-        group=d["group"],
-        reference=d.get("reference"),
-        activation=Activation(
-            t_start=float(act.get("t_start", 0.0)),
-            t_end=act.get("t_end"),
-            trigger=trigger,
-        ),
-    )

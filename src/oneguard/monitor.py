@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import ConfigError, MonitorFault
 from .model import ContinuousSignal, EventState
@@ -32,8 +32,9 @@ class ThresholdTable:
     (higher is worse) and strictly decreasing for ``"falling"`` (lower is
     worse). The threshold value itself belongs to the worse bucket: a
     rising table escalates at ``value >= t_i``, a falling one at
-    ``value <= t_i``. ``hysteresis`` bands must not make neighbouring
-    thresholds overlap.
+    ``value <= t_i``. ``hysteresis`` holds one non-negative band per
+    threshold (all zero when left empty), and the bands must not make
+    neighbouring thresholds overlap.
     """
 
     signal: str
@@ -42,34 +43,8 @@ class ThresholdTable:
     hysteresis: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.direction not in (RISING, FALLING):
-            raise ConfigError(f"table for {self.signal!r}: bad direction {self.direction!r}")
-        if not self.thresholds:
-            raise ConfigError(f"table for {self.signal!r}: needs at least one threshold")
-        hyst = self.hysteresis or tuple(0.0 for _ in self.thresholds)
-        if len(hyst) != len(self.thresholds):
-            raise ConfigError(
-                f"table for {self.signal!r}: {len(hyst)} hysteresis bands "
-                f"for {len(self.thresholds)} thresholds"
-            )
-        object.__setattr__(self, "hysteresis", hyst)
-        if any(h < 0.0 for h in hyst):
-            raise ConfigError(f"table for {self.signal!r}: negative hysteresis band")
-        ts = self.thresholds
-        if self.direction == RISING:
-            ok_order = all(a < b for a, b in zip(ts, ts[1:]))
-            ok_bands = all(
-                ts[i] + hyst[i] < ts[i + 1] - hyst[i + 1] for i in range(len(ts) - 1)
-            )
-        else:
-            ok_order = all(a > b for a, b in zip(ts, ts[1:]))
-            ok_bands = all(
-                ts[i] - hyst[i] > ts[i + 1] + hyst[i + 1] for i in range(len(ts) - 1)
-            )
-        if not ok_order:
-            raise ConfigError(f"table for {self.signal!r}: thresholds not strictly monotone")
-        if not ok_bands:
-            raise ConfigError(f"table for {self.signal!r}: hysteresis bands overlap")
+        if not self.hysteresis:
+            object.__setattr__(self, "hysteresis", tuple(0.0 for _ in self.thresholds))
 
     @property
     def max_level(self) -> int:
@@ -142,28 +117,22 @@ class VirtualOneRule:
     inputs: Tuple[str, ...]
     table: Mapping[Tuple[int, ...], int]
 
-    def __post_init__(self) -> None:
-        if not self.inputs:
-            raise ConfigError(f"virtual event {self.id!r}: needs at least one input")
-
     @property
     def max_level(self) -> int:
         return max(self.table.values(), default=0)
 
 
-def compose_virtual(inputs: Sequence[EventState], rule: VirtualOneRule) -> EventState:
-    """Evaluate a virtual event from its base events' current levels."""
-    by_id = {e.one_id: e for e in inputs}
-    levels = []
+def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
+    """Evaluate a virtual event from its base events' current states, keyed by event id."""
+    inputs = []
     for one_id in rule.inputs:
-        if one_id not in by_id:
+        if one_id not in events:
             raise ConfigError(f"virtual event {rule.id!r}: missing input {one_id!r}")
-        levels.append(by_id[one_id].level)
-    key = tuple(levels)
+        inputs.append(events[one_id])
+    key = tuple(e.level for e in inputs)
     if key not in rule.table:
         raise ConfigError(f"virtual event {rule.id!r}: no table row for levels {key}")
-    time = max(e.time for e in inputs if e.one_id in rule.inputs)
-    return EventState(one_id=rule.id, level=rule.table[key], time=time)
+    return EventState(one_id=rule.id, level=rule.table[key], time=max(e.time for e in inputs))
 
 
 @dataclass(frozen=True)
@@ -179,9 +148,6 @@ class MonitorConfig:
     tables: Mapping[str, ThresholdTable]
     virtual_rules: Tuple[VirtualOneRule, ...] = ()
     plant_failure_one: Optional[str] = None
-
-    def event_ids(self) -> List[str]:
-        return list(self.tables.keys()) + [r.id for r in self.virtual_rules]
 
     def max_level(self, one_id: str) -> int:
         if one_id in self.tables:
@@ -223,7 +189,7 @@ def monitor_step(
         events[one_id] = EventState(one_id=one_id, level=level, time=time)
 
     for rule in config.virtual_rules:
-        events[rule.id] = compose_virtual(list(events.values()), rule)
+        events[rule.id] = compose_virtual(events, rule)
 
     if faults and config.plant_failure_one is not None:
         pf = config.plant_failure_one

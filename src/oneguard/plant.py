@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
-from .errors import ConfigError, SimFault
+from .errors import SimFault
 
 # End segments of the limit curve are continued this far in density so the
 # signed distance stays continuous for any state the surrogate can reach.
@@ -48,21 +48,18 @@ def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
 class DisruptionBoundary:
     """Piecewise-linear empirical limit in the (density, confinement) plane.
 
-    Vertices are (ne_edge_norm, h98y2) pairs with strictly increasing
-    density, so the curve is a function of density; the end segments are
-    extrapolated linearly. States above the curve are stable (positive
-    distance), states below have crossed the limit (negative distance).
+    Vertices are at least two (ne_edge_norm, h98y2) pairs with strictly
+    increasing density, so the curve is a function of density; the end
+    segments are extrapolated linearly. States above the curve are stable
+    (positive distance), states below have crossed the limit (negative
+    distance).
     """
 
     vertices: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ConfigError("disruption boundary needs at least two vertices")
         xs = tuple(float(x) for x, _ in self.vertices)
         ys = tuple(float(y) for _, y in self.vertices)
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ConfigError("boundary vertices must have strictly increasing density")
 
         def extended(i: int, j: int) -> Tuple[float, float]:
             """End vertex ``i`` moved away from its neighbour ``j``, _EXTENSION in density."""
@@ -110,14 +107,13 @@ class DisruptionBoundary:
         return dist if h98 >= self.h_limit(ne) else -dist
 
 
-def distance(h98y2: float, ne_edge_norm: float, boundary: DisruptionBoundary) -> float:
-    """Signed distance from the state point to the empirical limit."""
-    return boundary.signed_distance(ne_edge_norm, h98y2)
-
-
 @dataclass(frozen=True)
 class PlantParams:
-    """Tuning of the surrogate dynamics; all values schedule-supplied."""
+    """Tuning of the surrogate dynamics; all values schedule-supplied.
+
+    The time constants and ``nbi_energy_limit`` are positive, and the
+    ``degradation`` table has at least two strictly increasing densities.
+    """
 
     tau_e: float
     tau_98: float
@@ -132,15 +128,7 @@ class PlantParams:
     gas_init: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("tau_e", "tau_98", "tau_n"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"plant: {name} must be positive")
-        if self.nbi_energy_limit <= 0.0:
-            raise ConfigError("plant: nbi_energy_limit must be positive")
-        xs = tuple(float(x) for x, _ in self.degradation)
-        if len(xs) < 2 or any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ConfigError("plant: degradation table needs strictly increasing densities")
-        object.__setattr__(self, "_deg_xs", xs)
+        object.__setattr__(self, "_deg_xs", tuple(float(x) for x, _ in self.degradation))
         object.__setattr__(self, "_deg_ys", tuple(float(y) for _, y in self.degradation))
 
     def degradation_at(self, ne: float) -> float:
@@ -227,13 +215,6 @@ def plant_step(
     )
 
 
-def nbi_energy_check(nbi_energy: float, limit: float = 1.3) -> float:
-    """Injected-energy fraction fed to the actuator-limit event monitor."""
-    if nbi_energy < 0.0:
-        raise ValueError("nbi_energy must be >= 0")
-    return nbi_energy / limit
-
-
 def plant_signals(state: PlantState, params: PlantParams) -> dict:
     """The generic continuous signals the monitor and controllers see."""
     return {
@@ -242,7 +223,7 @@ def plant_signals(state: PlantState, params: PlantParams) -> dict:
         "stored_energy": state.w_mj,
         "nbi_power": state.nbi_power,
         "nbi_energy": state.nbi_energy,
-        "nbi_energy_frac": nbi_energy_check(state.nbi_energy, params.nbi_energy_limit),
+        "nbi_energy_frac": state.nbi_energy / params.nbi_energy_limit,
         "gas_flux": state.gas_flux,
         "d_ne_edge": state.distance,
     }

@@ -15,7 +15,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import ConfigError
 from .model import (
-    Activation,
     ControlTask,
     DangerLevel,
     DEFAULT_IRREVERSIBLE,
@@ -70,33 +69,16 @@ class ReactionFsm:
         return candidate
 
 
-def danger_step(event: EventState, fsm: DangerFsm) -> DangerLevel:
-    """Classify one event's current level."""
-    return fsm.classify(event.level)
-
-
-def reaction_step(danger: DangerLevel, fsm: ReactionFsm, previous: int) -> int:
-    """Advance one event's reaction level from its previous value."""
-    return fsm.react(danger, previous)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A named, typed, prioritized task list."""
+    """A named, typed, prioritized task list.
+
+    ``tasks`` are in priority order (1 first), with unique priorities.
+    """
 
     id: str
     type: ScenarioType
     tasks: Tuple[ControlTask, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: Dict[int, str] = {}
-        for t in self.tasks:
-            if t.priority in seen:
-                raise ConfigError(
-                    f"scenario {self.id!r}: tasks {seen[t.priority]!r} and {t.id!r} "
-                    f"share priority {t.priority}"
-                )
-            seen[t.priority] = t.id
 
 
 @dataclass(frozen=True)
@@ -168,11 +150,6 @@ class SupervisorState:
         )
 
 
-def map_scenario(reactions: Tuple[int, ...], mapping: OsMapping) -> str:
-    """Select the scenario for one reaction combination."""
-    return mapping.select(reactions)
-
-
 def activate_tasks(
     scenario: Scenario,
     time: float,
@@ -180,8 +157,7 @@ def activate_tasks(
 ) -> List[ControlTask]:
     """Tasks of ``scenario`` whose activation condition holds, priority order."""
     levels = {one_id: e.level for one_id, e in events.items()}
-    live = [t for t in scenario.tasks if t.activation.holds(time, levels)]
-    return sorted(live, key=lambda t: t.priority)
+    return [t for t in scenario.tasks if t.activation.holds(time, levels)]
 
 
 def supervisor_step(
@@ -201,14 +177,12 @@ def supervisor_step(
     for one_id in config.one_ids:
         if one_id not in events:
             raise ConfigError(f"no event state for configured event {one_id!r}")
-        danger = danger_step(events[one_id], config.danger_fsms[one_id])
+        danger = config.danger_fsms[one_id].classify(events[one_id].level)
         dangers[one_id] = danger
-        reactions[one_id] = reaction_step(
-            danger, config.reaction_fsms[one_id], state.reactions.get(one_id, 0)
-        )
+        reactions[one_id] = config.reaction_fsms[one_id].react(danger, state.reactions.get(one_id, 0))
 
     combo = tuple(reactions[one_id] for one_id in config.one_ids)
-    scenario_id = map_scenario(combo, config.os_mapping)
+    scenario_id = config.os_mapping.select(combo)
     scenario = config.scenarios[scenario_id]
     if time is None:
         time = max((e.time for e in events.values()), default=0.0)

@@ -5,28 +5,35 @@ assertions hold, so `pytest -v tests/test_acceptance.py` reads as the
 acceptance report.
 """
 
+import copy
 import csv
 import io
 import itertools
 import math
+import os
 import random
+import tempfile
 import time as wallclock
 
 import numpy as np
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oneguard import cli
 from oneguard import config as cfg
 from oneguard import harness
 from oneguard.allocator import allocate
 from oneguard.errors import ConfigError
 from oneguard.harness import ControlLoop
 from oneguard.model import DangerLevel, EventState
-from oneguard.plant import distance, initial_state, plant_step
+from oneguard.plant import initial_state, plant_step
 from oneguard.controllers import PidState, pid_step
 from oneguard.supervisor import DangerFsm, ReactionFsm, SupervisorState, supervisor_step
 
-from conftest import DUAL_NTM_EVENTS
+from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
 from test_allocator import assert_matches_oracle, random_instance
 from test_plant import BOUNDARY, sample_polyline
 from test_supervisor import oracle_config_pairs
@@ -227,7 +234,7 @@ def test_c5_allocator_oracle_and_feasibility():
         requests, groups, priorities = random_instance(rng, multi_group=True)
         alloc = allocate(requests, groups, priorities)
         for gid, g in groups.items():
-            if alloc.group_total(gid) > g.availability + 1e-9:
+            if alloc.group_total(gid) > g.capacity + 1e-9:
                 feasibility_violations += 1
         for r in requests:
             got = alloc.grant(r.task_id, r.group_id)
@@ -284,7 +291,7 @@ def test_c6_numerical_checks(density_limit_compiled):
     while checked < 40:
         ne = rng.uniform(0.0, 1.8)
         h98 = rng.uniform(-0.2, 1.6)
-        got = distance(h98, ne, BOUNDARY)
+        got = BOUNDARY.signed_distance(ne, h98)
         if abs(got) < 0.05:
             continue
         diff = cloud - np.array([ne, h98])
@@ -462,3 +469,54 @@ def test_c8_validation_soundness(density_limit_schedule, dual_ntm_schedule):
         f"[acceptance] C8 validation soundness: PASS "
         f"({len(schedules)} schedules, {traces} fuzzed traces, 0 ConfigErrors)"
     )
+
+
+#: Numeric settings of each controller type.
+CONTROLLER_NUMBERS = {
+    "feedforward": ("min_request",),
+    "pid": ("kp", "ki", "kd", "lo", "hi"),
+    "da_power": ("d_critical1", "gain", "p_max"),
+    "gas_shaper": ("factor", "ramp_down"),
+    "ntm": (),
+}
+PLANT_NUMBERS = ("tau_e", "tau_98", "tau_n", "k_gas", "p_ohmic", "nbi_energy_limit", "w_init", "ne_init", "gas_init")
+
+
+def numeric_fields(doc):
+    """Paths of the numeric controller settings, group capacities and ranges, and plant fields."""
+    fields = [("controllers", cid, key) for cid, c in doc["controllers"].items() for key in CONTROLLER_NUMBERS[c["type"]]]
+    for i in range(len(doc["actuator_groups"])):
+        fields += [("actuator_groups", i, "capacity"), ("actuator_groups", i, "command_range")]
+    return fields + [("plant", key) for key in PLANT_NUMBERS]
+
+
+SHIPPED_DOCS = [yaml.safe_load(path.read_text()) for path in (DENSITY_LIMIT, DUAL_NTM)]
+SIGNED = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def perturbed_schedules(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
+    for *parents, leaf in draw(st.lists(st.sampled_from(numeric_fields(doc)), min_size=1, max_size=4, unique=True)):
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = [draw(SIGNED), draw(SIGNED)] if leaf == "command_range" else draw(SIGNED)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_schedules())
+def test_c8_clean_validate_means_run_cannot_raise(doc):
+    # Perturbed numbers either fail validation, and run refuses them with
+    # 64, or run to one of the three discharge outcomes; nothing raises.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "schedule.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=False)
+        validated = cli.main(["validate", path])
+        code = cli.main(["run", path, "--out", os.path.join(tmp, "trace.csv"), "--until", "0.3"])
+    if validated == harness.EXIT_CONFIG:
+        assert code == harness.EXIT_CONFIG
+    else:
+        assert code in (harness.EXIT_CLEAN, harness.EXIT_DISRUPTED, harness.EXIT_SHUTDOWN)

@@ -9,8 +9,10 @@ from oneguard.model import Allocation, ResourceRequest
 UNIT = 0.05  # grant grid used by the brute-force oracle
 
 
-def group(gid, capacity, semantics="additive", availability=None):
-    return ActuatorGroup(id=gid, capacity=capacity, semantics=semantics, availability=availability)
+def group(gid, capacity, semantics="additive", command_range=None):
+    return ActuatorGroup(
+        id=gid, capacity=capacity, command_range=command_range or (0.0, capacity), semantics=semantics
+    )
 
 
 def req(task, gid, amount, minimum=0.0):
@@ -59,12 +61,6 @@ class TestAllocate:
     def test_inactive_task_rejected(self):
         with pytest.raises(ConfigError):
             allocate([req("ghost", "g", 0.1)], {"g": group("g", 1.0)}, {"a": 1})
-
-    def test_availability_below_capacity_respected(self):
-        alloc = allocate(
-            [req("a", "g", 1.0)], {"g": group("g", 1.0, availability=0.4)}, {"a": 1}
-        )
-        assert alloc.grant("a", "g") == pytest.approx(0.4)
 
 
 class TestMergeCommands:
@@ -129,6 +125,13 @@ class TestMergeCommands:
         )
         assert commands["aim"] == pytest.approx(0.7)
 
+    def test_exclusive_group_clamps_to_a_zero_command_range(self):
+        groups = {"aim": group("aim", 1.0, semantics="exclusive", command_range=(0.0, 0.0))}
+        alloc = allocate([req("a", "aim", 1.0, minimum=1.0)], groups, {"a": 1})
+        commands, violations = merge_commands([("a", ActuatorCommand("aim", 0.6))], alloc, groups, {"a": 1})
+        assert commands["aim"] == 0.0
+        assert violations == []
+
     def test_uncommanded_group_reads_zero(self):
         alloc = allocate([], self.GROUPS, {})
         commands, _ = merge_commands([], alloc, self.GROUPS, {})
@@ -179,7 +182,7 @@ def random_instance(rng, max_tasks=3, max_groups=2, multi_group=False):
     groups = {}
     for g in range(n_groups):
         gid = f"g{g}"
-        groups[gid] = ActuatorGroup(id=gid, capacity=rng.randint(1, 20) * UNIT)
+        groups[gid] = group(gid, rng.randint(1, 20) * UNIT)
     n_tasks = rng.randint(1, max_tasks)
     priorities = {f"t{i}": p for i, p in enumerate(rng.sample(range(1, n_tasks + 1), n_tasks))}
     requests = []
@@ -213,7 +216,7 @@ def assert_matches_oracle(requests, groups, priorities):
         (r.task_id, r.group_id): (round(r.amount / UNIT), round(r.min_acceptable / UNIT))
         for r in requests
     }
-    capacities_units = {gid: round(g.availability / UNIT) for gid, g in groups.items()}
+    capacities_units = {gid: round(g.capacity / UNIT) for gid, g in groups.items()}
     best = brute_force_best(requests_units, capacities_units, order)
     for key, grant_units in zip(order, best):
         got = alloc.grant(*key)
@@ -249,7 +252,7 @@ class TestFeasibilityAndDominance:
             requests, groups, priorities = random_instance(rng, multi_group=True)
             alloc = allocate(requests, groups, priorities)
             for gid, g in groups.items():
-                assert alloc.group_total(gid) <= g.availability + 1e-9
+                assert alloc.group_total(gid) <= g.capacity + 1e-9
             for r in requests:
                 got = alloc.grant(r.task_id, r.group_id)
                 assert got == 0.0 or got >= r.min_acceptable - 1e-12

@@ -145,10 +145,6 @@ class TestParse:
         ps = cfg.parse(text)
         assert dict(ps.ones[0].danger)[0] == "no"
 
-    def test_parse_serialize_round_trip(self, density_limit_schedule, dual_ntm_schedule):
-        for ps in (density_limit_schedule, dual_ntm_schedule):
-            assert cfg.parse(cfg.serialize(ps)) == ps
-
     def test_parse_is_load_then_parse_document(self):
         assert cfg.parse_document(cfg.load_document(MINIMAL)) == cfg.parse(MINIMAL)
 
@@ -299,19 +295,183 @@ class TestValidate:
         assert any("exclusive" in m for m in messages)
 
 
+def set_at(path, value):
+    """A mutation that sets the dotted ``path`` of a document (list indices as numbers)."""
+
+    def mutate(doc):
+        *parents, leaf = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        if isinstance(node, list):
+            node[int(leaf)] = value
+        else:
+            node[leaf] = value
+
+    return mutate
+
+
+def diagnose(mutate):
+    """Every diagnostic of ``minimal_doc()`` after ``mutate``, as printed."""
+    doc = minimal_doc()
+    mutate(doc)
+    return [str(d) for d in validate_doc(doc)]
+
+
+def rising(thresholds, hysteresis):
+    def mutate(doc):
+        doc["ones"][0].update(direction="rising", thresholds=thresholds, hysteresis=hysteresis)
+        doc["ones"][0]["danger"] = {level: "low" for level in range(len(thresholds) + 1)}
+
+    return mutate
+
+
+def virtual(**fields):
+    def mutate(doc):
+        rule = {"id": "combo", "inputs": ["watch"], "rows": [{"levels": [0], "level": 0}, {"levels": [1], "level": 0}]}
+        rule.update(fields, danger={0: "no"}, reaction=doc["ones"][0]["reaction"])
+        doc["virtual_ones"] = [rule]
+
+    return mutate
+
+
+def second_task(doc):
+    doc["scenarios"][0]["tasks"].append(
+        {"id": "heat2", "priority": 1, "controller": "ff", "group": "nbi", "reference": 0.1}
+    )
+
+
+def controller(**settings):
+    return set_at("controllers.probe", settings)
+
+
+DA_POWER = {"type": "da_power", "mode": "normal", "d_critical1": 0.45, "p_max": 1.3, "signal": "d_ne_edge"}
+
+#: Each schedule rule that only ``validate`` checks: a mutation of
+#: ``minimal_doc()`` that breaks it, and the diagnostic that reports it.
+CHECK_HOMES = [
+    # Threshold tables.
+    ("direction", set_at("ones.0.direction", "sideways"), "error: ones[0].direction: must be 'rising' or 'falling'"),
+    ("no_thresholds", set_at("ones.0.thresholds", []), "error: ones[0].thresholds: needs at least one threshold"),
+    ("band_count", set_at("ones.0.hysteresis", [0.1, 0.1]), "error: ones[0].hysteresis: 2 bands for 1 thresholds"),
+    ("negative_band", set_at("ones.0.hysteresis", [-0.1]), "error: ones[0].hysteresis: bands must be >= 0"),
+    ("rising_order", rising([0.5, 0.4], [0.0, 0.0]), "error: ones[0].thresholds: must be strictly increasing"),
+    (
+        "falling_order",
+        set_at("ones.0.thresholds", [0.4, 0.5]),
+        "error: ones[0].thresholds: must be strictly decreasing",
+    ),
+    ("band_overlap", rising([0.4, 0.5], [0.06, 0.05]), "error: ones[0].hysteresis: bands overlap neighbouring thresholds"),
+    # Plant parameters and disruption boundary.
+    ("tau_e", set_at("plant.tau_e", 0.0), "error: plant.tau_e: must be positive"),
+    ("tau_98", set_at("plant.tau_98", -0.02), "error: plant.tau_98: must be positive"),
+    ("tau_n", set_at("plant.tau_n", 0.0), "error: plant.tau_n: must be positive"),
+    ("energy_limit", set_at("plant.nbi_energy_limit", 0.0), "error: plant.nbi_energy_limit: must be positive"),
+    ("degradation_points", set_at("plant.degradation", [[0.0, 1.0]]), "error: plant.degradation: needs at least two points"),
+    (
+        "degradation_order",
+        set_at("plant.degradation", [[1.0, 1.0], [1.0, 0.5]]),
+        "error: plant.degradation: densities must be strictly increasing",
+    ),
+    ("boundary_points", set_at("plant.boundary", [[1.5, 0.1]]), "error: plant.boundary: needs at least two points"),
+    (
+        "boundary_order",
+        set_at("plant.boundary", [[2.5, 0.1], [1.5, 0.2]]),
+        "error: plant.boundary: densities must be strictly increasing",
+    ),
+    # Actuator groups.
+    ("capacity", set_at("actuator_groups.1.capacity", -1.0), "error: actuator_groups[1]: capacity must be >= 0"),
+    ("semantics", set_at("actuator_groups.1.semantics", "bogus"), "error: actuator_groups[1]: unknown semantics 'bogus'"),
+    ("range", set_at("actuator_groups.1.command_range", [5.0, 1.0]), "error: actuator_groups[1]: command_range inverted"),
+    # Scenarios and tasks.
+    ("shared_priority", second_task, "error: scenarios[0].tasks[1]: priority 1 already used by task 'heat'"),
+    ("priority", set_at("scenarios.0.tasks.0.priority", 0), "error: scenarios[0].tasks[0]: priority must be >= 1"),
+    # Waveforms.
+    ("no_breakpoints", set_at("signals", {"amp": {"points": []}}), "error: signals.amp: waveform has no breakpoints"),
+    (
+        "breakpoint_order",
+        set_at("scenarios.0.tasks.0.reference", {"points": [[0.2, 0.4], [0.1, 0.3]]}),
+        "error: scenarios[0].tasks[0].reference: breakpoint times must be strictly increasing",
+    ),
+    (
+        "interpolation",
+        set_at("signals", {"amp": {"points": [[0.0, 1.0]], "interpolation": "cubic"}}),
+        "error: signals.amp: unknown interpolation 'cubic'",
+    ),
+    # Virtual events.
+    ("virtual_inputs", virtual(inputs=[]), "error: virtual_ones[0].inputs: needs at least one input"),
+    (
+        "virtual_level",
+        virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1], "level": -1}]),
+        "error: virtual_ones[0].rows: output level -1 must be >= 0",
+    ),
+    # Controllers.
+    (
+        "pid_limits",
+        controller(type="pid", lo=1.0, hi=0.5, measurement="h98y2"),
+        "error: controllers.probe: output limits inverted (lo > hi)",
+    ),
+    ("p_max", controller(**dict(DA_POWER, p_max=0.0)), "error: controllers.probe: field 'p_max' must be positive"),
+    (
+        "da_power_mode",
+        controller(**dict(DA_POWER, mode="panic")),
+        "error: controllers.probe: mode must be one of 'normal', 'recovery'",
+    ),
+    (
+        "gas_shaper_mode",
+        controller(type="gas_shaper", mode="panic"),
+        "error: controllers.probe: mode must be one of 'slow_ramp', 'freeze', 'cutoff'",
+    ),
+    ("gain", controller(**dict(DA_POWER, gain=-4.0)), "error: controllers.probe: field 'gain' must be >= 0"),
+    (
+        "min_request",
+        set_at("controllers.ff.min_request", -0.1),
+        "error: controllers.ff: field 'min_request' must be >= 0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, expected", [row[1:] for row in CHECK_HOMES], ids=[row[0] for row in CHECK_HOMES]
+)
+def test_validate_is_the_home_of_each_schedule_rule(mutate, expected):
+    assert expected in diagnose(mutate)
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(cfg.ValidationFailed):
+        cfg.compile_schedule(parse_doc(doc))
+
+
 class TestCompile:
     def test_compiled_event_order_matches_document(self, density_limit_compiled):
         assert density_limit_compiled.one_ids == ("d_ne_edge", "actuator_lim")
 
     def test_signal_lookup(self, density_limit_compiled):
-        assert density_limit_compiled.signal_of("actuator_lim") == "nbi_energy_frac"
-        assert density_limit_compiled.signal_of("missing") is None
+        assert density_limit_compiled.event_signals["actuator_lim"] == "nbi_energy_frac"
+        assert "missing" not in density_limit_compiled.event_signals
 
     def test_task_references_become_waveforms_or_scalars(self, density_limit_compiled):
         normal = density_limit_compiled.supervisor.scenarios["normal"]
         by_id = {t.id: t for t in normal.tasks}
         assert by_id["ff_power_nor"].reference == 0.65
         assert by_id["ff_gas_nor"].reference(0.0) == 15.0
+
+    def test_scenario_tasks_are_compiled_in_priority_order(self):
+        doc = minimal_doc()
+        doc["scenarios"][0]["tasks"].insert(
+            0, {"id": "late", "priority": 2, "controller": "ff", "group": "nbi", "reference": 0.1}
+        )
+        compiled = cfg.compile_schedule(parse_doc(doc))
+        assert [t.id for t in compiled.supervisor.scenarios["normal"].tasks] == ["heat", "late"]
+
+    def test_command_range_defaults_to_capacity_and_keeps_zero(self):
+        doc = minimal_doc()
+        doc["actuator_groups"].append(
+            {"id": "aim", "capacity": 1.0, "semantics": "exclusive", "command_range": [0.0, 0.0]}
+        )
+        groups = cfg.compile_schedule(parse_doc(doc)).groups
+        assert groups["nbi"].command_range == (0.0, 1.3)
+        assert groups["aim"].command_range == (0.0, 0.0)
 
 
 def brute_force_coverage(per_one, row_map, types_present):

@@ -15,12 +15,11 @@ from oneguard.controllers import (
     as_waveform,
     da_gas_step,
     da_power_step,
-    feedforward_step,
-    ntm_step,
     pid_step,
 )
-from oneguard.errors import ConfigError
 from oneguard.model import ControlTask
+
+from test_config import DA_POWER, controller, diagnose, set_at
 
 
 class TestWaveform:
@@ -47,17 +46,21 @@ class TestWaveform:
         assert wf(1.0) == 2.0
 
     def test_empty_waveform_rejected(self):
-        with pytest.raises(ConfigError):
-            Waveform(points=())
+        # Checked by validate; Waveform itself assumes a validated schedule.
+        assert "error: signals.amp: waveform has no breakpoints" in diagnose(
+            set_at("signals", {"amp": {"points": []}})
+        )
 
     def test_non_increasing_times_rejected(self):
-        with pytest.raises(ConfigError):
-            Waveform(points=((0.0, 1.0), (0.0, 2.0)))
+        assert "error: signals.amp: breakpoint times must be strictly increasing" in diagnose(
+            set_at("signals", {"amp": {"points": [[0.0, 1.0], [0.0, 2.0]]}})
+        )
 
     def test_feedforward_step_requests_what_it_commands(self):
-        wf = as_waveform(0.65)
-        request, command = feedforward_step(wf, 1.0)
-        assert request == command == 0.65
+        rt = FeedforwardRuntime(task(reference=0.65, group="nbi"))
+        (request,) = rt.requests(ctx(time=1.0))
+        (command,), _ = rt.step(ctx(time=1.0), {"nbi": 1.3})
+        assert request.amount == command.value == 0.65
 
 
 class TestPid:
@@ -127,8 +130,9 @@ class TestPid:
             assert abs(state.integrator / ki) <= (hi - lo) / ki + 1e-12
 
     def test_inverted_limits_rejected(self):
-        with pytest.raises(ConfigError):
-            PidState(kp=1.0, ki=0.0, kd=0.0, lo=1.0, hi=0.0)
+        assert "error: controllers.probe: output limits inverted (lo > hi)" in diagnose(
+            controller(type="pid", lo=1.0, hi=0.0, measurement="h98y2")
+        )
 
 
 class TestDaPower:
@@ -152,8 +156,9 @@ class TestDaPower:
             assert req == pytest.approx(4.0 * eps, abs=1e-12)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            da_power_step(0.1, 0.45, gain=1.0, p_max=1.0, mode="panic")
+        assert "error: controllers.probe: mode must be one of 'normal', 'recovery'" in diagnose(
+            controller(**dict(DA_POWER, mode="panic"))
+        )
 
 
 class TestGasShaper:
@@ -179,15 +184,23 @@ class TestGasShaper:
 
 
 class TestNtm:
+    def ntm_commands(self, rho, power_grant):
+        rt = NtmRuntime(
+            task(group="ec_power"), position_signal="rho", aim_group="ec_aim", power_capacity=1.0
+        )
+        commands, _ = rt.step(ctx(signals={"rho": rho}), {"ec_power": power_grant, "ec_aim": 1.0})
+        return {c.group_id: c.value for c in commands}
+
     def test_deposition_and_power_passthrough(self):
-        assert ntm_step(0.6, 0.5) == (0.6, 0.5)
+        assert self.ntm_commands(0.6, 0.5) == {"ec_aim": 0.6, "ec_power": 0.5}
 
     def test_zero_grant_zero_power(self):
-        assert ntm_step(0.6, 0.0) == (0.6, 0.0)
+        assert self.ntm_commands(0.6, 0.0) == {"ec_aim": 0.6, "ec_power": 0.0}
 
     def test_position_outside_unit_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            ntm_step(1.5, 0.1)
+        # The runtime clamps the measured position onto [0, 1] before aiming.
+        assert self.ntm_commands(1.5, 0.5)["ec_aim"] == 1.0
+        assert self.ntm_commands(-0.2, 0.5)["ec_aim"] == 0.0
 
 
 def task(tid="t", priority=1, controller="c", group="g", reference=None, activation=None):

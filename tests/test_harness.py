@@ -14,6 +14,7 @@ from oneguard import harness
 from oneguard.errors import TraceError
 
 from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS, REPO
+from test_config import set_at
 
 
 def run_schedule(path, mutate=None):
@@ -237,6 +238,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "assignment, diagnostic",
+        [
+            ("controllers.da_power_nor.gain=-4.0", "error: controllers.da_power_nor: field 'gain' must be >= 0"),
+            ("controllers.ff.min_request=-0.1", "error: controllers.ff: field 'min_request' must be >= 0"),
+        ],
+    )
+    def test_negative_controller_setting_is_a_diagnostic(self, tmp_path, capsys, assignment, diagnostic):
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", str(DENSITY_LIMIT), "--out", str(out), "--set", assignment]) == 64
+        assert capsys.readouterr().err == diagnostic + "\n"
+        assert not out.exists()
+
+        path, value = assignment.split("=")
+        doc = yaml.safe_load(DENSITY_LIMIT.read_text())
+        set_at(path, float(value))(doc)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert cli.main(["validate", str(bad)]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == diagnostic + "\n"
+        assert captured.out == f"{bad}: 1 error(s), 0 warning(s)\n"
 
     def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"

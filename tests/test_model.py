@@ -3,20 +3,13 @@ import pytest
 from oneguard.model import (
     Activation,
     ContinuousSignal,
-    ControlTask,
     DangerLevel,
-    EventState,
     EventTrigger,
-    ResourceRequest,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
-    event_from_dict,
-    event_to_dict,
-    signal_from_dict,
-    signal_to_dict,
-    task_from_dict,
-    task_to_dict,
 )
+
+from test_config import diagnose, second_task, set_at
 
 
 class TestEnums:
@@ -55,14 +48,16 @@ class TestValues:
             ContinuousSignal(name="x", value=0.0, time=-1.0)
 
     def test_request_invariants(self):
-        with pytest.raises(ValueError):
-            ResourceRequest(task_id="t", group_id="g", amount=0.1, min_acceptable=0.2)
-        with pytest.raises(ValueError):
-            ResourceRequest(task_id="t", group_id="g", amount=-0.1)
+        # Requests are built by the controllers, whose settings validate bounds.
+        assert "error: controllers.ff: field 'min_request' must be >= 0" in diagnose(
+            set_at("controllers.ff.min_request", -0.1)
+        )
 
     def test_task_priority_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ControlTask(id="t", priority=0, controller="c", group="g")
+        assert "error: scenarios[0].tasks[0]: priority must be >= 1" in diagnose(
+            set_at("scenarios.0.tasks.0.priority", 0)
+        )
+        assert "error: scenarios[0].tasks[1]: priority 1 already used by task 'heat'" in diagnose(second_task)
 
     def test_activation_window_and_trigger(self):
         act = Activation(t_start=1.0, t_end=2.0, trigger=EventTrigger("x", min_level=1))
@@ -75,28 +70,3 @@ class TestValues:
         trigger = EventTrigger("x", min_level=0, max_level=0)
         assert trigger.holds(0)
         assert not trigger.holds(1)
-
-
-class TestRoundTrip:
-    def test_signal_round_trip(self):
-        s = ContinuousSignal(name="d_ne_edge", value=0.31, time=1.25)
-        assert signal_from_dict(signal_to_dict(s)) == s
-
-    def test_event_round_trip(self):
-        e = EventState(one_id="ntm21", level=3, time=0.5)
-        assert event_from_dict(event_to_dict(e)) == e
-
-    def test_task_round_trip(self):
-        t = ControlTask(
-            id="da_power_nor",
-            priority=3,
-            controller="da_power",
-            group="nbi",
-            reference=0.65,
-            activation=Activation(t_start=0.1, trigger=EventTrigger("d_ne_edge", 1, 3)),
-        )
-        assert task_from_dict(task_to_dict(t)) == t
-
-    def test_task_round_trip_without_trigger(self):
-        t = ControlTask(id="ff", priority=1, controller="c", group="g")
-        assert task_from_dict(task_to_dict(t)) == t

@@ -14,6 +14,8 @@ from oneguard.monitor import (
     monitor_step,
 )
 
+from test_config import diagnose, rising, set_at
+
 
 def sig(name, value, time=0.0):
     return ContinuousSignal(name=name, value=value, time=time)
@@ -141,17 +143,19 @@ class TestDiscretize:
 
 
 class TestTableValidation:
+    # Checked by validate; ThresholdTable itself assumes a validated schedule.
     def test_non_monotone_thresholds_rejected(self):
-        with pytest.raises(ConfigError):
-            ThresholdTable(signal="x", thresholds=(2.0, 1.0))
+        assert "error: ones[0].thresholds: must be strictly increasing" in diagnose(rising([2.0, 1.0], [0.0, 0.0]))
 
     def test_overlapping_bands_rejected(self):
-        with pytest.raises(ConfigError):
-            ThresholdTable(signal="x", thresholds=(1.0, 2.0), hysteresis=(0.6, 0.6))
+        assert "error: ones[0].hysteresis: bands overlap neighbouring thresholds" in diagnose(
+            rising([1.0, 2.0], [0.6, 0.6])
+        )
 
     def test_bad_direction_rejected(self):
-        with pytest.raises(ConfigError):
-            ThresholdTable(signal="x", thresholds=(1.0,), direction="sideways")
+        assert "error: ones[0].direction: must be 'rising' or 'falling'" in diagnose(
+            set_at("ones.0.direction", "sideways")
+        )
 
 
 class TestComposeVirtual:
@@ -165,10 +169,10 @@ class TestComposeVirtual:
     )
 
     def events(self, lm, rp):
-        return [
-            EventState(one_id="locked_mode", level=lm, time=1.0),
-            EventState(one_id="rad_power", level=rp, time=2.0),
-        ]
+        return {
+            "locked_mode": EventState(one_id="locked_mode", level=lm, time=1.0),
+            "rad_power": EventState(one_id="rad_power", level=rp, time=2.0),
+        }
 
     def test_passthrough_row(self):
         assert compose_virtual(self.events(1, 0), self.RULE).level == 1
@@ -186,7 +190,7 @@ class TestComposeVirtual:
 
     def test_missing_input_rejected(self):
         with pytest.raises(ConfigError):
-            compose_virtual(self.events(0, 0)[:1], self.RULE)
+            compose_virtual({"locked_mode": self.events(0, 0)["locked_mode"]}, self.RULE)
 
     def test_missing_row_rejected(self):
         with pytest.raises(ConfigError):

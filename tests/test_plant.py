@@ -1,22 +1,23 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oneguard.errors import ConfigError, SimFault
+from oneguard.errors import SimFault
 from oneguard.plant import (
     _EXTENSION,
     DisruptionBoundary,
     PlantParams,
     PlantState,
     _interp,
-    distance,
     initial_state,
-    nbi_energy_check,
     plant_signals,
     plant_step,
 )
+
+from test_config import diagnose, set_at
 
 BOUNDARY = DisruptionBoundary(vertices=((0.2, 0.14), (0.8, 0.5), (1.4, 1.04)))
 
@@ -94,15 +95,15 @@ class TestInterp:
 
 class TestDistance:
     def test_point_on_boundary_is_zero(self):
-        assert distance(0.5, 0.8, BOUNDARY) == pytest.approx(0.0, abs=1e-12)
+        assert BOUNDARY.signed_distance(0.8, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_perpendicular_offset_from_single_segment(self):
         flat = DisruptionBoundary(vertices=((0.0, 1.0), (2.0, 1.0)))
-        assert distance(1.0 + 0.3, 1.0, flat) == pytest.approx(0.3, abs=1e-12)
-        assert distance(1.0 - 0.3, 1.0, flat) == pytest.approx(-0.3, abs=1e-12)
+        assert flat.signed_distance(1.0, 1.0 + 0.3) == pytest.approx(0.3, abs=1e-12)
+        assert flat.signed_distance(1.0, 1.0 - 0.3) == pytest.approx(-0.3, abs=1e-12)
 
     def test_sign_negative_past_the_limit(self):
-        assert distance(0.2, 0.8, BOUNDARY) < 0.0
+        assert BOUNDARY.signed_distance(0.8, 0.2) < 0.0
 
     def test_matches_dense_sampling_oracle(self):
         cloud = sample_polyline(BOUNDARY)
@@ -111,7 +112,7 @@ class TestDistance:
         while checked < 60:
             ne = rng.uniform(0.0, 1.8)
             h98 = rng.uniform(-0.2, 1.6)
-            got = distance(h98, ne, BOUNDARY)
+            got = BOUNDARY.signed_distance(ne, h98)
             if abs(got) < 0.05:
                 continue  # keep the sampling error term negligible
             diff = cloud - np.array([ne, h98])
@@ -126,9 +127,9 @@ class TestDistance:
         point = np.array([0.4, 0.9])
         for _ in range(500):
             step = np.array([rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02)])
-            before = distance(point[1], point[0], BOUNDARY)
+            before = BOUNDARY.signed_distance(point[0], point[1])
             point = point + step
-            after = distance(point[1], point[0], BOUNDARY)
+            after = BOUNDARY.signed_distance(point[0], point[1])
             assert abs(after - before) <= np.hypot(*step) * (1.0 + 1e-9) + 1e-12
 
     def test_equals_the_numpy_formula_bit_for_bit(self):
@@ -146,10 +147,11 @@ class TestDistance:
                 assert got.hex() == numpy_signed_distance(boundary, ne, h98).hex(), (ne, h98)
 
     def test_boundary_validation(self):
-        with pytest.raises(ConfigError):
-            DisruptionBoundary(vertices=((0.0, 0.0),))
-        with pytest.raises(ConfigError):
-            DisruptionBoundary(vertices=((0.5, 0.0), (0.5, 1.0)))
+        # Checked by validate; DisruptionBoundary itself assumes a validated schedule.
+        assert "error: plant.boundary: needs at least two points" in diagnose(set_at("plant.boundary", [[0.0, 0.0]]))
+        assert "error: plant.boundary: densities must be strictly increasing" in diagnose(
+            set_at("plant.boundary", [[0.5, 0.0], [0.5, 1.0]])
+        )
 
 
 class TestPlantStep:
@@ -247,7 +249,7 @@ class TestPlantStep:
         state = initial_state(p)
         signals = plant_signals(state, p)
         assert signals["d_ne_edge"] == pytest.approx(
-            distance(state.h98y2, state.ne_edge_norm, BOUNDARY)
+            BOUNDARY.signed_distance(state.ne_edge_norm, state.h98y2)
         )
         assert signals["nbi_energy_frac"] == 0.0
 
@@ -282,15 +284,18 @@ class TestCarriedDistance:
 
 
 class TestEnergyCheck:
+    """``nbi_energy_frac``, the injected-energy fraction fed to the actuator-limit event."""
+
+    def fraction(self, nbi_energy, limit=1.3):
+        p = params(nbi_energy_limit=limit)
+        state = replace(initial_state(p), nbi_energy=nbi_energy)
+        return plant_signals(state, p)["nbi_energy_frac"]
+
     def test_zero_energy_zero_fraction(self):
-        assert nbi_energy_check(0.0) == 0.0
+        assert self.fraction(0.0) == 0.0
 
     def test_threshold_boundary(self):
-        assert nbi_energy_check(1.235, limit=1.3) == pytest.approx(0.95, abs=1e-12)
+        assert self.fraction(1.235, limit=1.3) == pytest.approx(0.95, abs=1e-12)
 
     def test_full_budget(self):
-        assert nbi_energy_check(1.3, limit=1.3) == pytest.approx(1.0, abs=1e-15)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            nbi_energy_check(-0.1)
+        assert self.fraction(1.3, limit=1.3) == pytest.approx(1.0, abs=1e-15)

@@ -13,9 +13,6 @@ from oneguard.supervisor import (
     SupervisorConfig,
     SupervisorState,
     activate_tasks,
-    danger_step,
-    map_scenario,
-    reaction_step,
     supervisor_step,
 )
 
@@ -33,47 +30,47 @@ CAPPED_REACTION = {D.NO: 0, D.LOW: 1, D.MEDIUM: 1, D.HIGH: 1, D.VERY_HIGH: 1}
 class TestDangerStep:
     def test_identity_mapping_quiet(self):
         fsm = identity_danger("x")
-        assert danger_step(EventState("x", 0, 0.0), fsm) == D.NO
+        assert fsm.classify(0) == D.NO
 
     def test_distance_levels_map_to_low_then_medium(self):
         fsm = DangerFsm(
             one_id="d_ne_edge",
             mapping={0: D.NO, 1: D.LOW, 2: D.MEDIUM, 3: D.HIGH},
         )
-        assert danger_step(EventState("d_ne_edge", 1, 0.0), fsm) == D.LOW
-        assert danger_step(EventState("d_ne_edge", 2, 0.0), fsm) == D.MEDIUM
+        assert fsm.classify(1) == D.LOW
+        assert fsm.classify(2) == D.MEDIUM
 
     def test_energy_limit_is_high_or_nothing(self):
         fsm = DangerFsm(one_id="actuator_lim", mapping={0: D.NO, 1: D.HIGH})
-        assert danger_step(EventState("actuator_lim", 1, 0.0), fsm) == D.HIGH
-        assert danger_step(EventState("actuator_lim", 0, 0.0), fsm) == D.NO
+        assert fsm.classify(1) == D.HIGH
+        assert fsm.classify(0) == D.NO
 
     def test_unmapped_level_rejected(self):
         fsm = DangerFsm(one_id="x", mapping={0: D.NO})
         with pytest.raises(ConfigError):
-            danger_step(EventState("x", 1, 0.0), fsm)
+            fsm.classify(1)
 
 
 class TestReactionStep:
     def test_capped_ladder_never_exceeds_recovery(self):
         fsm = ReactionFsm(one_id="ntm43", mapping=CAPPED_REACTION)
-        assert reaction_step(D.VERY_HIGH, fsm, previous=0) == 1
+        assert fsm.react(D.VERY_HIGH, previous=0) == 1
 
     def test_irreversible_level_latches(self):
         fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert reaction_step(D.NO, fsm, previous=3) == 3
+        assert fsm.react(D.NO, previous=3) == 3
 
     def test_latch_still_allows_escalation(self):
         fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert reaction_step(D.VERY_HIGH, fsm, previous=3) == 4
+        assert fsm.react(D.VERY_HIGH, previous=3) == 4
 
     def test_reversible_level_deescalates(self):
         fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert reaction_step(D.NO, fsm, previous=1) == 0
+        assert fsm.react(D.NO, previous=1) == 0
 
     def test_custom_irreversible_set(self):
         fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION, irreversible=frozenset({2, 3, 4}))
-        assert reaction_step(D.NO, fsm, previous=2) == 2
+        assert fsm.react(D.NO, previous=2) == 2
 
 
 def small_mapping(rows, scenarios=None, default="normal"):
@@ -99,13 +96,13 @@ class TestMapScenario:
     }
 
     def test_quiescent_tuple_selects_normal(self):
-        assert map_scenario((0, 0), small_mapping(self.ROWS)) == "normal"
+        assert small_mapping(self.ROWS).select((0, 0)) == "normal"
 
     def test_per_event_recovery_rows(self):
         mapping = small_mapping(self.ROWS)
-        assert map_scenario((1, 0), mapping) == "recovery_1"
-        assert map_scenario((0, 1), mapping) == "recovery_2"
-        assert map_scenario((1, 1), mapping) == "recovery_3"
+        assert mapping.select((1, 0)) == "recovery_1"
+        assert mapping.select((0, 1)) == "recovery_2"
+        assert mapping.select((1, 1)) == "recovery_3"
 
     def test_mitigation_row_wins_regardless_of_second_event(self, dual_ntm_compiled):
         mapping = dual_ntm_compiled.supervisor.os_mapping
@@ -114,26 +111,26 @@ class TestMapScenario:
 
     def test_fallback_picks_type_of_max_reaction(self):
         mapping = small_mapping(self.ROWS)
-        assert map_scenario((2, 0), mapping) == "backup1"
-        assert map_scenario((0, 3), mapping) == "soft_shutdown"
-        assert map_scenario((4, 1), mapping) == "mitigation"
+        assert mapping.select((2, 0)) == "backup1"
+        assert mapping.select((0, 3)) == "soft_shutdown"
+        assert mapping.select((4, 1)) == "mitigation"
 
     def test_fallback_tie_breaks_to_lowest_id(self):
         mapping = small_mapping({})
-        assert map_scenario((0, 1), mapping) == "recovery_1"
+        assert mapping.select((0, 1)) == "recovery_1"
 
     def test_zero_tuple_without_row_uses_default(self):
-        assert map_scenario((0, 0), small_mapping({})) == "normal"
+        assert small_mapping({}).select((0, 0)) == "normal"
 
     def test_missing_fallback_type_rejected(self):
         scenarios = {"normal": Scenario(id="normal", type=ScenarioType.NORMAL)}
         mapping = small_mapping({}, scenarios=scenarios)
         with pytest.raises(ConfigError):
-            map_scenario((0, 2), mapping)
+            mapping.select((0, 2))
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            map_scenario((0, 0, 0), small_mapping(self.ROWS))
+            small_mapping(self.ROWS).select((0, 0, 0))
 
 
 class TestActivateTasks:
