@@ -6,11 +6,10 @@ allocation and generic controllers into a deterministic fixed-period
 control loop, closed against a 0-D surrogate plasma.
 """
 
-from .errors import ConfigError, MonitorFault, SimFault, TraceError
+from .errors import ConfigError, SimFault, TraceError
 from .model import (
     Activation,
     Allocation,
-    ContinuousSignal,
     ControlTask,
     DangerLevel,
     EventState,
@@ -25,12 +24,10 @@ __all__ = [
     "Activation",
     "Allocation",
     "ConfigError",
-    "ContinuousSignal",
     "ControlTask",
     "DangerLevel",
     "EventState",
     "EventTrigger",
-    "MonitorFault",
     "ResourceRequest",
     "ScenarioType",
     "SimFault",

@@ -11,6 +11,10 @@ fluxes) sum their contributors and clamp to [0, capacity]; *exclusive*
 groups (e.g. beam-aiming) take only the highest-priority holder's command.
 A command from a task without a grant on the group is dropped and reported
 as a violation rather than silently applied.
+
+Requests and commands come from the active tasks of a schedule that
+``validate`` accepted: each task's groups exist, and no task asks twice
+for one group, so neither function re-checks them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import ConfigError
 from .model import Allocation, ResourceRequest
 
 ADDITIVE = "additive"
@@ -55,24 +58,13 @@ def allocate(
 ) -> Allocation:
     """Grant resources to requests in task-priority order.
 
-    ``priorities`` maps task id to its priority in the current scenario.
-    Requests from the same task on the same group must not repeat. Tasks
-    whose request cannot reach its minimum acceptable amount are granted
-    zero and listed in ``Allocation.starved``. The minimum comparison
+    ``priorities`` maps each requesting task's id to its priority in the
+    current scenario. Tasks whose request cannot reach its minimum
+    acceptable amount are granted zero and listed in
+    ``Allocation.starved``. The minimum comparison
     carries a 1e-9 slack so accumulated float error in the remaining
     capacity cannot starve an exactly-satisfiable request.
     """
-    seen: set = set()
-    for req in requests:
-        key = (req.task_id, req.group_id)
-        if key in seen:
-            raise ConfigError(f"duplicate request for task {req.task_id!r} on group {req.group_id!r}")
-        seen.add(key)
-        if req.group_id not in groups:
-            raise ConfigError(f"request for unknown group {req.group_id!r}")
-        if req.task_id not in priorities:
-            raise ConfigError(f"request from inactive task {req.task_id!r}")
-
     remaining = {gid: g.capacity for gid, g in groups.items()}
     # Stable order: priority first, then group id so multi-group tasks
     # allocate deterministically.
@@ -106,8 +98,6 @@ def merge_commands(
     violations: List[Tuple[str, str, str]] = []
 
     for task_id, cmd in outputs:
-        if cmd.group_id not in groups:
-            raise ConfigError(f"command on unknown group {cmd.group_id!r}")
         group = groups[cmd.group_id]
         grant = allocation.grant(task_id, cmd.group_id)
         if grant <= 0.0:
@@ -117,7 +107,7 @@ def merge_commands(
         if group.semantics == ADDITIVE and abs(cmd.value) > grant + 1e-12:
             violations.append((task_id, cmd.group_id, "command exceeds grant"))
             continue
-        contributions[cmd.group_id].append((priorities.get(task_id, 1 << 30), task_id, cmd.value))
+        contributions[cmd.group_id].append((priorities[task_id], task_id, cmd.value))
 
     commands: Dict[str, float] = {}
     for gid, group in groups.items():

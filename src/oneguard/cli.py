@@ -58,8 +58,7 @@ def _apply_override(doc: dict, assignment: str) -> None:
 
 
 def _load_schedule(path: str, overrides: List[str], until: Optional[float]) -> cfg.PulseSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = cfg.load_document(fh.read())
+    doc = cfg.load_document(cfg.read_text(path))
     for assignment in overrides:
         _apply_override(doc, assignment)
     if until is not None and isinstance(doc.get("run"), dict):

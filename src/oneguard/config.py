@@ -50,13 +50,7 @@ from .model import (
 )
 from .monitor import FALLING, MonitorConfig, RISING, ThresholdTable, VirtualOneRule
 from .plant import DisruptionBoundary, PlantParams
-from .supervisor import (
-    DangerFsm,
-    OsMapping,
-    ReactionFsm,
-    Scenario,
-    SupervisorConfig,
-)
+from .supervisor import OneEvaluation, OsMapping, Scenario, SupervisorConfig
 
 #: Signals the surrogate plant publishes every tick.
 PLANT_SIGNALS = (
@@ -325,12 +319,13 @@ def _parse_waveform(node: Any, path: str, sh: _Shape) -> Waveform:
     return Waveform(points=tuple(points), interpolation=interpolation)
 
 
-def _parse_reference(node: Any, path: str, sh: _Shape) -> Optional[Any]:
+def _parse_reference(node: Any, path: str, sh: _Shape) -> Optional[Waveform]:
+    """A task reference: a waveform, or a scalar promoted to a constant one."""
     if node is None:
         return None
     if isinstance(node, dict):
         return _parse_waveform(node, path, sh)
-    return sh.number(node, path)
+    return Waveform(points=((0.0, sh.number(node, path)),), interpolation=HOLD)
 
 
 def _parse_level_map(node: Any, path: str, sh: _Shape) -> Tuple[Tuple[int, str], ...]:
@@ -677,9 +672,17 @@ def parse_document(doc: Dict[str, Any]) -> PulseSchedule:
     )
 
 
-def parse_file(path) -> PulseSchedule:
+def read_text(path) -> str:
+    """The text of a schedule file, raising ConfigError if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: schedule is not UTF-8 text: {exc}") from None
+
+
+def parse_file(path) -> PulseSchedule:
+    return parse(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -1117,6 +1120,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 
     # Scenarios and tasks.
     seen_scenarios = set()
+    bindings: Dict[str, Tuple[str, ControlTask]] = {}  # task id -> its first path and task
     for i, sc in enumerate(ps.scenarios):
         path = f"scenarios[{i}]"
         if sc.id in seen_scenarios:
@@ -1131,6 +1135,18 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             if task.id in seen_tasks:
                 out.append(Diagnostic("error", tpath, f"duplicate task id {task.id!r}"))
             seen_tasks.add(task.id)
+            first_path, first = bindings.setdefault(task.id, (tpath, task))
+            differs = [k for k in ("controller", "group", "reference") if getattr(task, k) != getattr(first, k)]
+            if differs:
+                out.append(
+                    Diagnostic(
+                        "warning",
+                        tpath,
+                        f"task id {task.id!r} is also used at {first_path} with a different "
+                        f"{', '.join(differs)}; a task that stays active across a switch between "
+                        "them keeps the binding it was activated with",
+                    )
+                )
             if task.priority < 1:
                 out.append(Diagnostic("error", tpath, "priority must be >= 1"))
             if task.priority in seen_prio:
@@ -1288,16 +1304,13 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         plant_failure_one=ps.run.plant_failure_one,
     )
 
-    danger_fsms = {}
-    reaction_fsms = {}
+    evaluations = {}
     for spec in list(ps.ones) + list(ps.virtual_ones):
-        danger_fsms[spec.id] = DangerFsm(
-            one_id=spec.id,
-            mapping={lvl: DangerLevel.from_name(name) for lvl, name in spec.danger},
-        )
-        reaction_fsms[spec.id] = ReactionFsm(
-            one_id=spec.id,
-            mapping={DangerLevel.from_name(name): lvl for name, lvl in spec.reaction},
+        danger = dict(spec.danger)
+        reaction = {DangerLevel.from_name(name): lvl for name, lvl in spec.reaction}
+        evaluations[spec.id] = OneEvaluation(
+            danger=tuple(DangerLevel.from_name(danger[lvl]) for lvl in range(spec.max_level + 1)),
+            reaction=tuple(reaction[d] for d in DangerLevel),
             irreversible=frozenset(spec.irreversible),
         )
 
@@ -1310,15 +1323,13 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         for sc in ps.scenarios
     }
     os_mapping = OsMapping(
-        one_ids=ps.one_ids,
         rows={reactions: sid for reactions, sid in ps.os_rows},
         scenarios=scenarios,
         default=ps.os_default,
     )
     supervisor = SupervisorConfig(
         one_ids=ps.one_ids,
-        danger_fsms=danger_fsms,
-        reaction_fsms=reaction_fsms,
+        evaluations=evaluations,
         os_mapping=os_mapping,
     )
 

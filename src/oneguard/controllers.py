@@ -5,7 +5,9 @@ manager: it emits a resource request for the next tick and a command that
 never exceeds the grant it currently holds. The pure step functions carry
 the control laws; thin runtime wrappers bind them to a task for the loop
 and own whatever state survives between ticks. Runtime state lives per
-task binding and is discarded when the task deactivates.
+task binding and is discarded when the task deactivates. Task references
+are ``Waveform``s (the parser promotes a scalar to a constant one), and
+controller settings come from a schedule that ``validate`` accepted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import List, Mapping, Optional, Tuple
 
-from .errors import ConfigError
 from .model import ControlTask, ResourceRequest
 from .allocator import ActuatorCommand, ActuatorGroup
 
@@ -51,15 +52,6 @@ class Waveform:
         t1, v1 = self.points[idx + 1]
         frac = (time - t0) / (t1 - t0)
         return v0 + frac * (v1 - v0)
-
-
-def as_waveform(reference) -> Waveform:
-    """Promote a scalar setpoint to a constant waveform."""
-    if isinstance(reference, Waveform):
-        return reference
-    if isinstance(reference, (int, float)):
-        return Waveform(points=((0.0, float(reference)),), interpolation=HOLD)
-    raise ConfigError(f"cannot use {reference!r} as a reference")
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,7 @@ class TaskRuntime:
 class FeedforwardRuntime(TaskRuntime):
     def __init__(self, task: ControlTask, min_request: float = 0.0):
         super().__init__(task)
-        self.waveform = as_waveform(task.reference)
+        self.waveform = task.reference
         self.min_request = min_request
 
     def _request_at(self, time: float) -> List[ResourceRequest]:
@@ -252,7 +244,7 @@ class PidRuntime(TaskRuntime):
         measurement: str,
     ):
         super().__init__(task)
-        self.reference = as_waveform(task.reference)
+        self.reference = task.reference
         self.measurement = measurement
         self.state = PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
 
@@ -341,10 +333,7 @@ class GasShaperRuntime(TaskRuntime):
         ramp_down: float = 0.1,
     ):
         super().__init__(task)
-        if mode == MODE_SLOW_RAMP:
-            self.waveform = as_waveform(task.reference)
-        else:
-            self.waveform = None
+        self.waveform = task.reference if mode == MODE_SLOW_RAMP else None
         self.mode = mode
         self.factor = factor
         self.ramp_down = ramp_down
@@ -459,7 +448,11 @@ def build_runtime(
     controller_cfg: Mapping,
     groups: Mapping[str, ActuatorGroup],
 ) -> TaskRuntime:
-    """Instantiate the runtime for one task from its controller config."""
+    """Instantiate the runtime for one task from its controller config.
+
+    ``validate`` admits only the five controller types, so the last one,
+    ``ntm``, needs no test of its own.
+    """
     kind = controller_cfg["type"]
     if kind == "feedforward":
         return FeedforwardRuntime(task, min_request=controller_cfg.get("min_request", 0.0))
@@ -490,12 +483,9 @@ def build_runtime(
             factor=controller_cfg.get("factor", 0.5),
             ramp_down=controller_cfg.get("ramp_down", 0.1),
         )
-    if kind == "ntm":
-        aim_group = controller_cfg["aim_group"]
-        return NtmRuntime(
-            task,
-            position_signal=controller_cfg["position_signal"],
-            aim_group=aim_group,
-            power_capacity=groups[task.group].capacity,
-        )
-    raise ConfigError(f"unknown controller type {kind!r}")
+    return NtmRuntime(
+        task,
+        position_signal=controller_cfg["position_signal"],
+        aim_group=controller_cfg["aim_group"],
+        power_capacity=groups[task.group].capacity,
+    )

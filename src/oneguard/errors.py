@@ -2,18 +2,11 @@
 
 
 class ConfigError(Exception):
-    """A pulse-schedule inconsistency surfaced at runtime.
+    """A schedule document, file or command-line override that cannot be used.
 
-    A schedule that passed validation with zero errors should never raise
-    this; seeing one means the schedule bypassed ``validate``.
-    """
-
-
-class MonitorFault(Exception):
-    """A monitored signal is unusable (non-finite value).
-
-    The monitor reports these per signal instead of raising, so one bad
-    diagnostic cannot take down the whole event chain.
+    Only the schedule's parser and compiler and the command line raise
+    this. The runtime components assume a schedule that ``validate``
+    accepted and never check it again, so a run cannot raise it.
     """
 
 

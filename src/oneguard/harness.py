@@ -148,12 +148,8 @@ def trace_header(schedule: CompiledSchedule) -> List[str]:
 _DANGER_LABELS = {level: level.label for level in DangerLevel}
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState) -> List[str]:
-    row = [_fmt(record.time)]
+    row = [repr(record.time)]
     signals = record.signals
     event_signals = schedule.event_signals
     for one_id in schedule.one_ids:
@@ -161,22 +157,22 @@ def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState)
         if signal_name is None or signal_name not in signals:
             row.append("")
         else:
-            row.append(_fmt(signals[signal_name]))
+            row.append(repr(signals[signal_name]))
         row.append(str(record.events[one_id].level))
         row.append(_DANGER_LABELS[record.dangers[one_id]])
         row.append(str(record.reactions[one_id]))
     row.append(record.scenario_id)
     row.append(";".join(record.task_ids))
     for gid in schedule.groups:
-        row.append(_fmt(record.group_grants[gid]))
-        row.append(_fmt(record.commands[gid]))
+        row.append(repr(record.group_grants[gid]))
+        row.append(repr(record.commands[gid]))
     row += [
-        _fmt(plant.h98y2),
-        _fmt(plant.ne_edge_norm),
-        _fmt(plant.w_mj),
-        _fmt(plant.nbi_power),
-        _fmt(plant.nbi_energy),
-        _fmt(plant.gas_flux),
+        repr(plant.h98y2),
+        repr(plant.ne_edge_norm),
+        repr(plant.w_mj),
+        repr(plant.nbi_power),
+        repr(plant.nbi_energy),
+        repr(plant.gas_flux),
         "1" if plant.disrupted else "0",
     ]
     return row
@@ -184,17 +180,20 @@ def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState)
 
 def read_trace(path) -> Tuple[List[str], List[Dict[str, str]]]:
     """Load a trace file as (header, rows-as-dicts), all values strings."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty trace file") from None
-        rows = []
-        for line in reader:
-            if len(line) != len(header):
-                raise TraceError(f"{path}: row width {len(line)} != header width {len(header)}")
-            rows.append(dict(zip(header, line)))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise TraceError(f"{path}: empty trace file") from None
+            rows = []
+            for line in reader:
+                if len(line) != len(header):
+                    raise TraceError(f"{path}: row width {len(line)} != header width {len(header)}")
+                rows.append(dict(zip(header, line)))
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: trace is not UTF-8 text: {exc}") from None
     return header, rows
 
 
@@ -339,7 +338,10 @@ def replay_file(schedule: CompiledSchedule, trace_path) -> List[Dict[str, str]]:
     times: List[float] = []
     levels: List[Dict[str, int]] = []
     for row in rows:
-        times.append(float(row["time"]))
+        try:
+            times.append(float(row["time"]))
+        except ValueError:
+            raise TraceError(f"{trace_path}: bad time {row['time']!r}") from None
         lvl = {}
         for one_id in schedule.one_ids:
             raw = row[f"evt_{one_id}"]

@@ -7,7 +7,6 @@ across execution contexts; nothing mutates after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Any, Mapping, Optional
@@ -38,7 +37,6 @@ class DangerLevel(IntEnum):
 #: Plain integers 0..4; by default 3 and 4 are treated as irreversible.
 REACTION_MIN = 0
 REACTION_MAX = 4
-DEFAULT_IRREVERSIBLE = frozenset({3, 4})
 
 
 class ScenarioType(Enum):
@@ -67,26 +65,6 @@ SCENARIO_TYPE_FOR_REACTION = {
     3: ScenarioType.SOFT_SHUTDOWN,
     4: ScenarioType.DISRUPTION_MITIGATION,
 }
-
-
-@dataclass(frozen=True)
-class ContinuousSignal:
-    """One sample of a continuous plasma/actuator quantity.
-
-    ``value`` must be finite; non-finite samples are rejected here so the
-    rest of the chain never sees NaN/Inf through this type. Units are
-    config metadata and not carried on the sample.
-    """
-
-    name: str
-    value: float
-    time: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"signal {self.name!r} has non-finite value {self.value!r}")
-        if self.time < 0.0:
-            raise ValueError(f"signal {self.name!r} has negative time {self.time!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +117,8 @@ class ControlTask:
     """One control objective inside a scenario's prioritized task list.
 
     ``priority`` 1 is the most important; priorities are unique within a
-    scenario. ``reference`` is the scenario-specific setpoint (a scalar or
-    a waveform object) handed to the bound controller.
+    scenario. ``reference`` is the scenario-specific setpoint waveform
+    handed to the bound controller (None for controllers that need none).
     """
 
     id: str

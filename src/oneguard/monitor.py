@@ -9,16 +9,19 @@ bands at zero the output is the plain stateless bucket index.
 
 Virtual events combine the discrete levels of several base events through
 an explicit lookup table, one layer deep (no virtuals of virtuals).
+
+The wiring comes from a schedule that ``validate`` accepted: every
+combiner table is total and every virtual input is a base event, so
+nothing is re-checked per tick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .errors import ConfigError, MonitorFault
-from .model import ContinuousSignal, EventState
+from .model import EventState
 
 RISING = "rising"
 FALLING = "falling"
@@ -67,20 +70,12 @@ class ThresholdTable:
             return value >= t - h
         return value <= t + h
 
-    def check_previous(self, previous_level: int) -> None:
-        """Raise ConfigError unless ``previous_level`` is a level of this table."""
-        if not 0 <= previous_level <= self.max_level:
-            raise ConfigError(
-                f"previous level {previous_level} outside [0, {self.max_level}] "
-                f"for {self.signal!r}"
-            )
-
     def next_level(self, value: float, previous_level: int) -> int:
         """Event level after sample ``value``, given the previous level.
 
         Escalation follows the stateless bucket; de-escalation from the
         previous level only happens once the value clears the hysteresis
-        band of each level it leaves. Arguments are not checked here.
+        band of each level it leaves.
         """
         bucket = self.bucket(value)
         if bucket >= previous_level:
@@ -89,20 +84,6 @@ class ThresholdTable:
         while level > bucket and not self.holds_level(value, level):
             level -= 1
         return level
-
-
-def discretize(signal: ContinuousSignal, table: ThresholdTable, previous_level: int) -> EventState:
-    """Map one signal sample to a discrete event level (see ``ThresholdTable.next_level``)."""
-    if signal.name != table.signal:
-        raise ConfigError(f"signal {signal.name!r} fed to table for {table.signal!r}")
-    table.check_previous(previous_level)
-    if not math.isfinite(signal.value):
-        # ContinuousSignal normally rejects this, but guard against callers
-        # bypassing the type.
-        raise MonitorFault(f"non-finite value for {signal.name!r}")
-
-    level = table.next_level(signal.value, previous_level)
-    return EventState(one_id=table.signal, level=level, time=signal.time)
 
 
 @dataclass(frozen=True)
@@ -124,15 +105,9 @@ class VirtualOneRule:
 
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
     """Evaluate a virtual event from its base events' current states, keyed by event id."""
-    inputs = []
-    for one_id in rule.inputs:
-        if one_id not in events:
-            raise ConfigError(f"virtual event {rule.id!r}: missing input {one_id!r}")
-        inputs.append(events[one_id])
-    key = tuple(e.level for e in inputs)
-    if key not in rule.table:
-        raise ConfigError(f"virtual event {rule.id!r}: no table row for levels {key}")
-    return EventState(one_id=rule.id, level=rule.table[key], time=max(e.time for e in inputs))
+    inputs = [events[one_id] for one_id in rule.inputs]
+    level = rule.table[tuple(e.level for e in inputs)]
+    return EventState(one_id=rule.id, level=level, time=max(e.time for e in inputs))
 
 
 @dataclass(frozen=True)
@@ -152,10 +127,7 @@ class MonitorConfig:
     def max_level(self, one_id: str) -> int:
         if one_id in self.tables:
             return self.tables[one_id].max_level
-        for rule in self.virtual_rules:
-            if rule.id == one_id:
-                return rule.max_level
-        raise ConfigError(f"unknown event id {one_id!r}")
+        return next(rule.max_level for rule in self.virtual_rules if rule.id == one_id)
 
 
 def monitor_step(
@@ -181,10 +153,6 @@ def monitor_step(
             faults.append((one_id, f"signal {table.signal!r} unavailable or non-finite"))
             events[one_id] = EventState(one_id=one_id, level=prev_level, time=time)
             continue
-        # The checks a ContinuousSignal sample and discretize would make.
-        if time < 0.0:
-            raise ValueError(f"signal {table.signal!r} has negative time {time!r}")
-        table.check_previous(prev_level)
         level = table.next_level(value, prev_level)
         events[one_id] = EventState(one_id=one_id, level=level, time=time)
 

@@ -1,72 +1,51 @@
 """Supervisory decision chain.
 
-Per tick, each off-normal event's discrete level is classified into a
-danger level, each danger level into a reaction level (with an
-irreversibility latch), and the combination of all reaction levels picks
-the control scenario whose task list is then filtered by activation
-conditions. All steps are pure: the caller owns ``SupervisorState`` and
-threads it through.
+Per tick, each off-normal event's discrete level goes through its one
+compiled ``OneEvaluation``: a danger lookup by level, a reaction lookup by
+danger level and the irreversibility latch. The combination of all
+reaction levels picks the control scenario, whose task list is then
+filtered by activation conditions. All steps are pure: the caller owns
+``SupervisorState`` and threads it through. Every table here is total for
+a schedule that ``validate`` accepts, so nothing is re-checked per tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .errors import ConfigError
 from .model import (
     ControlTask,
     DangerLevel,
-    DEFAULT_IRREVERSIBLE,
     EventState,
+    REACTION_MAX,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
 )
 
 
 @dataclass(frozen=True)
-class DangerFsm:
-    """Event-level to danger-level lookup for one off-normal event.
+class OneEvaluation:
+    """The whole decision table of one off-normal event.
 
-    Memoryless: any debouncing lives in the monitor's hysteresis bands.
-    ``mapping`` must be total over the event's level range [0, k].
+    ``danger[level]`` classifies an event level, ``reaction[danger]`` maps
+    a danger level to a reaction level, and a previous reaction in
+    ``irreversible`` latches: the reaction can then only stay or rise, so
+    escalation past an irreversible level stays possible while
+    de-escalation is forbidden. Memoryless otherwise: any debouncing lives
+    in the monitor's hysteresis bands.
     """
 
-    one_id: str
-    mapping: Mapping[int, DangerLevel]
+    danger: Tuple[DangerLevel, ...]
+    reaction: Tuple[int, ...]
+    irreversible: FrozenSet[int]
 
-    def classify(self, level: int) -> DangerLevel:
-        try:
-            return self.mapping[level]
-        except KeyError:
-            raise ConfigError(
-                f"event {self.one_id!r}: level {level} has no danger mapping"
-            ) from None
-
-
-@dataclass(frozen=True)
-class ReactionFsm:
-    """Danger-level to reaction-level lookup with an irreversibility latch.
-
-    Once the reaction enters the ``irreversible`` set it can only move up:
-    the step returns ``max(previous, mapped)``, so escalation past an
-    irreversible level stays possible while de-escalation is forbidden.
-    """
-
-    one_id: str
-    mapping: Mapping[DangerLevel, int]
-    irreversible: FrozenSet[int] = DEFAULT_IRREVERSIBLE
-
-    def react(self, danger: DangerLevel, previous: int) -> int:
-        try:
-            candidate = self.mapping[danger]
-        except KeyError:
-            raise ConfigError(
-                f"event {self.one_id!r}: danger {danger.label!r} has no reaction mapping"
-            ) from None
-        if previous in self.irreversible:
-            return max(previous, candidate)
-        return candidate
+    def evaluate(self, level: int, previous: int) -> Tuple[DangerLevel, int]:
+        danger = self.danger[level]
+        reaction = self.reaction[danger]
+        if previous in self.irreversible and previous > reaction:
+            reaction = previous
+        return danger, reaction
 
 
 @dataclass(frozen=True)
@@ -86,39 +65,31 @@ class OsMapping:
     """Reaction-combination to scenario lookup.
 
     ``rows`` maps tuples of reaction levels (one entry per configured
-    event, in configuration order) to scenario ids. Combinations without
-    an explicit row fall back to the scenario whose type matches the
-    maximum reaction level in the tuple, tie-broken to the
-    lexicographically smallest scenario id of that type.
+    event, in configuration order) to scenario ids. A combination without
+    a row falls back on its maximum reaction level k alone:
+    ``fallback[k]``, built once, holds ``default`` for k = 0 and otherwise
+    the lexicographically smallest scenario id of the type matching k
+    (None if there is none: ``validate`` makes such a k unreachable).
     """
 
-    one_ids: Tuple[str, ...]
     rows: Mapping[Tuple[int, ...], str]
     scenarios: Mapping[str, Scenario]
     default: str
+    fallback: Tuple[Optional[str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        first_of_type: Dict[ScenarioType, str] = {}
+        for scenario in sorted(self.scenarios.values(), key=lambda s: s.id):
+            first_of_type.setdefault(scenario.type, scenario.id)
+        table = [self.default]
+        table += [first_of_type.get(SCENARIO_TYPE_FOR_REACTION[k]) for k in range(1, REACTION_MAX + 1)]
+        object.__setattr__(self, "fallback", tuple(table))
 
     def select(self, reactions: Tuple[int, ...]) -> str:
-        if len(reactions) != len(self.one_ids):
-            raise ConfigError(
-                f"reaction tuple arity {len(reactions)} does not match "
-                f"{len(self.one_ids)} configured events"
-            )
         hit = self.rows.get(reactions)
         if hit is not None:
             return hit
-        if all(r == 0 for r in reactions):
-            return self.default
-        return self.fallback(reactions)
-
-    def fallback(self, reactions: Tuple[int, ...]) -> str:
-        worst = max(reactions)
-        wanted = SCENARIO_TYPE_FOR_REACTION[worst]
-        candidates = sorted(s.id for s in self.scenarios.values() if s.type is wanted)
-        if not candidates:
-            raise ConfigError(
-                f"no scenario of type {wanted.value!r} for reaction combination {reactions}"
-            )
-        return candidates[0]
+        return self.fallback[max(reactions, default=0)]
 
 
 @dataclass(frozen=True)
@@ -126,8 +97,7 @@ class SupervisorConfig:
     """Everything the supervisor needs for one schedule."""
 
     one_ids: Tuple[str, ...]
-    danger_fsms: Mapping[str, DangerFsm]
-    reaction_fsms: Mapping[str, ReactionFsm]
+    evaluations: Mapping[str, OneEvaluation]
     os_mapping: OsMapping
 
     @property
@@ -164,28 +134,22 @@ def supervisor_step(
     events: Mapping[str, EventState],
     state: SupervisorState,
     config: SupervisorConfig,
-    time: Optional[float] = None,
+    time: float,
 ) -> Tuple[str, List[ControlTask], Dict[str, DangerLevel], Dict[str, int], SupervisorState]:
     """One full decision pass.
 
     Returns ``(scenario_id, active_tasks, dangers, reactions, new_state)``.
     Pure: identical ``(events, state, time)`` always produce identical
-    output. ``time`` defaults to the newest event timestamp.
+    output. ``events`` holds a state for every configured event.
     """
     dangers: Dict[str, DangerLevel] = {}
     reactions: Dict[str, int] = {}
     for one_id in config.one_ids:
-        if one_id not in events:
-            raise ConfigError(f"no event state for configured event {one_id!r}")
-        danger = config.danger_fsms[one_id].classify(events[one_id].level)
-        dangers[one_id] = danger
-        reactions[one_id] = config.reaction_fsms[one_id].react(danger, state.reactions.get(one_id, 0))
+        dangers[one_id], reactions[one_id] = config.evaluations[one_id].evaluate(
+            events[one_id].level, state.reactions[one_id]
+        )
 
-    combo = tuple(reactions[one_id] for one_id in config.one_ids)
-    scenario_id = config.os_mapping.select(combo)
-    scenario = config.scenarios[scenario_id]
-    if time is None:
-        time = max((e.time for e in events.values()), default=0.0)
-    tasks = activate_tasks(scenario, time, events)
+    scenario_id = config.os_mapping.select(tuple(reactions.values()))
+    tasks = activate_tasks(config.scenarios[scenario_id], time, events)
     new_state = SupervisorState(reactions=reactions, scenario_id=scenario_id)
     return scenario_id, tasks, dangers, reactions, new_state

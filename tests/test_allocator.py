@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from oneguard import harness
 from oneguard.allocator import ActuatorGroup, ActuatorCommand, allocate, merge_commands
-from oneguard.errors import ConfigError
 from oneguard.model import Allocation, ResourceRequest
+
+from test_config import aim_at_own_group, diagnose, repeat_task, set_at
 
 UNIT = 0.05  # grant grid used by the brute-force oracle
 
@@ -46,21 +48,30 @@ class TestAllocate:
         assert alloc.grant("b", "g") == 0.0
         assert ("b", "g") in alloc.starved
 
+    # The request checks below live in validate and in the loop, not in
+    # allocate: these tests pin the diagnostics and the loop behaviour.
     def test_duplicate_task_group_request_rejected(self):
-        with pytest.raises(ConfigError):
-            allocate(
-                [req("a", "g", 0.1), req("a", "g", 0.2)],
-                {"g": group("g", 1.0)},
-                {"a": 1},
-            )
+        # One request per task and group: task ids are unique in a scenario,
+        # and an ntm task's aiming group differs from its own.
+        assert "error: scenarios[0].tasks[1]: duplicate task id 'heat'" in diagnose(repeat_task)
+        assert "error: scenarios[0].tasks[1]: ntm task group must differ from aim_group" in diagnose(aim_at_own_group)
 
     def test_unknown_group_rejected(self):
-        with pytest.raises(ConfigError):
-            allocate([req("a", "nope", 0.1)], {"g": group("g", 1.0)}, {"a": 1})
+        expected = "error: scenarios[0].tasks[0]: unknown actuator group 'nope'"
+        assert expected in diagnose(set_at("scenarios.0.tasks.0.group", "nope"))
 
-    def test_inactive_task_rejected(self):
-        with pytest.raises(ConfigError):
-            allocate([req("ghost", "g", 0.1)], {"g": group("g", 1.0)}, {"a": 1})
+    def test_inactive_task_rejected(self, density_limit_compiled, monkeypatch):
+        # The loop asks allocate only for the tasks it prioritizes this tick,
+        # including across the normal -> recovery switch.
+        calls = []
+
+        def spy(requests, groups, priorities):
+            calls.append(all(r.task_id in priorities for r in requests))
+            return allocate(requests, groups, priorities)
+
+        monkeypatch.setattr(harness, "allocate", spy)
+        assert harness.run(density_limit_compiled).final_scenario == "recovery"
+        assert len(calls) == 61 and all(calls)
 
 
 class TestMergeCommands:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneguard import config as cfg
+from oneguard.controllers import Waveform
 from oneguard.errors import ConfigError
 from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
 
@@ -280,6 +281,21 @@ class TestValidate:
         with pytest.raises(ConfigError, match="failed validation"):
             cfg.compile_schedule(parse_doc(doc))
 
+    def test_reused_task_id_with_another_binding_warns(self):
+        def reuse_heat(reference, group="nbi"):
+            def mutate(doc):
+                doc["scenarios"][1]["tasks"] = [dict(doc["scenarios"][0]["tasks"][0], reference=reference, group=group)]
+
+            return mutate
+
+        assert diagnose(reuse_heat(0.4)) == []
+        assert diagnose(reuse_heat(0.1)) == [
+            "warning: scenarios[1].tasks[0]: task id 'heat' is also used at scenarios[0].tasks[0] with a "
+            "different reference; a task that stays active across a switch between them keeps the binding "
+            "it was activated with"
+        ]
+        assert "different group, reference;" in diagnose(reuse_heat(0.1, group="gas"))[0]
+
     def test_pid_measurement_signal_must_exist(self):
         doc = minimal_doc()
         doc["controllers"]["beta"] = {
@@ -295,18 +311,21 @@ class TestValidate:
         assert any("exclusive" in m for m in messages)
 
 
+def _parent(doc, path):
+    """The node holding the last key of the dotted ``path``, and that key (list indices as numbers)."""
+    *parents, leaf = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node, int(leaf) if isinstance(node, list) else leaf
+
+
 def set_at(path, value):
-    """A mutation that sets the dotted ``path`` of a document (list indices as numbers)."""
+    """A mutation that sets the dotted ``path`` of a document."""
 
     def mutate(doc):
-        *parents, leaf = path.split(".")
-        node = doc
-        for key in parents:
-            node = node[int(key)] if isinstance(node, list) else node[key]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        else:
-            node[leaf] = value
+        node, key = _parent(doc, path)
+        node[key] = value
 
     return mutate
 
@@ -343,6 +362,32 @@ def second_task(doc):
 
 def controller(**settings):
     return set_at("controllers.probe", settings)
+
+
+def drop(path):
+    """A mutation that deletes the entry at the dotted ``path``."""
+
+    def mutate(doc):
+        node, key = _parent(doc, path)
+        # Danger maps are keyed by level numbers.
+        del node[int(key) if isinstance(key, str) and key.isdigit() else key]
+
+    return mutate
+
+
+def repeat_task(doc):
+    doc["scenarios"][0]["tasks"].append(dict(doc["scenarios"][0]["tasks"][0], priority=2))
+
+
+def aim_at_own_group(doc):
+    doc["actuator_groups"].append({"id": "aim", "capacity": 1.0, "semantics": "exclusive"})
+    doc["controllers"]["ntm"] = {"type": "ntm", "position_signal": "h98y2", "aim_group": "aim"}
+    doc["scenarios"][0]["tasks"].append({"id": "stabilize", "priority": 2, "controller": "ntm", "group": "aim"})
+
+
+def drop_recovery(doc):
+    doc["os_mapping"]["rows"] = [doc["os_mapping"]["rows"][0], doc["os_mapping"]["rows"][2]]
+    doc["scenarios"] = [doc["scenarios"][0], doc["scenarios"][2]]
 
 
 DA_POWER = {"type": "da_power", "mode": "normal", "d_critical1": 0.45, "p_max": 1.3, "signal": "d_ne_edge"}
@@ -386,6 +431,15 @@ CHECK_HOMES = [
     # Scenarios and tasks.
     ("shared_priority", second_task, "error: scenarios[0].tasks[1]: priority 1 already used by task 'heat'"),
     ("priority", set_at("scenarios.0.tasks.0.priority", 0), "error: scenarios[0].tasks[0]: priority must be >= 1"),
+    ("task_id", repeat_task, "error: scenarios[0].tasks[1]: duplicate task id 'heat'"),
+    ("aim_group", aim_at_own_group, "error: scenarios[0].tasks[1]: ntm task group must differ from aim_group"),
+    ("task_group", set_at("scenarios.0.tasks.0.group", "nope"), "error: scenarios[0].tasks[0]: unknown actuator group 'nope'"),
+    ("task_controller", set_at("scenarios.0.tasks.0.controller", "nope"), "error: scenarios[0].tasks[0]: unknown controller 'nope'"),
+    (
+        "task_reference",
+        drop("scenarios.0.tasks.0.reference"),
+        "error: scenarios[0].tasks[0]: controller type 'feedforward' requires a task reference",
+    ),
     # Waveforms.
     ("no_breakpoints", set_at("signals", {"amp": {"points": []}}), "error: signals.amp: waveform has no breakpoints"),
     (
@@ -398,14 +452,39 @@ CHECK_HOMES = [
         set_at("signals", {"amp": {"points": [[0.0, 1.0]], "interpolation": "cubic"}}),
         "error: signals.amp: unknown interpolation 'cubic'",
     ),
+    # Danger and reaction tables, and the scenario they select.
+    ("danger_total", drop("ones.0.danger.1"), "error: ones[0].danger: non-total mapping: missing levels [1]"),
+    (
+        "reaction_total",
+        drop("ones.0.reaction.medium"),
+        "error: ones[0].reaction: non-total mapping: missing danger levels ['medium']",
+    ),
+    ("row_arity", set_at("os_mapping.rows.1.reactions", [1, 0]), "error: os_mapping.rows[1]: row arity 2 does not match 1 events"),
+    (
+        "fallback_scenario",
+        drop_recovery,
+        "error: os_mapping.rows: reachable combination [1] has no row and no 'recovery' scenario to fall back to",
+    ),
+    ("plant_failure_one", set_at("run.plant_failure_one", "ghost"), "error: run.plant_failure_one: unknown event 'ghost'"),
     # Virtual events.
     ("virtual_inputs", virtual(inputs=[]), "error: virtual_ones[0].inputs: needs at least one input"),
+    (
+        "virtual_base_input",
+        virtual(inputs=["ghost"], rows=[{"levels": [0], "level": 0}]),
+        "error: virtual_ones[0].inputs[0]: input 'ghost' is not a base event (virtuals combine base events only)",
+    ),
+    (
+        "combiner_total",
+        virtual(rows=[{"levels": [0], "level": 0}]),
+        "error: virtual_ones[0].rows: combiner not total: 1 missing combinations (e.g. [1])",
+    ),
     (
         "virtual_level",
         virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1], "level": -1}]),
         "error: virtual_ones[0].rows: output level -1 must be >= 0",
     ),
     # Controllers.
+    ("controller_type", controller(type="magic"), "error: controllers.probe: unknown controller type 'magic'"),
     (
         "pid_limits",
         controller(type="pid", lo=1.0, hi=0.5, measurement="h98y2"),
@@ -451,9 +530,10 @@ class TestCompile:
         assert "missing" not in density_limit_compiled.event_signals
 
     def test_task_references_become_waveforms_or_scalars(self, density_limit_compiled):
+        # A scalar reference becomes a constant (one-point hold) waveform.
         normal = density_limit_compiled.supervisor.scenarios["normal"]
         by_id = {t.id: t for t in normal.tasks}
-        assert by_id["ff_power_nor"].reference == 0.65
+        assert by_id["ff_power_nor"].reference == Waveform(points=((0.0, 0.65),), interpolation="hold")
         assert by_id["ff_gas_nor"].reference(0.0) == 15.0
 
     def test_scenario_tasks_are_compiled_in_priority_order(self):

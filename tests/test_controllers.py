@@ -12,21 +12,22 @@ from oneguard.controllers import (
     PidState,
     StepContext,
     Waveform,
-    as_waveform,
     da_gas_step,
     da_power_step,
     pid_step,
 )
 from oneguard.model import ControlTask
 
-from test_config import DA_POWER, controller, diagnose, set_at
+from test_config import DA_POWER, controller, diagnose, minimal_doc, parse_doc, set_at
 
 
 class TestWaveform:
     def test_constant_value_everywhere(self):
-        wf = as_waveform(0.65)
-        for t in (0.0, 0.5, 10.0):
-            assert wf(t) == 0.65
+        # The parser promotes a scalar reference to a one-point hold waveform.
+        wf = parse_doc(minimal_doc()).scenarios[0].tasks[0].reference
+        assert wf == Waveform(points=((0.0, 0.4),), interpolation="hold")
+        for t in (-1.0, 0.0, 0.5, 10.0):
+            assert wf(t) == 0.4
 
     def test_linear_midpoint(self):
         wf = Waveform(points=((0.0, 0.0), (1.0, 1.0)))
@@ -206,6 +207,9 @@ class TestNtm:
 def task(tid="t", priority=1, controller="c", group="g", reference=None, activation=None):
     from oneguard.model import Activation
 
+    if isinstance(reference, (int, float)):
+        # As the parser stores a scalar reference.
+        reference = Waveform(points=((0.0, float(reference)),), interpolation="hold")
     return ControlTask(
         id=tid,
         priority=priority,

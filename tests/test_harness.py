@@ -84,6 +84,22 @@ class TestRun:
     def test_no_command_violations_in_closed_loop(self, density_limit_compiled):
         assert harness.run(density_limit_compiled).violations == 0
 
+    def test_reused_task_id_keeps_its_first_binding_across_a_switch(self):
+        # validate warns about this schedule; the run behaviour is pinned
+        # until the semantics of a reused id change.
+        def reuse(doc):
+            recovery = next(sc for sc in doc["scenarios"] if sc["id"] == "recovery")
+            recovery["tasks"][0].update(id="ff_power_nor", reference=0.1)
+
+        records = []
+        doc = yaml.safe_load(DENSITY_LIMIT.read_text())
+        reuse(doc)
+        compiled = cfg.compile_schedule(cfg.parse(yaml.safe_dump(doc, sort_keys=False)))
+        harness.run(compiled, observer=records.append)
+        first = next(r for r in records if r.scenario_id == "recovery")
+        assert first.time == pytest.approx(0.5)
+        assert ("ff_power_nor", "nbi", 0.65) in first.task_commands
+
     def test_ntm_deposition_tracks_scripted_mode_position(self, dual_ntm_compiled):
         # Whenever a stabilization task owns the aiming group, the
         # deposition command must equal that mode's scripted position.
@@ -261,6 +277,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == diagnostic + "\n"
         assert captured.out == f"{bad}: 1 error(s), 0 warning(s)\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "replay"])
+    def test_schedule_that_is_not_utf8_exits_64(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(DENSITY_LIMIT.read_text().replace("# ", "# caf\xe9 ", 1).encode("latin-1"))
+        argv = {"validate": [str(bad)], "run": [str(bad), "--out", str(tmp_path / "x.csv")]}
+        argv["replay"] = [str(DUAL_NTM_EVENTS), str(bad)]
+        assert cli.main([command] + argv[command]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: schedule is not UTF-8 text: ") and err.count("\n") == 1
+
+    def test_trace_that_is_not_utf8_exits_64(self, tmp_path, capsys):
+        bad = tmp_path / "events.csv"
+        bad.write_bytes(DUAL_NTM_EVENTS.read_bytes() + "0.9,caf\xe9\n".encode("latin-1"))
+        assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
+        assert capsys.readouterr().err.startswith(f"error: {bad}: trace is not UTF-8 text: ")
+
+    def test_replay_of_non_numeric_time_exits_64(self, tmp_path, capsys):
+        lines = DUAL_NTM_EVENTS.read_text().splitlines()
+        lines[2] = "soon," + lines[2].split(",", 1)[1]
+        bad = tmp_path / "events.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
+        assert capsys.readouterr().err == f"error: {bad}: bad time 'soon'\n"
 
     def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"

@@ -1,13 +1,13 @@
-import pytest
+import math
 
 from oneguard.model import (
     Activation,
-    ContinuousSignal,
     DangerLevel,
     EventTrigger,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
 )
+from oneguard.monitor import MonitorConfig, ThresholdTable, monitor_step
 
 from test_config import diagnose, second_task, set_at
 
@@ -38,14 +38,13 @@ class TestEnums:
 
 class TestValues:
     def test_signal_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ContinuousSignal(name="x", value=float("nan"), time=0.0)
-        with pytest.raises(ValueError):
-            ContinuousSignal(name="x", value=float("inf"), time=0.0)
-
-    def test_signal_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            ContinuousSignal(name="x", value=0.0, time=-1.0)
+        # The monitor refuses a non-finite sample: its event keeps its
+        # previous level and the sample is reported as a fault.
+        config = MonitorConfig(tables={"e": ThresholdTable(signal="x", thresholds=(1.0,))})
+        for bad in (math.nan, math.inf, -math.inf):
+            events, faults = monitor_step({"x": bad}, config, {}, 0.0)
+            assert events["e"].level == 0
+            assert faults == [("e", "signal 'x' unavailable or non-finite")]
 
     def test_request_invariants(self):
         # Requests are built by the controllers, whose settings validate bounds.

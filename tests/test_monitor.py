@@ -1,24 +1,16 @@
 import math
 import random
 
-import pytest
-
-from oneguard.errors import ConfigError
-from oneguard.model import ContinuousSignal, EventState
+from oneguard.model import EventState
 from oneguard.monitor import (
     MonitorConfig,
     ThresholdTable,
     VirtualOneRule,
     compose_virtual,
-    discretize,
     monitor_step,
 )
 
-from test_config import diagnose, rising, set_at
-
-
-def sig(name, value, time=0.0):
-    return ContinuousSignal(name=name, value=value, time=time)
+from test_config import diagnose, rising, set_at, virtual
 
 
 class HysteresisAutomaton:
@@ -58,7 +50,7 @@ class HysteresisAutomaton:
 class TestDiscretize:
     def test_below_all_thresholds_stays_zero(self):
         table = ThresholdTable(signal="x", thresholds=(1.0, 2.0), hysteresis=(0.1, 0.1))
-        assert discretize(sig("x", 0.5), table, 0).level == 0
+        assert table.next_level(0.5, 0) == 0
 
     def test_falling_distance_between_first_two_criticals(self):
         # Distance signal dropping below the first critical value only.
@@ -67,33 +59,39 @@ class TestDiscretize:
             thresholds=(0.45, 0.25, 0.04),
             direction="falling",
         )
-        state = discretize(sig("d_ne_edge", 0.3), table, 0)
-        assert state.level == 1
+        assert table.next_level(0.3, 0) == 1
 
     def test_hand_traced_hysteresis_sequence(self):
         table = ThresholdTable(signal="x", thresholds=(10.0,), hysteresis=(2.0,))
         levels = []
         prev = 0
         for value in (9.0, 11.0, 9.5, 7.9):
-            prev = discretize(sig("x", value), table, prev).level
+            prev = table.next_level(value, prev)
             levels.append(prev)
         assert levels == [0, 1, 1, 0]
 
     def test_threshold_value_belongs_to_worse_bucket(self):
         rising = ThresholdTable(signal="x", thresholds=(0.95,))
-        assert discretize(sig("x", 0.95), rising, 0).level == 1
+        assert rising.next_level(0.95, 0) == 1
         falling = ThresholdTable(signal="d", thresholds=(0.45,), direction="falling")
-        assert discretize(sig("d", 0.45), falling, 0).level == 1
+        assert falling.next_level(0.45, 0) == 1
 
     def test_name_mismatch_rejected(self):
-        table = ThresholdTable(signal="x", thresholds=(1.0,))
-        with pytest.raises(ConfigError):
-            discretize(sig("y", 0.0), table, 0)
+        # validate refuses an event watching an unknown signal, and the
+        # monitor feeds each table the signal the table names.
+        assert "error: ones[0].signal: unknown signal 'nope'" in diagnose(set_at("ones.0.signal", "nope"))
+        config = MonitorConfig(tables={"e": ThresholdTable(signal="x", thresholds=(1.0,))})
+        events, _ = monitor_step({"x": 0.0, "y": 5.0}, config, {}, 0.0)
+        assert events["e"].level == 0
 
     def test_prev_level_out_of_range_rejected(self):
-        table = ThresholdTable(signal="x", thresholds=(1.0,))
-        with pytest.raises(ConfigError):
-            discretize(sig("x", 0.0), table, 2)
+        # The previous level is the monitor's own output, which never leaves
+        # [0, max_level] when it starts there, so it is not re-checked.
+        table = ThresholdTable(signal="x", thresholds=(1.0, 2.0), hysteresis=(0.3, 0.3))
+        rng = random.Random(3)
+        for prev in range(table.max_level + 1):
+            for _ in range(200):
+                assert 0 <= table.next_level(rng.uniform(-1.0, 4.0), prev) <= table.max_level
 
     def test_matches_brute_force_automaton(self):
         rng = random.Random(20240811)
@@ -117,7 +115,7 @@ class TestDiscretize:
             prev = 0
             for _ in range(200):
                 value = rng.uniform(-2.0, 12.0)
-                got = discretize(sig("x", value), table, prev).level
+                got = table.next_level(value, prev)
                 assert got == oracle.update(value), (case, value, prev)
                 prev = got
 
@@ -127,7 +125,7 @@ class TestDiscretize:
             value = -0.5
             while value < 4.0:
                 expected = table.bucket(value)
-                assert discretize(sig("x", value), table, prev).level == expected
+                assert table.next_level(value, prev) == expected
                 value += 0.01
 
     def test_monotone_step_in_value_for_fixed_prev(self):
@@ -136,7 +134,7 @@ class TestDiscretize:
             last = -1
             value = -1.0
             while value < 3.5:
-                level = discretize(sig("x", value), table, prev).level
+                level = table.next_level(value, prev)
                 assert level >= last
                 last = level
                 value += 0.005
@@ -188,13 +186,18 @@ class TestComposeVirtual:
     def test_output_time_is_newest_input(self):
         assert compose_virtual(self.events(0, 0), self.RULE).time == 2.0
 
+    # validate refuses a virtual input that is not a base event and a table
+    # that is not total, so every lookup here finds its inputs and its row.
     def test_missing_input_rejected(self):
-        with pytest.raises(ConfigError):
-            compose_virtual({"locked_mode": self.events(0, 0)["locked_mode"]}, self.RULE)
+        expected = (
+            "error: virtual_ones[0].inputs[0]: input 'ghost' is not a base event "
+            "(virtuals combine base events only)"
+        )
+        assert expected in diagnose(virtual(inputs=["ghost"], rows=[{"levels": [0], "level": 0}]))
 
     def test_missing_row_rejected(self):
-        with pytest.raises(ConfigError):
-            compose_virtual(self.events(1, 3), self.RULE)
+        expected = "error: virtual_ones[0].rows: combiner not total: 1 missing combinations (e.g. [1])"
+        assert expected in diagnose(virtual(rows=[{"levels": [0], "level": 0}]))
 
 
 def density_limit_monitor():
@@ -286,15 +289,5 @@ class TestMonitorStep:
             signals = {"d_ne_edge": rng.uniform(-0.1, 0.6), "nbi_energy_frac": rng.uniform(0.8, 1.1)}
             events, _ = monitor_step(signals, config, events, k * 0.01)
             for one_id, table in config.tables.items():
-                sample = sig(table.signal, signals[table.signal], k * 0.01)
-                levels[one_id] = discretize(sample, table, levels[one_id]).level
+                levels[one_id] = table.next_level(signals[table.signal], levels[one_id])
                 assert events[one_id].level == levels[one_id]
-
-    def test_rejects_what_a_sample_and_discretize_reject(self):
-        config = density_limit_monitor()
-        signals = {"d_ne_edge": 0.3, "nbi_energy_frac": 0.2}
-        with pytest.raises(ValueError, match="signal 'd_ne_edge' has negative time -0.5"):
-            monitor_step(signals, config, {}, -0.5)
-        previous = {"d_ne_edge": EventState("d_ne_edge", 4, 0.0)}
-        with pytest.raises(ConfigError, match=r"previous level 4 outside \[0, 3\] for 'd_ne_edge'"):
-            monitor_step(signals, config, previous, 0.0)

@@ -1,14 +1,10 @@
 import itertools
 import random
 
-import pytest
-
-from oneguard.errors import ConfigError
 from oneguard.model import DangerLevel, EventState, ScenarioType
 from oneguard.supervisor import (
-    DangerFsm,
+    OneEvaluation,
     OsMapping,
-    ReactionFsm,
     Scenario,
     SupervisorConfig,
     SupervisorState,
@@ -16,61 +12,70 @@ from oneguard.supervisor import (
     supervisor_step,
 )
 
+from test_config import diagnose, drop, drop_recovery, set_at
+
 D = DangerLevel
 
+#: Reaction tables, indexed by danger level.
+FULL_REACTION = (0, 1, 2, 3, 4)
+CAPPED_REACTION = (0, 1, 1, 1, 1)
 
-def identity_danger(one_id, k=4):
-    return DangerFsm(one_id=one_id, mapping={i: D(min(i, 4)) for i in range(k + 1)})
+
+def evaluation(danger=tuple(D), reaction=FULL_REACTION, irreversible=frozenset({3, 4})):
+    return OneEvaluation(danger=tuple(danger), reaction=reaction, irreversible=irreversible)
 
 
-FULL_REACTION = {D.NO: 0, D.LOW: 1, D.MEDIUM: 2, D.HIGH: 3, D.VERY_HIGH: 4}
-CAPPED_REACTION = {D.NO: 0, D.LOW: 1, D.MEDIUM: 1, D.HIGH: 1, D.VERY_HIGH: 1}
+def danger_of(one, level):
+    return one.evaluate(level, 0)[0]
+
+
+def reaction_of(one, level, previous):
+    return one.evaluate(level, previous)[1]
 
 
 class TestDangerStep:
     def test_identity_mapping_quiet(self):
-        fsm = identity_danger("x")
-        assert fsm.classify(0) == D.NO
+        assert danger_of(evaluation(), 0) == D.NO
 
     def test_distance_levels_map_to_low_then_medium(self):
-        fsm = DangerFsm(
-            one_id="d_ne_edge",
-            mapping={0: D.NO, 1: D.LOW, 2: D.MEDIUM, 3: D.HIGH},
-        )
-        assert fsm.classify(1) == D.LOW
-        assert fsm.classify(2) == D.MEDIUM
+        one = evaluation(danger=(D.NO, D.LOW, D.MEDIUM, D.HIGH))
+        assert danger_of(one, 1) == D.LOW
+        assert danger_of(one, 2) == D.MEDIUM
 
     def test_energy_limit_is_high_or_nothing(self):
-        fsm = DangerFsm(one_id="actuator_lim", mapping={0: D.NO, 1: D.HIGH})
-        assert fsm.classify(1) == D.HIGH
-        assert fsm.classify(0) == D.NO
+        one = evaluation(danger=(D.NO, D.HIGH))
+        assert danger_of(one, 1) == D.HIGH
+        assert danger_of(one, 0) == D.NO
 
     def test_unmapped_level_rejected(self):
-        fsm = DangerFsm(one_id="x", mapping={0: D.NO})
-        with pytest.raises(ConfigError):
-            fsm.classify(1)
+        # validate refuses a danger map with a gap, so the table has a
+        # danger level for every level the event can take.
+        assert "error: ones[0].danger: non-total mapping: missing levels [1]" in diagnose(drop("ones.0.danger.1"))
 
 
 class TestReactionStep:
+    # The danger table is the identity here, so event level = danger level.
     def test_capped_ladder_never_exceeds_recovery(self):
-        fsm = ReactionFsm(one_id="ntm43", mapping=CAPPED_REACTION)
-        assert fsm.react(D.VERY_HIGH, previous=0) == 1
+        assert reaction_of(evaluation(reaction=CAPPED_REACTION), D.VERY_HIGH, previous=0) == 1
 
     def test_irreversible_level_latches(self):
-        fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert fsm.react(D.NO, previous=3) == 3
+        assert reaction_of(evaluation(), D.NO, previous=3) == 3
 
     def test_latch_still_allows_escalation(self):
-        fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert fsm.react(D.VERY_HIGH, previous=3) == 4
+        assert reaction_of(evaluation(), D.VERY_HIGH, previous=3) == 4
 
     def test_reversible_level_deescalates(self):
-        fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION)
-        assert fsm.react(D.NO, previous=1) == 0
+        assert reaction_of(evaluation(), D.NO, previous=1) == 0
 
     def test_custom_irreversible_set(self):
-        fsm = ReactionFsm(one_id="x", mapping=FULL_REACTION, irreversible=frozenset({2, 3, 4}))
-        assert fsm.react(D.NO, previous=2) == 2
+        one = evaluation(irreversible=frozenset({2, 3, 4}))
+        assert reaction_of(one, D.NO, previous=2) == 2
+
+    def test_evaluate_returns_danger_and_reaction(self):
+        one = evaluation(danger=(D.NO, D.MEDIUM, D.VERY_HIGH), reaction=(0, 0, 1, 3, 3))
+        assert one.evaluate(1, 0) == (D.MEDIUM, 1)
+        assert one.evaluate(2, 1) == (D.VERY_HIGH, 3)
+        assert one.evaluate(0, 3) == (D.NO, 3)
 
 
 def small_mapping(rows, scenarios=None, default="normal"):
@@ -84,7 +89,7 @@ def small_mapping(rows, scenarios=None, default="normal"):
             "soft_shutdown": Scenario(id="soft_shutdown", type=ScenarioType.SOFT_SHUTDOWN),
             "mitigation": Scenario(id="mitigation", type=ScenarioType.DISRUPTION_MITIGATION),
         }
-    return OsMapping(one_ids=("one_a", "one_b"), rows=rows, scenarios=scenarios, default=default)
+    return OsMapping(rows=rows, scenarios=scenarios, default=default)
 
 
 class TestMapScenario:
@@ -122,15 +127,22 @@ class TestMapScenario:
     def test_zero_tuple_without_row_uses_default(self):
         assert small_mapping({}).select((0, 0)) == "normal"
 
+    def test_fallback_table_is_built_once_per_level(self):
+        mapping = small_mapping(self.ROWS)
+        assert mapping.fallback == ("normal", "recovery_1", "backup1", "soft_shutdown", "mitigation")
+
     def test_missing_fallback_type_rejected(self):
-        scenarios = {"normal": Scenario(id="normal", type=ScenarioType.NORMAL)}
-        mapping = small_mapping({}, scenarios=scenarios)
-        with pytest.raises(ConfigError):
-            mapping.select((0, 2))
+        # validate refuses a reachable combination that neither a row nor a
+        # scenario of its fallback type covers, so the table has no gap
+        # that a run can reach.
+        assert (
+            "error: os_mapping.rows: reachable combination [1] has no row and no "
+            "'recovery' scenario to fall back to"
+        ) in diagnose(drop_recovery)
 
     def test_arity_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            small_mapping(self.ROWS).select((0, 0, 0))
+        expected = "error: os_mapping.rows[1]: row arity 2 does not match 1 events"
+        assert expected in diagnose(set_at("os_mapping.rows.1.reactions", [1, 0]))
 
 
 class TestActivateTasks:
@@ -184,13 +196,8 @@ def two_one_config(rows=None):
     }
     return SupervisorConfig(
         one_ids=("one_a", "one_b"),
-        danger_fsms={"one_a": identity_danger("one_a"), "one_b": identity_danger("one_b")},
-        reaction_fsms={
-            "one_a": ReactionFsm(one_id="one_a", mapping=FULL_REACTION),
-            "one_b": ReactionFsm(one_id="one_b", mapping=CAPPED_REACTION),
-        },
+        evaluations={"one_a": evaluation(), "one_b": evaluation(reaction=CAPPED_REACTION)},
         os_mapping=OsMapping(
-            one_ids=("one_a", "one_b"),
             rows=rows or {},
             scenarios=scenarios,
             default="normal",
@@ -208,10 +215,8 @@ class TestSupervisorStep:
     def test_no_events_configured_keeps_default(self):
         config = SupervisorConfig(
             one_ids=(),
-            danger_fsms={},
-            reaction_fsms={},
+            evaluations={},
             os_mapping=OsMapping(
-                one_ids=(),
                 rows={},
                 scenarios={"normal": Scenario(id="normal", type=ScenarioType.NORMAL)},
                 default="normal",
@@ -380,20 +385,15 @@ def oracle_config_pairs(seed, n_ones, max_level):
 
     config = SupervisorConfig(
         one_ids=tuple(names),
-        danger_fsms={
-            name: DangerFsm(one_id=name, mapping={k: D(v) for k, v in danger_maps[i].items()})
-            for i, name in enumerate(names)
-        },
-        reaction_fsms={
-            name: ReactionFsm(
-                one_id=name,
-                mapping={D(k): v for k, v in reaction_maps[i].items()},
+        evaluations={
+            name: evaluation(
+                danger=[D(danger_maps[i][k]) for k in range(max_level + 1)],
+                reaction=tuple(reaction_maps[i][d] for d in range(5)),
                 irreversible=irreversible[i],
             )
             for i, name in enumerate(names)
         },
         os_mapping=OsMapping(
-            one_ids=tuple(names),
             rows=rows,
             scenarios={
                 sid: Scenario(id=sid, type=ScenarioType(t)) for sid, t in scenario_types.items()
