@@ -1247,13 +1247,13 @@ class CompiledSchedule:
     controllers: Mapping[str, Mapping[str, Any]]
     plant: PlantParams
     scripted: Mapping[str, Waveform]
-    #: Base event id -> monitored signal name (virtual events are absent).
-    event_signals: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    #: Event id -> monitored signal name, in trace column order (None for
+    #: a virtual event); the trace row follows it.
+    event_signals: Mapping[str, Optional[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        signals: Dict[str, str] = {}
-        for one in self.source.ones:
-            signals.setdefault(one.id, one.signal)
+        signals: Dict[str, Optional[str]] = {one.id: one.signal for one in self.source.ones}
+        signals.update((v.id, None) for v in self.source.virtual_ones)
         object.__setattr__(self, "event_signals", signals)
 
     @property

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -20,7 +21,7 @@ from .allocator import allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
-from .model import DangerLevel, EventState, ResourceRequest, ScenarioType
+from .model import ControlTask, DangerLevel, EventState, ResourceRequest, ScenarioType
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
 from .supervisor import SupervisorState, supervisor_step
@@ -43,7 +44,7 @@ class TickRecord:
     dangers: Mapping[str, DangerLevel]
     reactions: Mapping[str, int]
     scenario_id: str
-    task_ids: List[str]
+    task_ids: Tuple[str, ...]
     group_grants: Mapping[str, float]
     commands: Mapping[str, float]
     task_commands: List[Tuple[str, str, float]]
@@ -57,7 +58,8 @@ class ControlLoop:
     Owns all cross-tick state (previous event levels, supervisor memory,
     controller runtimes, pending requests, last merged commands). The
     plant stays outside so the same loop drives both live runs and fuzzed
-    signal traces.
+    signal traces. Task ids, priorities and the stale-runtime sweep are
+    redone only when the supervisor hands over a new task tuple.
     """
 
     def __init__(self, schedule: CompiledSchedule):
@@ -67,22 +69,27 @@ class ControlLoop:
         self.runtimes: Dict[str, TaskRuntime] = {}
         self.pending: Dict[str, List[ResourceRequest]] = {}
         self.prev_commands: Dict[str, float] = {gid: 0.0 for gid in schedule.groups}
+        self.tasks: Tuple[ControlTask, ...] = ()
+        self.task_ids: Tuple[str, ...] = ()
+        self.priorities: Dict[str, int] = {}
 
     def tick(self, signals: Mapping[str, float], time: float, dt: float) -> TickRecord:
         cs = self.schedule
-        events, faults = monitor_step(signals, cs.monitor, self.events, time)
+        events, faults = monitor_step(signals, cs.monitor, self.events)
         self.events = events
         scenario_id, tasks, dangers, reactions, self.sup_state = supervisor_step(
             events, self.sup_state, cs.supervisor, time
         )
 
-        active_ids = {t.id for t in tasks}
-        for stale in [tid for tid in self.runtimes if tid not in active_ids]:
-            del self.runtimes[stale]
-            self.pending.pop(stale, None)
+        if tasks is not self.tasks:
+            self.tasks = tasks
+            self.task_ids = tuple(t.id for t in tasks)
+            self.priorities = {t.id: t.priority for t in tasks}
+            for stale in [tid for tid in self.runtimes if tid not in self.priorities]:
+                del self.runtimes[stale]
+                self.pending.pop(stale, None)
 
         ctx = StepContext(time=time, dt=dt, signals=signals, prev_commands=self.prev_commands)
-        priorities = {t.id: t.priority for t in tasks}
         requests: List[ResourceRequest] = []
         for task in tasks:
             runtime = self.runtimes.get(task.id)
@@ -92,7 +99,7 @@ class ControlLoop:
             queued = self.pending.get(task.id)
             requests.extend(queued if queued is not None else runtime.requests(ctx))
 
-        allocation = allocate(requests, cs.groups, priorities)
+        allocation = allocate(requests, cs.groups, self.priorities)
 
         outputs = []
         for task in tasks:
@@ -102,7 +109,7 @@ class ControlLoop:
             outputs.extend((task.id, cmd) for cmd in commands)
             self.pending[task.id] = next_requests
 
-        commands, violations = merge_commands(outputs, allocation, cs.groups, priorities)
+        commands, violations = merge_commands(outputs, allocation, cs.groups, self.priorities)
         self.prev_commands = commands
 
         # Per group, the same sum over tasks in grant order as Allocation.group_total.
@@ -118,7 +125,7 @@ class ControlLoop:
             dangers=dangers,
             reactions=reactions,
             scenario_id=scenario_id,
-            task_ids=[t.id for t in tasks],
+            task_ids=self.task_ids,
             group_grants=grants_per_group,
             commands=commands,
             task_commands=[(tid, c.group_id, c.value) for tid, c in outputs],
@@ -151,13 +158,9 @@ _DANGER_LABELS = {level: level.label for level in DangerLevel}
 def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState) -> List[str]:
     row = [repr(record.time)]
     signals = record.signals
-    event_signals = schedule.event_signals
-    for one_id in schedule.one_ids:
-        signal_name = event_signals.get(one_id)
-        if signal_name is None or signal_name not in signals:
-            row.append("")
-        else:
-            row.append(repr(signals[signal_name]))
+    for one_id, signal_name in schedule.event_signals.items():
+        value = signals.get(signal_name)
+        row.append("" if value is None else repr(value))
         row.append(str(record.events[one_id].level))
         row.append(_DANGER_LABELS[record.dangers[one_id]])
         row.append(str(record.reactions[one_id]))
@@ -306,10 +309,7 @@ def replay_events(
         if prev_t is not None and t <= prev_t:
             raise TraceError(f"trace times not strictly increasing at t={t!r}")
         prev_t = t
-        events = {
-            one_id: EventState(one_id=one_id, level=lvl[one_id], time=t)
-            for one_id in schedule.one_ids
-        }
+        events = {one_id: EventState(one_id, lvl[one_id]) for one_id in schedule.one_ids}
         scenario_id, tasks, dangers, reactions, state = supervisor_step(
             events, state, schedule.supervisor, t
         )
@@ -335,21 +335,24 @@ def replay_file(schedule: CompiledSchedule, trace_path) -> List[Dict[str, str]]:
             f"{trace_path}: missing event columns for {missing}; "
             f"trace does not match the schedule's event list"
         )
+    columns = [(one_id, f"evt_{one_id}", schedule.monitor.max_level(one_id)) for one_id in schedule.one_ids]
     times: List[float] = []
     levels: List[Dict[str, int]] = []
     for row in rows:
         try:
-            times.append(float(row["time"]))
+            t = float(row["time"])
         except ValueError:
-            raise TraceError(f"{trace_path}: bad time {row['time']!r}") from None
+            t = math.nan
+        if not math.isfinite(t):
+            raise TraceError(f"{trace_path}: bad time {row['time']!r}")
+        times.append(t)
         lvl = {}
-        for one_id in schedule.one_ids:
-            raw = row[f"evt_{one_id}"]
+        for one_id, column, top in columns:
+            raw = row[column]
             try:
                 value = int(raw)
             except ValueError:
                 raise TraceError(f"{trace_path}: bad event level {raw!r} for {one_id}") from None
-            top = schedule.monitor.max_level(one_id)
             if not 0 <= value <= top:
                 raise TraceError(
                     f"{trace_path}: event level {value} for {one_id} outside [0, {top}]"

@@ -69,11 +69,10 @@ SCENARIO_TYPE_FOR_REACTION = {
 
 @dataclass(frozen=True)
 class EventState:
-    """Discrete level (>= 0) of one off-normal event at one instant."""
+    """Discrete level (>= 0) of one off-normal event."""
 
     one_id: str
     level: int
-    time: float
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ nothing is re-checked per tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .model import EventState
@@ -37,17 +38,21 @@ class ThresholdTable:
     rising table escalates at ``value >= t_i``, a falling one at
     ``value <= t_i``. ``hysteresis`` holds one non-negative band per
     threshold (all zero when left empty), and the bands must not make
-    neighbouring thresholds overlap.
+    neighbouring thresholds overlap. ``rising`` holds the thresholds in
+    rising order, negated for a falling table, for the bucket search.
     """
 
     signal: str
     thresholds: Tuple[float, ...]
     direction: str = RISING
     hysteresis: Tuple[float, ...] = ()
+    rising: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hysteresis:
             object.__setattr__(self, "hysteresis", tuple(0.0 for _ in self.thresholds))
+        sign = 1.0 if self.direction == RISING else -1.0
+        object.__setattr__(self, "rising", tuple(sign * t for t in self.thresholds))
 
     @property
     def max_level(self) -> int:
@@ -55,12 +60,7 @@ class ThresholdTable:
 
     def bucket(self, value: float) -> int:
         """Stateless bucket index of ``value`` (no hysteresis)."""
-        ts = self.thresholds
-        rising = self.direction == RISING
-        for level in range(len(ts), 0, -1):
-            if (value >= ts[level - 1]) if rising else (value <= ts[level - 1]):
-                return level
-        return 0
+        return bisect_right(self.rising, value if self.direction == RISING else -value)
 
     def holds_level(self, value: float, level: int) -> bool:
         """Whether ``value`` is still within the hysteresis band of ``level``."""
@@ -106,8 +106,7 @@ class VirtualOneRule:
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
     """Evaluate a virtual event from its base events' current states, keyed by event id."""
     inputs = [events[one_id] for one_id in rule.inputs]
-    level = rule.table[tuple(e.level for e in inputs)]
-    return EventState(one_id=rule.id, level=level, time=max(e.time for e in inputs))
+    return EventState(one_id=rule.id, level=rule.table[tuple(e.level for e in inputs)])
 
 
 @dataclass(frozen=True)
@@ -134,33 +133,34 @@ def monitor_step(
     signals: Mapping[str, float],
     config: MonitorConfig,
     previous: Mapping[str, EventState],
-    time: float,
 ) -> Tuple[Dict[str, EventState], List[Tuple[str, str]]]:
     """Produce one event-level vector from one signal snapshot.
 
     Returns ``(events, faults)``. A non-finite or missing signal does not
     abort the other events: the affected event keeps its previous level
     and is reported in ``faults``. If ``plant_failure_one`` is configured,
-    any fault also forces that event to its maximum level.
+    any fault also forces that event to its maximum level. A base event
+    whose level did not move keeps its previous ``EventState`` object.
     """
     events: Dict[str, EventState] = {}
     faults: List[Tuple[str, str]] = []
 
     for one_id, table in config.tables.items():
-        prev_level = previous[one_id].level if one_id in previous else 0
+        prev = previous.get(one_id)
+        prev_level = 0 if prev is None else prev.level
         value = signals.get(table.signal)
         if value is None or not math.isfinite(value):
             faults.append((one_id, f"signal {table.signal!r} unavailable or non-finite"))
-            events[one_id] = EventState(one_id=one_id, level=prev_level, time=time)
-            continue
-        level = table.next_level(value, prev_level)
-        events[one_id] = EventState(one_id=one_id, level=level, time=time)
+            level = prev_level
+        else:
+            level = table.next_level(value, prev_level)
+        events[one_id] = prev if prev is not None and level == prev_level else EventState(one_id, level)
 
     for rule in config.virtual_rules:
         events[rule.id] = compose_virtual(events, rule)
 
     if faults and config.plant_failure_one is not None:
         pf = config.plant_failure_one
-        events[pf] = EventState(one_id=pf, level=config.max_level(pf), time=time)
+        events[pf] = EventState(one_id=pf, level=config.max_level(pf))
 
     return events, faults

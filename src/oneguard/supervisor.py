@@ -6,11 +6,14 @@ danger level and the irreversibility latch. The combination of all
 reaction levels picks the control scenario, whose task list is then
 filtered by activation conditions. All steps are pure: the caller owns
 ``SupervisorState`` and threads it through. Every table here is total for
-a schedule that ``validate`` accepts, so nothing is re-checked per tick.
+a schedule that ``validate`` accepts, so nothing is re-checked per tick,
+and a decision is re-derived only when its inputs moved.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -29,21 +32,26 @@ class OneEvaluation:
     """The whole decision table of one off-normal event.
 
     ``danger[level]`` classifies an event level, ``reaction[danger]`` maps
-    a danger level to a reaction level, and a previous reaction in
-    ``irreversible`` latches: the reaction can then only stay or rise, so
-    escalation past an irreversible level stays possible while
-    de-escalation is forbidden. Memoryless otherwise: any debouncing lives
-    in the monitor's hysteresis bands.
+    a danger level to a reaction level, and a previous reaction at or
+    above the lowest level in ``irreversible`` latches: the reaction can
+    then only stay or rise, so escalation past an irreversible level stays
+    possible while de-escalation is forbidden. Memoryless otherwise: any
+    debouncing lives in the monitor's hysteresis bands. Idempotent: a
+    level evaluated against its own result gives that result again.
     """
 
     danger: Tuple[DangerLevel, ...]
     reaction: Tuple[int, ...]
     irreversible: FrozenSet[int]
+    latch_from: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "latch_from", min(self.irreversible, default=REACTION_MAX + 1))
 
     def evaluate(self, level: int, previous: int) -> Tuple[DangerLevel, int]:
         danger = self.danger[level]
         reaction = self.reaction[danger]
-        if previous in self.irreversible and previous > reaction:
+        if previous >= self.latch_from and previous > reaction:
             reaction = previous
         return danger, reaction
 
@@ -53,11 +61,21 @@ class Scenario:
     """A named, typed, prioritized task list.
 
     ``tasks`` are in priority order (1 first), with unique priorities.
+    ``boundaries`` holds the sorted times at which one of their activation
+    windows opens or closes, between -inf and inf.
     """
 
     id: str
     type: ScenarioType
     tasks: Tuple[ControlTask, ...] = ()
+    boundaries: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        times = {-math.inf, math.inf}
+        for t in self.tasks:
+            times.add(t.activation.t_start)
+            times.add(math.inf if t.activation.t_end is None else t.activation.t_end)
+        object.__setattr__(self, "boundaries", tuple(sorted(times)))
 
 
 @dataclass(frozen=True)
@@ -107,10 +125,19 @@ class SupervisorConfig:
 
 @dataclass(frozen=True)
 class SupervisorState:
-    """Carry-over between ticks: previous reaction levels and scenario."""
+    """Carry-over between ticks: previous reaction levels and scenario.
+
+    ``decision`` is the last ``(scenario_id, tasks, dangers, reactions)``,
+    derived from the event levels ``levels``; it holds for those levels at
+    any time in ``[since, until)``. The initial state has none.
+    """
 
     reactions: Mapping[str, int]
     scenario_id: str
+    levels: Optional[Tuple[int, ...]] = None
+    decision: Optional[tuple] = None
+    since: float = 0.0
+    until: float = 0.0
 
     @classmethod
     def initial(cls, config: SupervisorConfig) -> "SupervisorState":
@@ -135,21 +162,32 @@ def supervisor_step(
     state: SupervisorState,
     config: SupervisorConfig,
     time: float,
-) -> Tuple[str, List[ControlTask], Dict[str, DangerLevel], Dict[str, int], SupervisorState]:
-    """One full decision pass.
+) -> Tuple[str, Tuple[ControlTask, ...], Dict[str, DangerLevel], Dict[str, int], SupervisorState]:
+    """One decision pass.
 
     Returns ``(scenario_id, active_tasks, dangers, reactions, new_state)``.
     Pure: identical ``(events, state, time)`` always produce identical
-    output. ``events`` holds a state for every configured event.
+    output. ``events`` holds a state for every configured event. When the
+    level vector equals the one ``state`` decided on and ``time`` lies in
+    its ``[since, until)``, the carried decision and ``state`` itself come
+    back: the latch gives the same reactions again, so the same scenario,
+    and no activation window opened or closed.
     """
+    levels = tuple([events[one_id].level for one_id in config.one_ids])
+    if levels == state.levels and state.since <= time < state.until:
+        return (*state.decision, state)
+
     dangers: Dict[str, DangerLevel] = {}
     reactions: Dict[str, int] = {}
-    for one_id in config.one_ids:
+    for one_id, level in zip(config.one_ids, levels):
         dangers[one_id], reactions[one_id] = config.evaluations[one_id].evaluate(
-            events[one_id].level, state.reactions[one_id]
+            level, state.reactions[one_id]
         )
 
     scenario_id = config.os_mapping.select(tuple(reactions.values()))
-    tasks = activate_tasks(config.scenarios[scenario_id], time, events)
-    new_state = SupervisorState(reactions=reactions, scenario_id=scenario_id)
-    return scenario_id, tasks, dangers, reactions, new_state
+    scenario = config.scenarios[scenario_id]
+    decision = (scenario_id, tuple(activate_tasks(scenario, time, events)), dangers, reactions)
+    i = bisect_right(scenario.boundaries, time)
+    since, until = scenario.boundaries[i - 1 : i + 1]
+    new_state = SupervisorState(reactions, scenario_id, levels, decision, since, until)
+    return (*decision, new_state)

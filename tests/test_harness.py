@@ -12,6 +12,7 @@ from oneguard import cli
 from oneguard import config as cfg
 from oneguard import harness
 from oneguard.errors import TraceError
+from oneguard.plant import initial_state, plant_signals
 
 from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS, REPO
 from test_config import set_at
@@ -99,6 +100,23 @@ class TestRun:
         first = next(r for r in records if r.scenario_id == "recovery")
         assert first.time == pytest.approx(0.5)
         assert ("ff_power_nor", "nbi", 0.65) in first.task_commands
+
+    def test_task_that_leaves_and_reenters_gets_a_fresh_runtime(self, density_limit_compiled):
+        # ff_gas_nor is active only while d_ne_edge is at level 0; the
+        # scenario stays 'normal' throughout. Held levels reuse the decision
+        # and the runtime; leaving drops the runtime, re-entering builds one.
+        cs = density_limit_compiled
+        loop = harness.ControlLoop(cs)
+        signals = dict(plant_signals(initial_state(cs.plant), cs.plant))
+        runtimes = []
+        for k, distance in enumerate([0.6, 0.6, 0.4, 0.4, 0.6, 0.6]):
+            record = loop.tick(dict(signals, d_ne_edge=distance), k * cs.run.dt, cs.run.dt)
+            assert record.scenario_id == "normal"
+            runtimes.append(loop.runtimes.get("ff_gas_nor"))
+        assert runtimes[0] is runtimes[1] is not None
+        assert runtimes[2] is None and runtimes[3] is None
+        assert runtimes[4] is runtimes[5] is not runtimes[0]
+        assert runtimes[4] is not None
 
     def test_ntm_deposition_tracks_scripted_mode_position(self, dual_ntm_compiled):
         # Whenever a stabilization task owns the aiming group, the
@@ -301,6 +319,13 @@ class TestCli:
         bad.write_text("\n".join(lines) + "\n")
         assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
         assert capsys.readouterr().err == f"error: {bad}: bad time 'soon'\n"
+
+    @pytest.mark.parametrize("bad_time", ["nan", "inf"])
+    def test_replay_of_non_finite_time_exits_64(self, tmp_path, capsys, bad_time):
+        bad = tmp_path / "events.csv"
+        bad.write_text(f"time,evt_ntm21,evt_ntm43\n0.0,0,0\n{bad_time},0,0\n0.005,1,0\n")
+        assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
+        assert capsys.readouterr().err == f"error: {bad}: bad time '{bad_time}'\n"
 
     def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"

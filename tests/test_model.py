@@ -42,7 +42,7 @@ class TestValues:
         # previous level and the sample is reported as a fault.
         config = MonitorConfig(tables={"e": ThresholdTable(signal="x", thresholds=(1.0,))})
         for bad in (math.nan, math.inf, -math.inf):
-            events, faults = monitor_step({"x": bad}, config, {}, 0.0)
+            events, faults = monitor_step({"x": bad}, config, {})
             assert events["e"].level == 0
             assert faults == [("e", "signal 'x' unavailable or non-finite")]
 

@@ -81,7 +81,7 @@ class TestDiscretize:
         # monitor feeds each table the signal the table names.
         assert "error: ones[0].signal: unknown signal 'nope'" in diagnose(set_at("ones.0.signal", "nope"))
         config = MonitorConfig(tables={"e": ThresholdTable(signal="x", thresholds=(1.0,))})
-        events, _ = monitor_step({"x": 0.0, "y": 5.0}, config, {}, 0.0)
+        events, _ = monitor_step({"x": 0.0, "y": 5.0}, config, {})
         assert events["e"].level == 0
 
     def test_prev_level_out_of_range_rejected(self):
@@ -118,6 +118,28 @@ class TestDiscretize:
                 got = table.next_level(value, prev)
                 assert got == oracle.update(value), (case, value, prev)
                 prev = got
+
+    def test_bucket_equals_a_linear_scan(self):
+        # The bucket search counts crossed thresholds like a scan from the
+        # worst one down, in both directions and exactly on a threshold.
+        def scan(thresholds, rising, value):
+            for level in range(len(thresholds), 0, -1):
+                t = thresholds[level - 1]
+                if (value >= t) if rising else (value <= t):
+                    return level
+            return 0
+
+        rng = random.Random(5)
+        for _ in range(300):
+            rising = rng.random() < 0.5
+            cuts = sorted(rng.sample(range(-6, 7), rng.randint(1, 5)), reverse=not rising)
+            thresholds = tuple(c / 2 for c in cuts)
+            table = ThresholdTable(signal="x", thresholds=thresholds, direction="rising" if rising else "falling")
+            values = [math.inf, -math.inf, -0.0, rng.uniform(-4.0, 4.0)]
+            for t in thresholds:
+                values += [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+            for value in values:
+                assert table.bucket(value) == scan(thresholds, rising, value), (thresholds, value)
 
     def test_zero_hysteresis_equals_stateless_bucket(self):
         table = ThresholdTable(signal="x", thresholds=(1.0, 2.0, 3.0))
@@ -168,8 +190,8 @@ class TestComposeVirtual:
 
     def events(self, lm, rp):
         return {
-            "locked_mode": EventState(one_id="locked_mode", level=lm, time=1.0),
-            "rad_power": EventState(one_id="rad_power", level=rp, time=2.0),
+            "locked_mode": EventState(one_id="locked_mode", level=lm),
+            "rad_power": EventState(one_id="rad_power", level=rp),
         }
 
     def test_passthrough_row(self):
@@ -183,8 +205,8 @@ class TestComposeVirtual:
     def test_quiescent(self):
         assert compose_virtual(self.events(0, 0), self.RULE).level == 0
 
-    def test_output_time_is_newest_input(self):
-        assert compose_virtual(self.events(0, 0), self.RULE).time == 2.0
+    def test_output_is_the_level_alone(self):
+        assert compose_virtual(self.events(1, 1), self.RULE) == EventState("lm_rad", 2)
 
     # validate refuses a virtual input that is not a base event and a table
     # that is not total, so every lookup here finds its inputs and its row.
@@ -216,14 +238,14 @@ def density_limit_monitor():
 
 class TestMonitorStep:
     def test_empty_config_empty_vector(self):
-        events, faults = monitor_step({}, MonitorConfig(tables={}), {}, 0.0)
+        events, faults = monitor_step({}, MonitorConfig(tables={}), {})
         assert events == {} and faults == []
 
     def test_quiet_plasma_all_zero(self):
         # Half the energy budget spent and distance above the first
         # critical value: both events stay at level 0.
         events, faults = monitor_step(
-            {"d_ne_edge": 0.6, "nbi_energy_frac": 0.5}, density_limit_monitor(), {}, 0.0
+            {"d_ne_edge": 0.6, "nbi_energy_frac": 0.5}, density_limit_monitor(), {}
         )
         assert [e.level for e in events.values()] == [0, 0]
         assert faults == []
@@ -233,7 +255,6 @@ class TestMonitorStep:
             {"d_ne_edge": 0.6, "nbi_energy_frac": 0.99 * 1.3 / 1.3},
             density_limit_monitor(),
             {},
-            0.0,
         )
         assert events["actuator_lim"].level == 1
         assert events["d_ne_edge"].level == 0
@@ -241,11 +262,11 @@ class TestMonitorStep:
     def test_fault_pins_previous_level_and_spares_others(self):
         config = density_limit_monitor()
         previous = {
-            "d_ne_edge": EventState("d_ne_edge", 2, 0.0),
-            "actuator_lim": EventState("actuator_lim", 0, 0.0),
+            "d_ne_edge": EventState("d_ne_edge", 2),
+            "actuator_lim": EventState("actuator_lim", 0),
         }
         events, faults = monitor_step(
-            {"d_ne_edge": math.nan, "nbi_energy_frac": 0.99}, config, previous, 0.1
+            {"d_ne_edge": math.nan, "nbi_energy_frac": 0.99}, config, previous
         )
         assert events["d_ne_edge"].level == 2
         assert events["actuator_lim"].level == 1
@@ -256,14 +277,14 @@ class TestMonitorStep:
         config = MonitorConfig(
             tables=base.tables, plant_failure_one="actuator_lim"
         )
-        events, faults = monitor_step({"nbi_energy_frac": 0.0}, config, {}, 0.0)
+        events, faults = monitor_step({"nbi_energy_frac": 0.0}, config, {})
         assert faults and events["actuator_lim"].level == 1
 
     def test_deterministic(self):
         config = density_limit_monitor()
         signals = {"d_ne_edge": 0.3, "nbi_energy_frac": 0.2}
-        first = monitor_step(signals, config, {}, 0.5)
-        second = monitor_step(signals, config, {}, 0.5)
+        first = monitor_step(signals, config, {})
+        second = monitor_step(signals, config, {})
         assert first == second
 
     def test_virtual_output_independent_of_base_declaration_order(self):
@@ -277,8 +298,8 @@ class TestMonitorStep:
         fwd = MonitorConfig(tables={"a": t_a, "b": t_b}, virtual_rules=(rule,))
         rev = MonitorConfig(tables={"b": t_b, "a": t_a}, virtual_rules=(rule,))
         signals = {"sa": 1.5, "sb": 0.0}
-        ev_fwd, _ = monitor_step(signals, fwd, {}, 0.0)
-        ev_rev, _ = monitor_step(signals, rev, {}, 0.0)
+        ev_fwd, _ = monitor_step(signals, fwd, {})
+        ev_rev, _ = monitor_step(signals, rev, {})
         assert ev_fwd["combo"] == ev_rev["combo"]
 
     def test_levels_follow_discretize_over_a_random_walk(self):
@@ -287,7 +308,7 @@ class TestMonitorStep:
         events, levels = {}, {one_id: 0 for one_id in config.tables}
         for k in range(2000):
             signals = {"d_ne_edge": rng.uniform(-0.1, 0.6), "nbi_energy_frac": rng.uniform(0.8, 1.1)}
-            events, _ = monitor_step(signals, config, events, k * 0.01)
+            events, _ = monitor_step(signals, config, events)
             for one_id, table in config.tables.items():
                 levels[one_id] = table.next_level(signals[table.signal], levels[one_id])
                 assert events[one_id].level == levels[one_id]

@@ -1,7 +1,10 @@
 import itertools
 import random
 
-from oneguard.model import DangerLevel, EventState, ScenarioType
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oneguard.model import Activation, ControlTask, DangerLevel, EventState, EventTrigger, ScenarioType
 from oneguard.supervisor import (
     OneEvaluation,
     OsMapping,
@@ -70,6 +73,14 @@ class TestReactionStep:
     def test_custom_irreversible_set(self):
         one = evaluation(irreversible=frozenset({2, 3, 4}))
         assert reaction_of(one, D.NO, previous=2) == 2
+
+    def test_gapped_irreversible_set_latches_from_its_lowest_level(self):
+        # [1, 3, 4] acts as [1, 2, 3, 4]: 1 -> 2 may not fall back to 0.
+        one = evaluation(irreversible=frozenset({1, 3, 4}))
+        reaction = 0
+        for level in (D.LOW, D.MEDIUM, D.NO):
+            reaction = reaction_of(one, level, reaction)
+        assert reaction == 2
 
     def test_evaluate_returns_danger_and_reaction(self):
         one = evaluation(danger=(D.NO, D.MEDIUM, D.VERY_HIGH), reaction=(0, 0, 1, 3, 3))
@@ -149,8 +160,8 @@ class TestActivateTasks:
     def test_backup_scenario_activates_its_three_tasks(self, dual_ntm_compiled):
         scenario = dual_ntm_compiled.supervisor.scenarios["backup1"]
         events = {
-            "ntm21": EventState("ntm21", 2, 0.1),
-            "ntm43": EventState("ntm43", 1, 0.1),
+            "ntm21": EventState("ntm21", 2),
+            "ntm43": EventState("ntm43", 1),
         }
         tasks = activate_tasks(scenario, 0.1, events)
         assert [t.id for t in tasks] == [
@@ -162,14 +173,14 @@ class TestActivateTasks:
     def test_da_tasks_wait_for_distance_trigger(self, density_limit_compiled):
         scenario = density_limit_compiled.supervisor.scenarios["normal"]
         quiet = {
-            "d_ne_edge": EventState("d_ne_edge", 0, 0.2),
-            "actuator_lim": EventState("actuator_lim", 0, 0.2),
+            "d_ne_edge": EventState("d_ne_edge", 0),
+            "actuator_lim": EventState("actuator_lim", 0),
         }
         assert [t.id for t in activate_tasks(scenario, 0.2, quiet)] == [
             "ff_power_nor",
             "ff_gas_nor",
         ]
-        near = dict(quiet, d_ne_edge=EventState("d_ne_edge", 1, 0.2))
+        near = dict(quiet, d_ne_edge=EventState("d_ne_edge", 1))
         assert [t.id for t in activate_tasks(scenario, 0.2, near)] == [
             "ff_power_nor",
             "da_power_nor",
@@ -206,10 +217,10 @@ def two_one_config(rows=None):
 
 
 class TestSupervisorStep:
-    def events(self, a, b, t=0.0):
+    def events(self, a, b):
         return {
-            "one_a": EventState("one_a", a, t),
-            "one_b": EventState("one_b", b, t),
+            "one_a": EventState("one_a", a),
+            "one_b": EventState("one_b", b),
         }
 
     def test_no_events_configured_keeps_default(self):
@@ -231,15 +242,15 @@ class TestSupervisorStep:
         config = density_limit_compiled.supervisor
         state = SupervisorState.initial(config)
         events = {
-            "d_ne_edge": EventState("d_ne_edge", 1, 0.3),
-            "actuator_lim": EventState("actuator_lim", 0, 0.3),
+            "d_ne_edge": EventState("d_ne_edge", 1),
+            "actuator_lim": EventState("actuator_lim", 0),
         }
         scenario_id, tasks, _, _, state = supervisor_step(events, state, config, 0.3)
         assert scenario_id == "normal"
         assert {"da_power_nor", "da_gas_nor"} <= {t.id for t in tasks}
         events = {
-            "d_ne_edge": EventState("d_ne_edge", 2, 0.4),
-            "actuator_lim": EventState("actuator_lim", 0, 0.4),
+            "d_ne_edge": EventState("d_ne_edge", 2),
+            "actuator_lim": EventState("actuator_lim", 0),
         }
         scenario_id, tasks, _, _, state = supervisor_step(events, state, config, 0.4)
         assert scenario_id == "recovery"
@@ -247,7 +258,7 @@ class TestSupervisorStep:
     def test_replay_reproduces_decisions(self):
         config = two_one_config()
         rng = random.Random(7)
-        trace = [(self.events(rng.randint(0, 4), rng.randint(0, 4), t=float(t)), float(t)) for t in range(40)]
+        trace = [(self.events(rng.randint(0, 4), rng.randint(0, 4)), float(t)) for t in range(40)]
 
         def run():
             state = SupervisorState.initial(config)
@@ -268,7 +279,7 @@ class TestSupervisorStep:
             state = SupervisorState.initial(config)
             latched = {"one_a": 0, "one_b": 0}
             for t in range(30):
-                events = self.events(rng.randint(0, 4), rng.randint(0, 4), t=float(t))
+                events = self.events(rng.randint(0, 4), rng.randint(0, 4))
                 _, _, _, reactions, state = supervisor_step(events, state, config, float(t))
                 for one_id, level in reactions.items():
                     if latched[one_id] in (3, 4):
@@ -297,7 +308,7 @@ class TestSupervisorStep:
             state = SupervisorState.initial(config)
             terminal_seen = 0
             for t in range(40):
-                events = self.events(rng.randint(0, 4), rng.randint(0, 4), t=float(t))
+                events = self.events(rng.randint(0, 4), rng.randint(0, 4))
                 scenario_id, _, _, _, state = supervisor_step(events, state, config, float(t))
                 rank = order[config.scenarios[scenario_id].type]
                 if terminal_seen >= 3:
@@ -310,8 +321,9 @@ class InterpreterOracle:
     """Straight-line reimplementation of the decision tables for checking.
 
     Walks the raw dicts step by step: danger lookup, reaction lookup with
-    an explicit latch branch, then row lookup with the documented
-    fallback. Shares no code with the production path.
+    an explicit latch branch (held once the previous reaction reaches the
+    set's lowest level), then row lookup with the documented fallback.
+    Shares no code with the production path.
     """
 
     TYPE_OF = {0: "normal", 1: "recovery", 2: "backup", 3: "soft_shutdown", 4: "disruption_mitigation"}
@@ -330,7 +342,7 @@ class InterpreterOracle:
         for i, level in enumerate(levels):
             danger = self.danger_maps[i][level]
             candidate = self.reaction_maps[i][danger]
-            if self.prev[i] in self.irreversible[i] and candidate < self.prev[i]:
+            if self.prev[i] >= min(self.irreversible[i], default=5) and candidate < self.prev[i]:
                 result = self.prev[i]
             else:
                 result = candidate
@@ -371,7 +383,10 @@ def oracle_config_pairs(seed, n_ones, max_level):
     }
     danger_maps = [rng.choice(danger_pool) for _ in range(n_ones)]
     reaction_maps = [rng.choice(reaction_pool) for _ in range(n_ones)]
-    irreversible = [frozenset({3, 4}) if rng.random() < 0.7 else frozenset({2, 3, 4}) for _ in range(n_ones)]
+    irreversible = []
+    for _ in range(n_ones):
+        r = rng.random()
+        irreversible.append(frozenset({3, 4}) if r < 0.7 else frozenset({2, 3, 4}) if r < 0.9 else frozenset({1, 3, 4}))
     names = [f"one_{i}" for i in range(n_ones)]
     ids_by_type = {}
     for sid, t in scenario_types.items():
@@ -406,15 +421,16 @@ def oracle_config_pairs(seed, n_ones, max_level):
 
 
 def test_exhaustive_sequences_match_interpreter_oracle_smoke():
-    for seed in range(6):
+    # Four steps, so held levels meet the carried decision (C4 runs more seeds).
+    for seed in range(3):
         config, oracle = oracle_config_pairs(seed, n_ones=2, max_level=2)
         alphabet = list(itertools.product(range(3), repeat=2))
-        for sequence in itertools.product(alphabet, repeat=2):
+        for sequence in itertools.product(alphabet, repeat=4):
             state = SupervisorState.initial(config)
             oracle.prev = [0, 0]
             for t, levels in enumerate(sequence):
                 events = {
-                    name: EventState(name, levels[i], float(t))
+                    name: EventState(name, levels[i])
                     for i, name in enumerate(config.one_ids)
                 }
                 scenario_id, _, _, reactions, state = supervisor_step(events, state, config, float(t))
@@ -422,3 +438,87 @@ def test_exhaustive_sequences_match_interpreter_oracle_smoke():
                 expected_combo, expected_scenario = oracle.step(levels)
                 assert combo == expected_combo
                 assert scenario_id == expected_scenario
+
+
+DT = 0.01
+
+
+def task(scenario_id, j, t_start=0.0, t_end=None, trigger=None):
+    return ControlTask(
+        id=f"{scenario_id}_{j}",
+        priority=j + 1,
+        controller="ff",
+        group="g",
+        activation=Activation(t_start=t_start, t_end=t_end, trigger=trigger),
+    )
+
+
+def test_held_levels_reuse_the_decision_until_a_window_opens():
+    late = task("normal", 0, t_start=2 * DT)
+    config = SupervisorConfig(
+        one_ids=("one_a",),
+        evaluations={"one_a": evaluation(reaction=(0, 0, 0, 0, 0))},
+        os_mapping=small_mapping({}, scenarios={"normal": Scenario("normal", ScenarioType.NORMAL, (late,))}),
+    )
+    quiet = {"one_a": EventState("one_a", 0)}
+    *first, state = supervisor_step(quiet, SupervisorState.initial(config), config, 0.0)
+    *held, held_state = supervisor_step(quiet, state, config, DT)
+    assert held_state is state and held[1] is first[1] == ()
+    *opened, opened_state = supervisor_step(quiet, held_state, config, 2 * DT)
+    assert opened_state is not held_state and opened[1] == (late,)
+    *earlier, _ = supervisor_step(quiet, opened_state, config, DT)
+    assert earlier[1] == ()
+    *_, moved_state = supervisor_step({"one_a": EventState("one_a", 1)}, opened_state, config, 3 * DT)
+    assert moved_state is not opened_state and moved_state.levels == (1,)
+
+
+@st.composite
+def decision_cases(draw):
+    """A random supervisor config whose activation windows open and close on
+    tick times, and a level sequence made of held runs."""
+    n_ones = draw(st.integers(1, 3))
+    names = tuple(f"one_{i}" for i in range(n_ones))
+    tops = [draw(st.integers(1, 3)) for _ in names]
+    evaluations = {
+        name: evaluation(
+            danger=draw(st.lists(st.sampled_from(list(D)), min_size=top + 1, max_size=top + 1)),
+            reaction=tuple(draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))),
+            irreversible=frozenset(draw(st.lists(st.integers(0, 4), max_size=4))),
+        )
+        for name, top in zip(names, tops)
+    }
+    tick = st.integers(0, 20)
+    scenarios = {}
+    for scenario_type in ScenarioType:
+        sid = scenario_type.value
+        tasks = []
+        for j in range(draw(st.integers(0, 3))):
+            t_start = draw(tick)
+            t_end = draw(st.none() | st.integers(t_start + 1, 24))
+            trigger = None
+            if draw(st.booleans()):
+                i = draw(st.integers(0, n_ones - 1))
+                low = draw(st.integers(0, tops[i]))
+                trigger = EventTrigger(names[i], low, draw(st.none() | st.integers(low, tops[i])))
+            tasks.append(task(sid, j, t_start * DT, None if t_end is None else t_end * DT, trigger))
+        scenarios[sid] = Scenario(sid, scenario_type, tuple(tasks))
+    combo = st.tuples(*[st.integers(0, 4)] * n_ones)
+    rows = draw(st.dictionaries(combo, st.sampled_from(sorted(scenarios)), max_size=6))
+    config = SupervisorConfig(names, evaluations, OsMapping(rows=rows, scenarios=scenarios, default="normal"))
+    levels = st.tuples(*[st.integers(0, top) for top in tops])
+    runs = draw(st.lists(st.tuples(levels, st.integers(1, 6)), min_size=1, max_size=8))
+    return config, [lvl for lvl, length in runs for _ in range(length)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(decision_cases())
+def test_carried_decision_equals_a_fresh_one(case):
+    # Stepping with the carried state (which may hand back its cached
+    # decision) matches stepping with the cache fields stripped.
+    config, sequence = case
+    carried = fresh = SupervisorState.initial(config)
+    for k, levels in enumerate(sequence):
+        events = {name: EventState(name, level) for name, level in zip(config.one_ids, levels)}
+        *got, carried = supervisor_step(events, carried, config, k * DT)
+        *want, fresh = supervisor_step(events, SupervisorState(fresh.reactions, fresh.scenario_id), config, k * DT)
+        assert got == want, k
