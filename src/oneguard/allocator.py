@@ -20,9 +20,9 @@ for one group, so neither function re-checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .model import Allocation, ResourceRequest
+from .model import NO_GRANTS, Allocation, ResourceRequest
 
 ADDITIVE = "additive"
 EXCLUSIVE = "exclusive"
@@ -43,8 +43,7 @@ class ActuatorGroup:
     unit: str = ""
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class ActuatorCommand(NamedTuple):
     """A value commanded on one group."""
 
     group_id: str
@@ -63,23 +62,26 @@ def allocate(
     acceptable amount are granted zero and listed in
     ``Allocation.starved``. The minimum comparison
     carries a 1e-9 slack so accumulated float error in the remaining
-    capacity cannot starve an exactly-satisfiable request.
+    capacity cannot starve an exactly-satisfiable request. Each group's
+    total adds its grants from 0.0 in the same priority order.
     """
     remaining = {gid: g.capacity for gid, g in groups.items()}
+    totals = dict.fromkeys(groups, 0.0)
     # Stable order: priority first, then group id so multi-group tasks
     # allocate deterministically.
-    ordered = sorted(requests, key=lambda r: (priorities[r.task_id], r.group_id))
+    ordered = sorted(requests, key=lambda r: (priorities[r[0]], r[1]))
 
     grants: Dict[str, Dict[str, float]] = {}
     starved: List[Tuple[str, str]] = []
-    for req in ordered:
-        granted = min(req.amount, remaining[req.group_id])
-        if granted + 1e-9 < req.min_acceptable or (req.amount > 0.0 and granted <= 0.0):
-            starved.append((req.task_id, req.group_id))
+    for task_id, gid, amount, minimum in ordered:
+        granted = min(amount, remaining[gid])
+        if granted + 1e-9 < minimum or (amount > 0.0 and granted <= 0.0):
+            starved.append((task_id, gid))
             continue
-        remaining[req.group_id] -= granted
-        grants.setdefault(req.task_id, {})[req.group_id] = granted
-    return Allocation(grants=grants, starved=tuple(starved))
+        remaining[gid] -= granted
+        totals[gid] += granted
+        grants.setdefault(task_id, {})[gid] = granted
+    return Allocation(grants, tuple(starved), totals)
 
 
 def merge_commands(
@@ -88,38 +90,43 @@ def merge_commands(
     groups: Mapping[str, ActuatorGroup],
     priorities: Mapping[str, int],
 ) -> Tuple[Dict[str, float], List[Tuple[str, str, str]]]:
-    """Combine per-task commands into one final value per group.
+    """Combine per-task commands into one final value per group, in one pass.
 
     Returns ``(commands, violations)`` where ``commands`` maps group id to
     the merged value (0 for groups nobody commands) and ``violations``
-    lists dropped contributions as ``(task, group, reason)``.
+    lists dropped contributions as ``(task, group, reason)``. An additive
+    sum starts from the int 0, so a lone ``-0.0`` command merges to
+    ``0.0``, not ``-0.0``.
     """
-    contributions: Dict[str, List[Tuple[int, str, float]]] = {gid: [] for gid in groups}
+    grants = allocation.grants
+    sums: Dict[str, float] = {}
+    holders: Dict[str, Tuple[Tuple[int, str], float]] = {}
     violations: List[Tuple[str, str, str]] = []
 
-    for task_id, cmd in outputs:
-        group = groups[cmd.group_id]
-        grant = allocation.grant(task_id, cmd.group_id)
+    for task_id, (gid, value) in outputs:
+        grant = grants.get(task_id, NO_GRANTS).get(gid, 0.0)
         if grant <= 0.0:
-            if cmd.value != 0.0:
-                violations.append((task_id, cmd.group_id, "no grant"))
+            if value != 0.0:
+                violations.append((task_id, gid, "no grant"))
             continue
-        if group.semantics == ADDITIVE and abs(cmd.value) > grant + 1e-12:
-            violations.append((task_id, cmd.group_id, "command exceeds grant"))
-            continue
-        contributions[cmd.group_id].append((priorities[task_id], task_id, cmd.value))
+        if groups[gid].semantics == ADDITIVE:
+            if abs(value) > grant + 1e-12:
+                violations.append((task_id, gid, "command exceeds grant"))
+                continue
+            sums[gid] = sums.get(gid, 0) + value
+        else:
+            rank = (priorities[task_id], task_id)
+            held = holders.get(gid)
+            if held is None or rank < held[0]:
+                holders[gid] = (rank, value)
 
     commands: Dict[str, float] = {}
     for gid, group in groups.items():
-        contribs = contributions[gid]
-        if not contribs:
-            commands[gid] = 0.0
-            continue
-        if group.semantics == ADDITIVE:
-            total = sum(v for _, _, v in contribs)
-            commands[gid] = min(max(total, 0.0), group.capacity)
-        else:
-            contribs.sort(key=lambda c: (c[0], c[1]))
+        if gid in sums:
+            commands[gid] = min(max(sums[gid], 0.0), group.capacity)
+        elif gid in holders:
             lo, hi = group.command_range
-            commands[gid] = min(max(contribs[0][2], lo), hi)
+            commands[gid] = min(max(holders[gid][1], lo), hi)
+        else:
+            commands[gid] = 0.0
     return commands, violations

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from .model import ControlTask, ResourceRequest
 from .allocator import ActuatorCommand, ActuatorGroup
@@ -54,8 +54,7 @@ class Waveform:
         return v0 + frac * (v1 - v0)
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     """Discrete PID state.
 
     ``integrator`` stores the integral *term* (output units), clamped to
@@ -87,7 +86,7 @@ def pid_step(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if not math.isfinite(measurement):
-        return state.last_output, state.last_output, replace(state, fault=True)
+        return state.last_output, state.last_output, state._replace(fault=True)
 
     error = reference - measurement
     integrator = state.integrator + state.ki * error * dt
@@ -100,16 +99,7 @@ def pid_step(
     output = state.kp * error + integrator + derivative
     output = min(max(output, state.lo), state.hi)
     new_state = PidState(
-        kp=state.kp,
-        ki=state.ki,
-        kd=state.kd,
-        lo=state.lo,
-        hi=state.hi,
-        anti_windup=state.anti_windup,
-        integrator=integrator,
-        prev_measurement=measurement,
-        last_output=output,
-        fault=False,
+        state.kp, state.ki, state.kd, state.lo, state.hi, state.anti_windup, integrator, measurement, output
     )
     return output, output, new_state
 
@@ -212,22 +202,14 @@ class FeedforwardRuntime(TaskRuntime):
 
     def _request_at(self, time: float) -> List[ResourceRequest]:
         amount = max(self.waveform(time), 0.0)
-        return [
-            ResourceRequest(
-                task_id=self.task.id,
-                group_id=self.task.group,
-                amount=amount,
-                min_acceptable=min(self.min_request, amount),
-            )
-        ]
+        return [ResourceRequest(self.task.id, self.task.group, amount, min(self.min_request, amount))]
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         return self._request_at(ctx.time)
 
     def step(self, ctx, grants):
         value = min(max(self.waveform(ctx.time), 0.0), grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value)
-        return [cmd], self._request_at(ctx.time + ctx.dt)
+        return [ActuatorCommand(self.task.group, value)], self._request_at(ctx.time + ctx.dt)
 
 
 class PidRuntime(TaskRuntime):
@@ -255,22 +237,13 @@ class PidRuntime(TaskRuntime):
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         request, _, _ = self._output(ctx)
-        return [
-            ResourceRequest(
-                task_id=self.task.id,
-                group_id=self.task.group,
-                amount=max(request, 0.0),
-            )
-        ]
+        return [ResourceRequest(self.task.id, self.task.group, max(request, 0.0))]
 
     def step(self, ctx, grants):
         request, command, self.state = self._output(ctx)
         value = min(max(command, 0.0), grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value)
-        next_req = ResourceRequest(
-            task_id=self.task.id, group_id=self.task.group, amount=max(request, 0.0)
-        )
-        return [cmd], [next_req]
+        next_req = ResourceRequest(self.task.id, self.task.group, max(request, 0.0))
+        return [ActuatorCommand(self.task.group, value)], [next_req]
 
 
 class DaPowerRuntime(TaskRuntime):
@@ -300,20 +273,13 @@ class DaPowerRuntime(TaskRuntime):
         return request
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        return [
-            ResourceRequest(
-                task_id=self.task.id, group_id=self.task.group, amount=self._desired(ctx)
-            )
-        ]
+        return [ResourceRequest(self.task.id, self.task.group, self._desired(ctx))]
 
     def step(self, ctx, grants):
         desired = self._desired(ctx)
         value = min(desired, grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value)
-        next_req = ResourceRequest(
-            task_id=self.task.id, group_id=self.task.group, amount=desired
-        )
-        return [cmd], [next_req]
+        next_req = ResourceRequest(self.task.id, self.task.group, desired)
+        return [ActuatorCommand(self.task.group, value)], [next_req]
 
 
 class GasShaperRuntime(TaskRuntime):
@@ -380,11 +346,7 @@ class GasShaperRuntime(TaskRuntime):
         return max(value, 0.0)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        return [
-            ResourceRequest(
-                task_id=self.task.id, group_id=self.task.group, amount=self._shape(ctx)
-            )
-        ]
+        return [ResourceRequest(self.task.id, self.task.group, self._shape(ctx))]
 
     def step(self, ctx, grants):
         if self.entry_value is None:
@@ -392,11 +354,8 @@ class GasShaperRuntime(TaskRuntime):
             self.entry_time = ctx.time
         desired = self._shape(ctx)
         value = min(desired, grants.get(self.task.group, 0.0))
-        cmd = ActuatorCommand(group_id=self.task.group, value=value)
-        next_req = ResourceRequest(
-            task_id=self.task.id, group_id=self.task.group, amount=self._project(value, ctx)
-        )
-        return [cmd], [next_req]
+        next_req = ResourceRequest(self.task.id, self.task.group, self._project(value, ctx))
+        return [ActuatorCommand(self.task.group, value)], [next_req]
 
 
 class NtmRuntime(TaskRuntime):
@@ -421,12 +380,8 @@ class NtmRuntime(TaskRuntime):
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         return [
-            ResourceRequest(
-                task_id=self.task.id, group_id=self.task.group, amount=self.power_capacity
-            ),
-            ResourceRequest(
-                task_id=self.task.id, group_id=self.aim_group, amount=1.0, min_acceptable=1.0
-            ),
+            ResourceRequest(self.task.id, self.task.group, self.power_capacity),
+            ResourceRequest(self.task.id, self.aim_group, 1.0, 1.0),
         ]
 
     def step(self, ctx, grants):
@@ -437,8 +392,8 @@ class NtmRuntime(TaskRuntime):
         if not math.isfinite(rho):
             rho = 0.0
         cmds = [
-            ActuatorCommand(group_id=self.task.group, value=grants.get(self.task.group, 0.0)),
-            ActuatorCommand(group_id=self.aim_group, value=min(max(rho, 0.0), 1.0)),
+            ActuatorCommand(self.task.group, grants.get(self.task.group, 0.0)),
+            ActuatorCommand(self.aim_group, min(max(rho, 0.0), 1.0)),
         ]
         return cmds, self.requests(ctx)
 

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .allocator import allocate, merge_commands
+from .allocator import ActuatorCommand, allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
-from .model import ControlTask, DangerLevel, EventState, ResourceRequest, ScenarioType
+from .model import NO_GRANTS, ControlTask, DangerLevel, EventState, ResourceRequest, ScenarioType
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
 from .supervisor import SupervisorState, supervisor_step
@@ -34,7 +34,7 @@ EXIT_CONFIG = 64
 _SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATION)
 
 
-@dataclass
+@dataclass(slots=True)
 class TickRecord:
     """Everything one tick decided, for the trace."""
 
@@ -47,7 +47,7 @@ class TickRecord:
     task_ids: Tuple[str, ...]
     group_grants: Mapping[str, float]
     commands: Mapping[str, float]
-    task_commands: List[Tuple[str, str, float]]
+    task_commands: List[Tuple[str, ActuatorCommand]]
     faults: List[Tuple[str, str]]
     violations: List[Tuple[str, str, str]]
 
@@ -101,23 +101,16 @@ class ControlLoop:
 
         allocation = allocate(requests, cs.groups, self.priorities)
 
-        outputs = []
+        outputs: List[Tuple[str, ActuatorCommand]] = []
+        grants = allocation.grants
         for task in tasks:
-            runtime = self.runtimes[task.id]
-            grants = allocation.grants.get(task.id, {})
-            commands, next_requests = runtime.step(ctx, grants)
-            outputs.extend((task.id, cmd) for cmd in commands)
-            self.pending[task.id] = next_requests
+            task_id = task.id
+            issued, self.pending[task_id] = self.runtimes[task_id].step(ctx, grants.get(task_id, NO_GRANTS))
+            for cmd in issued:
+                outputs.append((task_id, cmd))
 
         commands, violations = merge_commands(outputs, allocation, cs.groups, self.priorities)
         self.prev_commands = commands
-
-        # Per group, the same sum over tasks in grant order as Allocation.group_total.
-        granted: Dict[str, List[float]] = {gid: [] for gid in cs.groups}
-        for task_grants in allocation.grants.values():
-            for gid, amount in task_grants.items():
-                granted[gid].append(amount)
-        grants_per_group = {gid: sum(amounts, 0.0) for gid, amounts in granted.items()}
         return TickRecord(
             time=time,
             signals=signals,
@@ -126,9 +119,9 @@ class ControlLoop:
             reactions=reactions,
             scenario_id=scenario_id,
             task_ids=self.task_ids,
-            group_grants=grants_per_group,
+            group_grants=allocation.totals,
             commands=commands,
-            task_commands=[(tid, c.group_id, c.value) for tid, c in outputs],
+            task_commands=outputs,
             faults=faults,
             violations=violations,
         )

@@ -2,14 +2,18 @@
 
 Plain immutable values passed between the event monitor, the supervisor,
 the actuator manager and the controllers. Everything here is safe to copy
-across execution contexts; nothing mutates after construction.
+across execution contexts; nothing mutates after construction. The values
+built on every tick (``EventState``, ``ResourceRequest``, ``Allocation``)
+are named tuples: just as immutable, and cheaper to build than frozen
+dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional
 
 
 class DangerLevel(IntEnum):
@@ -67,8 +71,11 @@ SCENARIO_TYPE_FOR_REACTION = {
 }
 
 
-@dataclass(frozen=True)
-class EventState:
+#: The one shared empty mapping: no grants, no totals.
+NO_GRANTS: Mapping[str, Any] = MappingProxyType({})
+
+
+class EventState(NamedTuple):
     """Discrete level (>= 0) of one off-normal event."""
 
     one_id: str
@@ -128,8 +135,7 @@ class ControlTask:
     activation: Activation = field(default_factory=Activation)
 
 
-@dataclass(frozen=True)
-class ResourceRequest:
+class ResourceRequest(NamedTuple):
     """A task asking one actuator group for an amount of resource.
 
     ``min_acceptable`` is the smallest grant worth having; anything less
@@ -143,20 +149,18 @@ class ResourceRequest:
     min_acceptable: float = 0.0
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Result of one allocation round.
 
     ``grants`` maps task id -> group id -> granted amount. A task may hold
     grants on several groups (one per group). ``starved`` lists the
-    (task, group) requests that received nothing.
+    (task, group) requests that received nothing. ``totals`` maps each
+    group id to the sum of its grants, added in priority order.
     """
 
     grants: Mapping[str, Mapping[str, float]]
     starved: tuple = ()
+    totals: Mapping[str, float] = NO_GRANTS
 
     def grant(self, task_id: str, group_id: str) -> float:
-        return self.grants.get(task_id, {}).get(group_id, 0.0)
-
-    def group_total(self, group_id: str) -> float:
-        return sum(g.get(group_id, 0.0) for g in self.grants.values())
+        return self.grants.get(task_id, NO_GRANTS).get(group_id, 0.0)

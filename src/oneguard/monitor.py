@@ -106,7 +106,7 @@ class VirtualOneRule:
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
     """Evaluate a virtual event from its base events' current states, keyed by event id."""
     inputs = [events[one_id] for one_id in rule.inputs]
-    return EventState(one_id=rule.id, level=rule.table[tuple(e.level for e in inputs)])
+    return EventState(rule.id, rule.table[tuple(e.level for e in inputs)])
 
 
 @dataclass(frozen=True)

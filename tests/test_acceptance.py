@@ -100,7 +100,7 @@ def test_c1_density_limit_timeline(density_limit_compiled):
     ff_values = [
         value
         for record in task_rows
-        for tid, gid, value in record.task_commands
+        for tid, (gid, value) in record.task_commands
         if tid in ("ff_power_nor", "ff_power_rec")
     ]
     assert len(ff_values) == len(rows)
@@ -229,7 +229,7 @@ def test_c5_allocator_oracle_and_feasibility():
         requests, groups, priorities = random_instance(rng, multi_group=True)
         alloc = allocate(requests, groups, priorities)
         for gid, g in groups.items():
-            if alloc.group_total(gid) > g.capacity + 1e-9:
+            if alloc.totals[gid] > g.capacity + 1e-9:
                 feasibility_violations += 1
         for r in requests:
             got = alloc.grant(r.task_id, r.group_id)
@@ -525,6 +525,8 @@ TASK_POOL = {
     "extra": {"controller": "da", "group": "nbi"},
     "beta": {"controller": "pid", "group": "nbi"},
     "fuel": {"controller": "shaper", "group": "gas"},
+    # Power on nbi plus the exclusive aim group: a multi-group request.
+    "aim": {"controller": "ntm", "group": "nbi"},
 }
 
 
@@ -592,9 +594,11 @@ controllers:
   da: {type: da_power, mode: normal, d_critical1: 0.45, p_max: 1.3, signal: d_ne_edge}
   pid: {type: pid, kp: 2.0, ki: 5.0, hi: 1.3, measurement: stored_energy}
   shaper: {type: gas_shaper, mode: cutoff, ramp_down: 0.05}
+  ntm: {type: ntm, position_signal: ne_edge_norm, aim_group: ec_aim}
 actuator_groups:
   - {id: nbi, capacity: 1.3}
   - {id: gas, capacity: 10.0}
+  - {id: ec_aim, capacity: 1.0, semantics: exclusive, command_range: [0.0, 1.0]}
 """
 
 
@@ -602,7 +606,9 @@ actuator_groups:
 @given(generated_schedules())
 def test_c8_generated_schedules_that_validate_run_clean(drawn):
     # Any schedule validate accepts compiles and runs fuzzed ticks with no
-    # exception, a latch that only moves up and no dropped command.
+    # exception, a latch that only moves up and no dropped command. Its
+    # closed-loop run is byte-identical twice over, and replaying that
+    # trace gives back its decision columns.
     doc, seed = drawn
     ps = cfg.parse(yaml.safe_dump(doc, sort_keys=False))
     if cfg.errors_of(cfg.validate(ps)):
@@ -622,3 +628,14 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
             assert reaction >= floor[one_id]
             if reaction >= latch_from[one_id]:
                 floor[one_id] = reaction
+    result = harness.run(cs)
+    assert harness.run(cs).trace_text == result.trace_text
+    rows = rows_of(result.trace_text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(result.trace_text)
+        replayed = harness.replay_file(cs, path)
+    assert len(replayed) == len(rows)
+    for row, replayed_row in zip(rows, replayed):
+        assert replayed_row == {key: row[key] for key in replayed_row}

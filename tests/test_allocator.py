@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 
@@ -36,7 +38,7 @@ class TestAllocate:
         )
         assert alloc.grant("ff_power_rec", "nbi") == pytest.approx(0.65)
         assert alloc.grant("da_power_rec", "nbi") == pytest.approx(0.65)
-        assert alloc.group_total("nbi") == pytest.approx(1.3)
+        assert alloc.totals["nbi"] == pytest.approx(1.3)
 
     def test_minimum_acceptable_starves_second_task(self):
         alloc = allocate(
@@ -263,7 +265,7 @@ class TestFeasibilityAndDominance:
             requests, groups, priorities = random_instance(rng, multi_group=True)
             alloc = allocate(requests, groups, priorities)
             for gid, g in groups.items():
-                assert alloc.group_total(gid) <= g.capacity + 1e-9
+                assert alloc.totals[gid] <= g.capacity + 1e-9
             for r in requests:
                 got = alloc.grant(r.task_id, r.group_id)
                 assert got == 0.0 or got >= r.min_acceptable - 1e-12
@@ -286,3 +288,113 @@ class TestFeasibilityAndDominance:
                 if r.task_id != worse:
                     continue
                 assert after.grant(worse, r.group_id) >= before.grant(worse, r.group_id) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact references for the actuator round: the merge as it was before
+# it became one pass, and the loop's per-group grant sums as they were
+# before allocate returned its totals. Kept verbatim; compared by repr so
+# that -0.0 against 0.0 counts as a difference. From Python 3.12 on, `sum`
+# adds floats with compensation, so there the references no longer make
+# the plain left-to-right additions that the pinned traces were made with.
+# ---------------------------------------------------------------------------
+
+def reference_merge_commands(outputs, allocation, groups, priorities):
+    contributions = {gid: [] for gid in groups}
+    violations = []
+
+    for task_id, cmd in outputs:
+        group = groups[cmd.group_id]
+        grant = allocation.grant(task_id, cmd.group_id)
+        if grant <= 0.0:
+            if cmd.value != 0.0:
+                violations.append((task_id, cmd.group_id, "no grant"))
+            continue
+        if group.semantics == "additive" and abs(cmd.value) > grant + 1e-12:
+            violations.append((task_id, cmd.group_id, "command exceeds grant"))
+            continue
+        contributions[cmd.group_id].append((priorities[task_id], task_id, cmd.value))
+
+    commands = {}
+    for gid, group in groups.items():
+        contribs = contributions[gid]
+        if not contribs:
+            commands[gid] = 0.0
+            continue
+        if group.semantics == "additive":
+            total = sum(v for _, _, v in contribs)
+            commands[gid] = min(max(total, 0.0), group.capacity)
+        else:
+            contribs.sort(key=lambda c: (c[0], c[1]))
+            lo, hi = group.command_range
+            commands[gid] = min(max(contribs[0][2], lo), hi)
+    return commands, violations
+
+
+def reference_group_totals(allocation, groups):
+    granted = {gid: [] for gid in groups}
+    for task_grants in allocation.grants.values():
+        for gid, amount in task_grants.items():
+            granted[gid].append(amount)
+    return {gid: sum(amounts, 0.0) for gid, amounts in granted.items()}
+
+
+def round_instance(rng):
+    """A random allocation round with the commands its tasks might send.
+
+    On top of ``random_instance``: one group may be exclusive, one group
+    is never requested or commanded, zero amounts may be ``-0.0``, and
+    every task may command any group, with no grant, within its grant,
+    over it, or with ``0.0`` or ``-0.0``.
+    """
+    requests, groups, priorities = random_instance(rng, max_tasks=4, max_groups=3, multi_group=True)
+    if rng.random() < 0.5:
+        gid = rng.choice(sorted(groups))
+        lo = rng.choice([0.0, 0.2])
+        groups[gid] = group(gid, groups[gid].capacity, "exclusive", (lo, lo + rng.choice([0.0, 0.5])))
+    groups["idle"] = group("idle", 1.0)
+    requests = [r._replace(amount=-0.0) if r.amount == 0.0 and rng.random() < 0.5 else r for r in requests]
+    alloc = allocate(requests, groups, priorities)
+    outputs = []
+    for task_id in sorted(priorities, key=priorities.get):
+        for gid in sorted(groups):
+            if gid == "idle" or rng.random() < 0.3:
+                continue
+            grant = alloc.grant(task_id, gid)
+            value = rng.choice([0.0, -0.0, grant, grant * rng.random(), grant + UNIT, -grant, rng.uniform(-1.0, 2.0)])
+            outputs.append((task_id, ActuatorCommand(gid, value)))
+    return requests, groups, priorities, alloc, outputs
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() compensates float additions from Python 3.12 on")
+def test_round_matches_its_bit_exact_references():
+    rng = random.Random(0xA110C)
+    seen = set()
+    for _ in range(1500):
+        requests, groups, priorities, alloc, outputs = round_instance(rng)
+        commands, violations = merge_commands(outputs, alloc, groups, priorities)
+        expected_commands, expected_violations = reference_merge_commands(outputs, alloc, groups, priorities)
+        assert repr(commands) == repr(expected_commands)
+        assert violations == expected_violations
+        assert repr(alloc.totals) == repr(reference_group_totals(alloc, groups))
+
+        seen.update(reason for _, _, reason in violations)
+        if alloc.starved:
+            seen.add("starved")
+        if any(len(g) > 1 for g in alloc.grants.values()):
+            seen.add("multi-group task")
+        for task_id, (gid, value) in outputs:
+            if alloc.grant(task_id, gid) > 0.0:
+                if groups[gid].semantics == "exclusive":
+                    seen.add("exclusive holder")
+                if value == 0.0:
+                    seen.add("-0.0 merged" if math.copysign(1.0, value) < 0 else "0.0 merged")
+    assert seen == {
+        "no grant",
+        "command exceeds grant",
+        "starved",
+        "multi-group task",
+        "exclusive holder",
+        "0.0 merged",
+        "-0.0 merged",
+    }

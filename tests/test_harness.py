@@ -11,6 +11,7 @@ import yaml
 from oneguard import cli
 from oneguard import config as cfg
 from oneguard import harness
+from oneguard.allocator import ActuatorCommand
 from oneguard.errors import TraceError
 from oneguard.plant import initial_state, plant_signals
 
@@ -99,7 +100,7 @@ class TestRun:
         harness.run(compiled, observer=records.append)
         first = next(r for r in records if r.scenario_id == "recovery")
         assert first.time == pytest.approx(0.5)
-        assert ("ff_power_nor", "nbi", 0.65) in first.task_commands
+        assert ("ff_power_nor", ActuatorCommand("nbi", 0.65)) in first.task_commands
 
     def test_task_that_leaves_and_reenters_gets_a_fresh_runtime(self, density_limit_compiled):
         # ff_gas_nor is active only while d_ne_edge is at level 0; the
