@@ -21,22 +21,13 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
 from .allocator import ADDITIVE, EXCLUSIVE, ActuatorGroup
-from .controllers import (
-    HOLD,
-    LINEAR,
-    MODE_CUTOFF,
-    MODE_FREEZE,
-    MODE_NORMAL,
-    MODE_RECOVERY,
-    MODE_SLOW_RAMP,
-    Waveform,
-)
+from .controllers import FLAG, GROUP, HOLD, LINEAR, NUMBER, RUNTIMES, SIGNAL, Setting, Waveform
 from .errors import ConfigError
 from .model import (
     Activation,
@@ -64,8 +55,6 @@ PLANT_SIGNALS = (
     "d_ne_edge",
 )
 
-CONTROLLER_TYPES = ("feedforward", "pid", "da_power", "gas_shaper", "ntm")
-
 _QUANTITY_RE = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([^\s]*)\s*")
 
 
@@ -79,6 +68,14 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.path}: {self.message}"
+
+
+def _as_float(value: int | float) -> float:
+    """``float(value)``, reading an int past the float range as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _is_error(d: Diagnostic) -> bool:
@@ -112,7 +109,7 @@ class _Shape:
             self.fail(path, f"expected a number, got boolean {value}")
             return 0.0
         if isinstance(value, (int, float)):
-            num = float(value)
+            num = _as_float(value)
         elif isinstance(value, str):
             m = _QUANTITY_RE.fullmatch(value)
             if not m:
@@ -197,23 +194,6 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
-class PlantSpec:
-    tau_e: float
-    tau_98: float
-    tau_n: float
-    k_gas: float
-    p_ohmic: float
-    nbi_energy_limit: float
-    w_init: float
-    ne_init: float
-    gas_init: float
-    nbi_group: str
-    gas_group: str
-    degradation: Tuple[Tuple[float, float], ...]
-    boundary: Tuple[Tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
 class OneSpec:
     id: str
     signal: str
@@ -255,12 +235,13 @@ class ScenarioSpec:
 class PulseSchedule:
     """Typed mirror of one schedule document.
 
-    Waveforms, tasks and actuator groups are already the runtime types;
-    they take whatever the document says, and ``validate`` checks it.
+    Waveforms, tasks, actuator groups and the plant parameters are already
+    the runtime types; they take whatever the document says, and
+    ``validate`` checks it.
     """
 
     run: RunSpec
-    plant: PlantSpec
+    plant: PlantParams
     scripted: Tuple[Tuple[str, Waveform], ...]
     ones: Tuple[OneSpec, ...]
     virtual_ones: Tuple[VirtualOneSpec, ...]
@@ -273,12 +254,6 @@ class PulseSchedule:
     @property
     def one_ids(self) -> Tuple[str, ...]:
         return tuple(o.id for o in self.ones) + tuple(v.id for v in self.virtual_ones)
-
-    def scenario_map(self) -> Dict[str, ScenarioSpec]:
-        return {s.id: s for s in self.scenarios}
-
-    def controller_map(self) -> Dict[str, Mapping[str, Any]]:
-        return dict(self.controllers)
 
     def group_map(self) -> Dict[str, ActuatorGroup]:
         return {g.id: g for g in self.groups}
@@ -531,40 +506,29 @@ def _parse_pairs(node: Any, path: str, sh: _Shape) -> Tuple[Tuple[float, float],
     return tuple(out)
 
 
-def _parse_plant(node: Any, sh: _Shape) -> PlantSpec:
-    m = sh.mapping(
-        node,
-        "plant",
-        {
-            "tau_e": True,
-            "tau_98": True,
-            "tau_n": True,
-            "k_gas": True,
-            "p_ohmic": True,
-            "nbi_energy_limit": True,
-            "w_init": False,
-            "ne_init": False,
-            "gas_init": False,
-            "nbi_group": True,
-            "gas_group": True,
-            "degradation": True,
-            "boundary": True,
-        },
-    )
-    return PlantSpec(
-        tau_e=sh.number(m.get("tau_e"), "plant.tau_e", unit="s"),
-        tau_98=sh.number(m.get("tau_98"), "plant.tau_98", unit="s"),
-        tau_n=sh.number(m.get("tau_n"), "plant.tau_n", unit="s"),
-        k_gas=sh.number(m.get("k_gas"), "plant.k_gas"),
-        p_ohmic=sh.number(m.get("p_ohmic"), "plant.p_ohmic", unit="MW"),
-        nbi_energy_limit=sh.number(m.get("nbi_energy_limit"), "plant.nbi_energy_limit", unit="MJ"),
-        w_init=sh.number(m.get("w_init"), "plant.w_init", unit="MJ", default=0.0),
-        ne_init=sh.number(m.get("ne_init"), "plant.ne_init", default=0.0),
-        gas_init=sh.number(m.get("gas_init"), "plant.gas_init", default=0.0),
+#: Plant numbers: unit suffix, and default (None: required).
+_PLANT_NUMBERS = {
+    "tau_e": ("s", None),
+    "tau_98": ("s", None),
+    "tau_n": ("s", None),
+    "k_gas": (None, None),
+    "p_ohmic": ("MW", None),
+    "nbi_energy_limit": ("MJ", None),
+    "w_init": ("MJ", 0.0),
+    "ne_init": (None, 0.0),
+    "gas_init": (None, 0.0),
+}
+
+
+def _parse_plant(node: Any, sh: _Shape) -> PlantParams:
+    allowed = {key: default is None for key, (_, default) in _PLANT_NUMBERS.items()}
+    m = sh.mapping(node, "plant", dict(allowed, nbi_group=True, gas_group=True, degradation=True, boundary=True))
+    return PlantParams(
+        **{key: sh.number(m.get(key), f"plant.{key}", unit, default) for key, (unit, default) in _PLANT_NUMBERS.items()},
         nbi_group=sh.string(m.get("nbi_group"), "plant.nbi_group"),
         gas_group=sh.string(m.get("gas_group"), "plant.gas_group"),
         degradation=_parse_pairs(m.get("degradation"), "plant.degradation", sh),
-        boundary=_parse_pairs(m.get("boundary"), "plant.boundary", sh),
+        boundary=DisruptionBoundary(_parse_pairs(m.get("boundary"), "plant.boundary", sh)),
     )
 
 
@@ -775,107 +739,73 @@ def _reachable_reactions(
     return tuple(sorted(out))
 
 
-def _known_signals(ps: PulseSchedule) -> set:
-    return set(PLANT_SIGNALS) | {name for name, _ in ps.scripted}
+def _runtime_class(kind: Any) -> Optional[type]:
+    # Only a string can name a type; a list or mapping is not hashable.
+    return RUNTIMES.get(kind) if isinstance(kind, str) else None
+
+
+def _complete(runtime: type, cfg: Mapping[str, Any]) -> Dict[str, Any]:
+    """A controller's settings with the defaults of its table filled in."""
+    return {s.key: cfg.get(s.key, s.default) for s in runtime.settings}
+
+
+def _setting_error(
+    setting: Setting, cfg: Mapping[str, Any], signals: set, groups: Mapping[str, ActuatorGroup]
+) -> Optional[str]:
+    key, kind = setting.key, setting.kind
+    if key not in cfg:
+        if setting.default is not None:
+            return None
+        if kind == NUMBER:
+            return f"missing required field {key!r}"
+    value = cfg.get(key)
+    if kind == NUMBER:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(_as_float(value)):
+            return f"field {key!r} must be a finite number"
+        if setting.bound is not None and not setting.bound[1](value):
+            return f"field {key!r} must {setting.bound[0]}"
+    elif kind == SIGNAL:
+        if not isinstance(value, str):
+            return f"missing required signal name {key!r}"
+        if value not in signals:
+            return f"{key!r} references unknown signal {value!r}"
+    elif kind == FLAG:
+        if not isinstance(value, bool):
+            return f"{key} must be a boolean"
+    elif kind == GROUP:
+        if not isinstance(value, str) or value not in groups:
+            return f"{key} references unknown group {value!r}"
+    elif value not in kind:
+        return f"{key} must be one of {', '.join(map(repr, kind))}"
+    return None
 
 
 def _check_controller(
-    cid: str,
-    cfg: Mapping[str, Any],
-    ps: PulseSchedule,
-    out: List[Diagnostic],
+    cid: str, cfg: Mapping[str, Any], signals: set, groups: Mapping[str, ActuatorGroup], out: List[Diagnostic]
 ) -> None:
     path = f"controllers.{cid}"
     kind = cfg.get("type")
-    if kind not in CONTROLLER_TYPES:
+    runtime = _runtime_class(kind)
+    if runtime is None:
         out.append(Diagnostic("error", path, f"unknown controller type {kind!r}"))
         return
-
-    def need_number(key: str, required: bool = True, positive: bool = False, non_negative: bool = False) -> None:
-        if key not in cfg:
-            if required:
-                out.append(Diagnostic("error", path, f"missing required field {key!r}"))
-            return
-        v = cfg[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-            out.append(Diagnostic("error", path, f"field {key!r} must be a finite number"))
-            return
-        if positive and float(v) <= 0.0:
-            out.append(Diagnostic("error", path, f"field {key!r} must be positive"))
-        if non_negative and float(v) < 0.0:
-            out.append(Diagnostic("error", path, f"field {key!r} must be >= 0"))
-
-    def need_signal(key: str) -> None:
-        name = cfg.get(key)
-        if not isinstance(name, str):
-            out.append(Diagnostic("error", path, f"missing required signal name {key!r}"))
-        elif name not in _known_signals(ps):
-            out.append(Diagnostic("error", path, f"{key!r} references unknown signal {name!r}"))
-
-    def allow_keys(*keys: str) -> None:
-        allowed = set(keys) | {"type"}
-        for key in cfg:
-            if key not in allowed:
-                out.append(Diagnostic("error", path, f"unknown key {key!r}"))
-
-    groups = ps.group_map()
-    if kind == "feedforward":
-        allow_keys("min_request")
-        need_number("min_request", required=False, non_negative=True)
-    elif kind == "pid":
-        allow_keys("kp", "ki", "kd", "lo", "hi", "anti_windup", "measurement")
-        for key in ("kp", "ki", "kd", "lo"):
-            need_number(key, required=False)
-        need_number("hi")
-        need_signal("measurement")
-        lo, hi = cfg.get("lo", 0.0), cfg.get("hi")
+    keys = {s.key for s in runtime.settings}
+    for key in cfg:
+        if key != "type" and key not in keys:
+            out.append(Diagnostic("error", path, f"unknown key {key!r}"))
+    for setting in runtime.settings:
+        message = _setting_error(setting, cfg, signals, groups)
+        if message is not None:
+            out.append(Diagnostic("error", path, message))
+    settings = _complete(runtime, cfg)
+    if kind == "pid":
+        lo, hi = settings["lo"], settings["hi"]
         if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo > hi:
             out.append(Diagnostic("error", path, "output limits inverted (lo > hi)"))
-        aw = cfg.get("anti_windup", True)
-        if not isinstance(aw, bool):
-            out.append(Diagnostic("error", path, "anti_windup must be a boolean"))
-    elif kind == "da_power":
-        allow_keys("mode", "d_critical1", "gain", "p_max", "signal")
-        if cfg.get("mode") not in (MODE_NORMAL, MODE_RECOVERY):
-            out.append(Diagnostic("error", path, f"mode must be one of {MODE_NORMAL!r}, {MODE_RECOVERY!r}"))
-        need_number("d_critical1")
-        need_number("gain", required=False, non_negative=True)
-        need_number("p_max", positive=True)
-        need_signal("signal")
-    elif kind == "gas_shaper":
-        allow_keys("mode", "factor", "ramp_down")
-        if cfg.get("mode") not in (MODE_SLOW_RAMP, MODE_FREEZE, MODE_CUTOFF):
-            out.append(
-                Diagnostic(
-                    "error", path, f"mode must be one of {MODE_SLOW_RAMP!r}, {MODE_FREEZE!r}, {MODE_CUTOFF!r}"
-                )
-            )
-        need_number("factor", required=False)
-        factor = cfg.get("factor", 0.5)
-        if isinstance(factor, (int, float)) and not 0.0 <= float(factor) <= 1.0:
-            out.append(Diagnostic("error", path, "factor must lie in [0, 1]"))
-        need_number("ramp_down", required=False)
-        rd = cfg.get("ramp_down", 0.1)
-        if isinstance(rd, (int, float)) and float(rd) < 0.0:
-            out.append(Diagnostic("error", path, "ramp_down must be >= 0"))
     elif kind == "ntm":
-        allow_keys("position_signal", "aim_group")
-        need_signal("position_signal")
-        aim = cfg.get("aim_group")
-        if not isinstance(aim, str) or aim not in groups:
-            out.append(Diagnostic("error", path, f"aim_group references unknown group {aim!r}"))
-        elif groups[aim].semantics != EXCLUSIVE:
+        aim = settings["aim_group"]
+        if isinstance(aim, str) and aim in groups and groups[aim].semantics != EXCLUSIVE:
             out.append(Diagnostic("error", path, f"aim_group {aim!r} must have exclusive semantics"))
-
-
-#: Controller types whose bound tasks must carry a reference.
-_NEEDS_REFERENCE = {"feedforward": True, "pid": True}
-
-
-def _task_needs_reference(kind: str, cfg: Mapping[str, Any]) -> bool:
-    if kind in _NEEDS_REFERENCE:
-        return True
-    return kind == "gas_shaper" and cfg.get("mode") == MODE_SLOW_RAMP
 
 
 def _combos_with_max(per_one: Sequence[Sequence[int]], maxima: set) -> Iterator[Tuple[int, ...]]:
@@ -993,9 +923,9 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
     """Semantic checks. Returns diagnostics; never raises on content."""
     out: List[Diagnostic] = []
     groups = ps.group_map()
-    scenario_map = ps.scenario_map()
-    controller_map = ps.controller_map()
-    known_signals = _known_signals(ps)
+    scenario_map = {s.id: s for s in ps.scenarios}
+    controller_map = dict(ps.controllers)
+    known_signals = set(PLANT_SIGNALS) | {name for name, _ in ps.scripted}
 
     # Run section.
     if ps.run.dt <= 0.0:
@@ -1024,12 +954,10 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             out.append(Diagnostic("error", path, "command_range inverted"))
 
     # Plant section.
-    for name in ("tau_e", "tau_98", "tau_n"):
+    for name in ("tau_e", "tau_98", "tau_n", "nbi_energy_limit"):
         if getattr(ps.plant, name) <= 0.0:
             out.append(Diagnostic("error", f"plant.{name}", "must be positive"))
-    if ps.plant.nbi_energy_limit <= 0.0:
-        out.append(Diagnostic("error", "plant.nbi_energy_limit", "must be positive"))
-    for table, path in ((ps.plant.degradation, "plant.degradation"), (ps.plant.boundary, "plant.boundary")):
+    for table, path in ((ps.plant.degradation, "plant.degradation"), (ps.plant.boundary.vertices, "plant.boundary")):
         xs = [x for x, _ in table]
         if len(xs) < 2:
             out.append(Diagnostic("error", path, "needs at least two points"))
@@ -1163,7 +1091,8 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             else:
                 cfg = controller_map[task.controller]
                 kind = cfg.get("type")
-                if isinstance(kind, str) and _task_needs_reference(kind, cfg) and task.reference is None:
+                runtime = _runtime_class(kind)
+                if runtime is not None and runtime.needs_reference(cfg) and task.reference is None:
                     out.append(
                         Diagnostic("error", tpath, f"controller type {kind!r} requires a task reference")
                     )
@@ -1187,7 +1116,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 
     # Controllers.
     for cid, cfg in ps.controllers:
-        _check_controller(cid, cfg, ps, out)
+        _check_controller(cid, cfg, known_signals, groups, out)
 
     # Scenario mapping.
     n_ones = len(ps.one_ids)
@@ -1239,22 +1168,17 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 class CompiledSchedule:
     """Runtime-ready view of a validated schedule."""
 
-    source: PulseSchedule
     run: RunSpec
     monitor: MonitorConfig
     supervisor: SupervisorConfig
     groups: Mapping[str, ActuatorGroup]
-    controllers: Mapping[str, Mapping[str, Any]]
+    #: Controller id -> (type, settings with every default filled in).
+    controllers: Mapping[str, Tuple[str, Mapping[str, Any]]]
     plant: PlantParams
     scripted: Mapping[str, Waveform]
     #: Event id -> monitored signal name, in trace column order (None for
     #: a virtual event); the trace row follows it.
-    event_signals: Mapping[str, Optional[str]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        signals: Dict[str, Optional[str]] = {one.id: one.signal for one in self.source.ones}
-        signals.update((v.id, None) for v in self.source.virtual_ones)
-        object.__setattr__(self, "event_signals", signals)
+    event_signals: Mapping[str, Optional[str]]
 
     @property
     def one_ids(self) -> Tuple[str, ...]:
@@ -1333,26 +1257,17 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         os_mapping=os_mapping,
     )
 
-    plant = PlantParams(
-        tau_e=ps.plant.tau_e,
-        tau_98=ps.plant.tau_98,
-        tau_n=ps.plant.tau_n,
-        k_gas=ps.plant.k_gas,
-        p_ohmic=ps.plant.p_ohmic,
-        nbi_energy_limit=ps.plant.nbi_energy_limit,
-        degradation=ps.plant.degradation,
-        boundary=DisruptionBoundary(vertices=ps.plant.boundary),
-        w_init=ps.plant.w_init,
-        ne_init=ps.plant.ne_init,
-        gas_init=ps.plant.gas_init,
-    )
+    event_signals: Dict[str, Optional[str]] = {one.id: one.signal for one in ps.ones}
+    event_signals.update((v.id, None) for v in ps.virtual_ones)
     return CompiledSchedule(
-        source=ps,
         run=ps.run,
         monitor=monitor,
         supervisor=supervisor,
         groups=ps.group_map(),
-        controllers=ps.controller_map(),
-        plant=plant,
+        controllers={
+            cid: (cfg["type"], _complete(RUNTIMES[cfg["type"]], cfg)) for cid, cfg in ps.controllers
+        },
+        plant=ps.plant,
         scripted=dict(ps.scripted),
+        event_signals=event_signals,
     )

@@ -6,8 +6,10 @@ never exceeds the grant it currently holds. The pure step functions carry
 the control laws; thin runtime wrappers bind them to a task for the loop
 and own whatever state survives between ticks. Runtime state lives per
 task binding and is discarded when the task deactivates. Task references
-are ``Waveform``s (the parser promotes a scalar to a constant one), and
-controller settings come from a schedule that ``validate`` accepted.
+are ``Waveform``s (the parser promotes a scalar to a constant one). Each
+runtime class carries its type's settings table; ``validate`` checks a
+schedule's settings against it, ``compile_schedule`` fills in its
+defaults, and ``build_runtime`` passes the complete settings on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .model import ControlTask, ResourceRequest
 from .allocator import ActuatorCommand, ActuatorGroup
@@ -67,7 +69,7 @@ class PidState(NamedTuple):
     kd: float
     lo: float
     hi: float
-    anti_windup: bool = True
+    anti_windup: bool
     integrator: float = 0.0
     prev_measurement: Optional[float] = None
     last_output: float = 0.0
@@ -160,8 +162,34 @@ def da_gas_step(
 
 
 # ---------------------------------------------------------------------------
-# Per-task runtimes driven by the control loop.
+# Per-task runtimes driven by the control loop, with their settings tables.
 # ---------------------------------------------------------------------------
+
+#: Kinds of setting; a mode setting's kind is the tuple of its modes.
+NUMBER = "number"
+SIGNAL = "signal"
+FLAG = "flag"
+GROUP = "group"
+
+#: Bounds a number setting may carry: the tail of the diagnostic a value
+#: outside it gets ("field 'gain' must be >= 0"), and the test it fails.
+POSITIVE = ("be positive", lambda v: v > 0.0)
+NON_NEGATIVE = ("be >= 0", lambda v: v >= 0.0)
+UNIT_INTERVAL = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+
+
+class Setting(NamedTuple):
+    """One key of a controller type's settings; one without a default is required.
+
+    ``keyword`` names the runtime's argument when it differs from ``key``.
+    """
+
+    key: str
+    kind: Any
+    default: Any = None
+    bound: Optional[Tuple[str, Callable[[float], bool]]] = None
+    keyword: Optional[str] = None
+
 
 @dataclass
 class StepContext:
@@ -179,11 +207,18 @@ class TaskRuntime:
     ``requests`` is a dry run used both to bootstrap a freshly activated
     task and (from within ``step``) to ask for next-tick resources; it must
     not mutate state. ``step`` commits state and emits commands limited to
-    the current grants.
+    the current grants. ``settings`` is the type's settings table.
     """
+
+    settings: Tuple[Setting, ...] = ()
 
     def __init__(self, task: ControlTask):
         self.task = task
+
+    @staticmethod
+    def needs_reference(settings: Mapping[str, Any]) -> bool:
+        """Whether a task bound to these settings must carry a reference."""
+        return True
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         raise NotImplementedError
@@ -195,7 +230,9 @@ class TaskRuntime:
 
 
 class FeedforwardRuntime(TaskRuntime):
-    def __init__(self, task: ControlTask, min_request: float = 0.0):
+    settings = (Setting("min_request", NUMBER, 0.0, NON_NEGATIVE),)
+
+    def __init__(self, task: ControlTask, *, min_request: float):
         super().__init__(task)
         self.waveform = task.reference
         self.min_request = min_request
@@ -213,17 +250,19 @@ class FeedforwardRuntime(TaskRuntime):
 
 
 class PidRuntime(TaskRuntime):
+    settings = (
+        Setting("kp", NUMBER, 0.0),
+        Setting("ki", NUMBER, 0.0),
+        Setting("kd", NUMBER, 0.0),
+        Setting("lo", NUMBER, 0.0),
+        Setting("hi", NUMBER),
+        Setting("measurement", SIGNAL),
+        Setting("anti_windup", FLAG, True),
+    )
+
     def __init__(
-        self,
-        task: ControlTask,
-        *,
-        kp: float,
-        ki: float,
-        kd: float,
-        lo: float,
-        hi: float,
-        anti_windup: bool = True,
-        measurement: str,
+        self, task: ControlTask, *, kp: float, ki: float, kd: float, lo: float, hi: float, measurement: str,
+        anti_windup: bool,
     ):
         super().__init__(task)
         self.reference = task.reference
@@ -247,15 +286,16 @@ class PidRuntime(TaskRuntime):
 
 
 class DaPowerRuntime(TaskRuntime):
+    settings = (
+        Setting("mode", (MODE_NORMAL, MODE_RECOVERY)),
+        Setting("d_critical1", NUMBER),
+        Setting("gain", NUMBER, 1.0, NON_NEGATIVE),
+        Setting("p_max", NUMBER, bound=POSITIVE),
+        Setting("signal", SIGNAL, keyword="distance_signal"),
+    )
+
     def __init__(
-        self,
-        task: ControlTask,
-        *,
-        mode: str,
-        d_critical1: float,
-        gain: float,
-        p_max: float,
-        distance_signal: str,
+        self, task: ControlTask, *, mode: str, d_critical1: float, gain: float, p_max: float, distance_signal: str
     ):
         super().__init__(task)
         self.mode = mode
@@ -263,6 +303,8 @@ class DaPowerRuntime(TaskRuntime):
         self.gain = gain
         self.p_max = p_max
         self.distance_signal = distance_signal
+
+    needs_reference = staticmethod(lambda settings: False)
 
     def _desired(self, ctx: StepContext) -> float:
         distance = ctx.signals.get(self.distance_signal, math.nan)
@@ -290,14 +332,13 @@ class GasShaperRuntime(TaskRuntime):
     needs the task reference waveform whose increments it scales down.
     """
 
-    def __init__(
-        self,
-        task: ControlTask,
-        *,
-        mode: str,
-        factor: float = 0.5,
-        ramp_down: float = 0.1,
-    ):
+    settings = (
+        Setting("mode", (MODE_SLOW_RAMP, MODE_FREEZE, MODE_CUTOFF)),
+        Setting("factor", NUMBER, 0.5, UNIT_INTERVAL),
+        Setting("ramp_down", NUMBER, 0.1, NON_NEGATIVE),
+    )
+
+    def __init__(self, task: ControlTask, *, mode: str, factor: float, ramp_down: float):
         super().__init__(task)
         self.waveform = task.reference if mode == MODE_SLOW_RAMP else None
         self.mode = mode
@@ -305,6 +346,8 @@ class GasShaperRuntime(TaskRuntime):
         self.ramp_down = ramp_down
         self.entry_value: Optional[float] = None
         self.entry_time: float = 0.0
+
+    needs_reference = staticmethod(lambda settings: settings.get("mode") == MODE_SLOW_RAMP)
 
     def _shape(self, ctx: StepContext) -> float:
         base = ctx.prev_commands.get(self.task.group, 0.0)
@@ -362,21 +405,19 @@ class NtmRuntime(TaskRuntime):
     """Aim the EC beam at the mode location and spend the whole grant.
 
     Holds one request on the power group (asks for everything available)
-    and one ownership token on the aiming group.
+    and one ownership token on the aiming group. ``power_capacity`` is
+    the capacity of the task's group, not a setting.
     """
 
-    def __init__(
-        self,
-        task: ControlTask,
-        *,
-        position_signal: str,
-        aim_group: str,
-        power_capacity: float,
-    ):
+    settings = (Setting("position_signal", SIGNAL), Setting("aim_group", GROUP))
+
+    def __init__(self, task: ControlTask, *, position_signal: str, aim_group: str, power_capacity: float):
         super().__init__(task)
         self.position_signal = position_signal
         self.aim_group = aim_group
         self.power_capacity = power_capacity
+
+    needs_reference = staticmethod(lambda settings: False)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         return [
@@ -398,49 +439,28 @@ class NtmRuntime(TaskRuntime):
         return cmds, self.requests(ctx)
 
 
+#: Runtime class of each controller type.
+RUNTIMES = {
+    "feedforward": FeedforwardRuntime,
+    "pid": PidRuntime,
+    "da_power": DaPowerRuntime,
+    "gas_shaper": GasShaperRuntime,
+    "ntm": NtmRuntime,
+}
+
+
 def build_runtime(
     task: ControlTask,
-    controller_cfg: Mapping,
+    controller: Tuple[str, Mapping[str, Any]],
     groups: Mapping[str, ActuatorGroup],
 ) -> TaskRuntime:
-    """Instantiate the runtime for one task from its controller config.
+    """Instantiate the runtime for one task from its compiled ``(type, settings)``.
 
-    ``validate`` admits only the five controller types, so the last one,
-    ``ntm``, needs no test of its own.
+    The settings hold every key of the type's table, defaults filled in.
     """
-    kind = controller_cfg["type"]
-    if kind == "feedforward":
-        return FeedforwardRuntime(task, min_request=controller_cfg.get("min_request", 0.0))
-    if kind == "pid":
-        return PidRuntime(
-            task,
-            kp=controller_cfg.get("kp", 0.0),
-            ki=controller_cfg.get("ki", 0.0),
-            kd=controller_cfg.get("kd", 0.0),
-            lo=controller_cfg.get("lo", 0.0),
-            hi=controller_cfg["hi"],
-            anti_windup=controller_cfg.get("anti_windup", True),
-            measurement=controller_cfg["measurement"],
-        )
-    if kind == "da_power":
-        return DaPowerRuntime(
-            task,
-            mode=controller_cfg["mode"],
-            d_critical1=controller_cfg["d_critical1"],
-            gain=controller_cfg.get("gain", 1.0),
-            p_max=controller_cfg["p_max"],
-            distance_signal=controller_cfg["signal"],
-        )
-    if kind == "gas_shaper":
-        return GasShaperRuntime(
-            task,
-            mode=controller_cfg["mode"],
-            factor=controller_cfg.get("factor", 0.5),
-            ramp_down=controller_cfg.get("ramp_down", 0.1),
-        )
-    return NtmRuntime(
-        task,
-        position_signal=controller_cfg["position_signal"],
-        aim_group=controller_cfg["aim_group"],
-        power_capacity=groups[task.group].capacity,
-    )
+    kind, settings = controller
+    cls = RUNTIMES[kind]
+    kwargs = {s.keyword or s.key: settings[s.key] for s in cls.settings}
+    if cls is NtmRuntime:
+        kwargs["power_capacity"] = groups[task.group].capacity
+    return cls(task, **kwargs)

@@ -225,7 +225,7 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
 
     loop = ControlLoop(cs)
     plant = initial_state(cs.plant)
-    loop.prev_commands[cs.source.plant.gas_group] = cs.plant.gas_init
+    loop.prev_commands[cs.plant.gas_group] = cs.plant.gas_init
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -256,8 +256,8 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
         plant = plant_step(
             plant,
             cs.plant,
-            p_nbi=record.commands.get(cs.source.plant.nbi_group, 0.0),
-            gas_flux=record.commands.get(cs.source.plant.gas_group, 0.0),
+            p_nbi=record.commands.get(cs.plant.nbi_group, 0.0),
+            gas_flux=record.commands.get(cs.plant.gas_group, 0.0),
             dt=dt,
         )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from .errors import SimFault
@@ -52,14 +53,20 @@ class DisruptionBoundary:
     increasing density, so the curve is a function of density; the end
     segments are extrapolated linearly. States above the curve are stable
     (positive distance), states below have crossed the limit (negative
-    distance).
+    distance). The parser builds a boundary before ``validate`` has seen
+    its vertices, so the segments wait for the first distance.
     """
 
     vertices: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        xs = tuple(float(x) for x, _ in self.vertices)
-        ys = tuple(float(y) for _, y in self.vertices)
+        object.__setattr__(self, "_xs", tuple(float(x) for x, _ in self.vertices))
+        object.__setattr__(self, "_ys", tuple(float(y) for _, y in self.vertices))
+
+    @cached_property
+    def _segments(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
+        """Extended segments as (ax, ay, abx, aby, ab.ab)."""
+        xs, ys = self._xs, self._ys
 
         def extended(i: int, j: int) -> Tuple[float, float]:
             """End vertex ``i`` moved away from its neighbour ``j``, _EXTENSION in density."""
@@ -74,10 +81,7 @@ class DisruptionBoundary:
         for (ax, ay), (bx, by) in zip(points, points[1:]):
             abx, aby = bx - ax, by - ay
             segments.append((ax, ay, abx, aby, abx * abx + aby * aby))
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-        # Extended segments as (ax, ay, abx, aby, ab.ab).
-        object.__setattr__(self, "_segments", tuple(segments))
+        return tuple(segments)
 
     def h_limit(self, ne: float) -> float:
         """Curve height at ``ne`` (end segments extrapolated)."""
@@ -113,6 +117,8 @@ class PlantParams:
 
     The time constants and ``nbi_energy_limit`` are positive, and the
     ``degradation`` table has at least two strictly increasing densities.
+    ``nbi_group`` and ``gas_group`` name the actuator groups whose merged
+    commands drive the beam and the gas valve.
     """
 
     tau_e: float
@@ -121,11 +127,13 @@ class PlantParams:
     k_gas: float
     p_ohmic: float
     nbi_energy_limit: float
+    w_init: float
+    ne_init: float
+    gas_init: float
+    nbi_group: str
+    gas_group: str
     degradation: Tuple[Tuple[float, float], ...]
     boundary: DisruptionBoundary
-    w_init: float = 0.0
-    ne_init: float = 0.0
-    gas_init: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_deg_xs", tuple(float(x) for x, _ in self.degradation))

@@ -250,7 +250,7 @@ def test_c6_numerical_checks(density_limit_compiled):
     tau = 0.2
     dt = tau / 100.0
     horizon = 10.0 * tau
-    state = PidState(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0)
+    state = PidState(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0, anti_windup=True)
     n = int(round(horizon / dt))
     out = 0.0
     for k in range(n + 1):

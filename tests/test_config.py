@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneguard import config as cfg
-from oneguard.controllers import Waveform
+from oneguard.controllers import RUNTIMES, Waveform
 from oneguard.errors import ConfigError
 from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
 
@@ -110,6 +110,12 @@ class TestParse:
         doc = minimal_doc()
         doc["ones"][0]["typo_field"] = 1
         with pytest.raises(ConfigError, match="typo_field"):
+            parse_doc(doc)
+
+    def test_int_past_float_range_rejected(self):
+        doc = minimal_doc()
+        doc["plant"]["tau_e"] = 10**400
+        with pytest.raises(ConfigError, match="plant.tau_e: number must be finite, got inf"):
             parse_doc(doc)
 
     def test_yaml_syntax_error_carries_location(self):
@@ -424,6 +430,12 @@ CHECK_HOMES = [
         set_at("plant.boundary", [[2.5, 0.1], [1.5, 0.2]]),
         "error: plant.boundary: densities must be strictly increasing",
     ),
+    (
+        # Parsing builds the boundary; its segments would divide by the zero density step.
+        "boundary_repeated_density",
+        set_at("plant.boundary", [[1.0, 0.1], [1.0, 0.2]]),
+        "error: plant.boundary: densities must be strictly increasing",
+    ),
     # Actuator groups.
     ("capacity", set_at("actuator_groups.1.capacity", -1.0), "error: actuator_groups[1]: capacity must be >= 0"),
     ("semantics", set_at("actuator_groups.1.semantics", "bogus"), "error: actuator_groups[1]: unknown semantics 'bogus'"),
@@ -485,6 +497,51 @@ CHECK_HOMES = [
     ),
     # Controllers.
     ("controller_type", controller(type="magic"), "error: controllers.probe: unknown controller type 'magic'"),
+    # A list cannot key the table of types.
+    ("controller_type_list", controller(type=["pid"]), "error: controllers.probe: unknown controller type ['pid']"),
+    ("controller_key", controller(type="feedforward", gian=1.0), "error: controllers.probe: unknown key 'gian'"),
+    ("pid_hi", controller(type="pid", measurement="h98y2"), "error: controllers.probe: missing required field 'hi'"),
+    (
+        "finite_setting",
+        controller(**dict(DA_POWER, d_critical1=float("nan"))),
+        "error: controllers.probe: field 'd_critical1' must be a finite number",
+    ),
+    (
+        # An int past the float range is no finite number either.
+        "huge_setting",
+        controller(**dict(DA_POWER, gain=10**400)),
+        "error: controllers.probe: field 'gain' must be a finite number",
+    ),
+    (
+        "pid_measurement",
+        controller(type="pid", hi=1.0),
+        "error: controllers.probe: missing required signal name 'measurement'",
+    ),
+    (
+        "pid_measurement_signal",
+        controller(type="pid", hi=1.0, measurement="ghost"),
+        "error: controllers.probe: 'measurement' references unknown signal 'ghost'",
+    ),
+    (
+        "anti_windup",
+        controller(type="pid", hi=1.0, measurement="h98y2", anti_windup="yes"),
+        "error: controllers.probe: anti_windup must be a boolean",
+    ),
+    (
+        "factor",
+        controller(type="gas_shaper", mode="freeze", factor=1.5),
+        "error: controllers.probe: field 'factor' must lie in [0, 1]",
+    ),
+    (
+        "ramp_down",
+        controller(type="gas_shaper", mode="cutoff", ramp_down=-0.1),
+        "error: controllers.probe: field 'ramp_down' must be >= 0",
+    ),
+    (
+        "ntm_aim_group",
+        controller(type="ntm", position_signal="h98y2", aim_group="ghost"),
+        "error: controllers.probe: aim_group references unknown group 'ghost'",
+    ),
     (
         "pid_limits",
         controller(type="pid", lo=1.0, hi=0.5, measurement="h98y2"),
@@ -521,7 +578,37 @@ def test_validate_is_the_home_of_each_schedule_rule(mutate, expected):
         cfg.compile_schedule(parse_doc(doc))
 
 
+#: Each controller type with only its required settings, and the settings it compiles to.
+REQUIRED_ONLY = [
+    ("feedforward", {}, {"min_request": 0.0}),
+    (
+        "pid",
+        {"hi": 2, "measurement": "h98y2"},
+        {"kp": 0.0, "ki": 0.0, "kd": 0.0, "lo": 0.0, "hi": 2, "measurement": "h98y2", "anti_windup": True},
+    ),
+    (
+        "da_power",
+        {"mode": "normal", "d_critical1": 0.45, "p_max": 1, "signal": "d_ne_edge"},
+        {"mode": "normal", "d_critical1": 0.45, "gain": 1.0, "p_max": 1, "signal": "d_ne_edge"},
+    ),
+    ("gas_shaper", {"mode": "freeze"}, {"mode": "freeze", "factor": 0.5, "ramp_down": 0.1}),
+    ("ntm", {"position_signal": "h98y2", "aim_group": "aim"}, {"position_signal": "h98y2", "aim_group": "aim"}),
+]
+
+
 class TestCompile:
+    @pytest.mark.parametrize("kind, given, complete", REQUIRED_ONLY, ids=[row[0] for row in REQUIRED_ONLY])
+    def test_controller_defaults_are_filled_in(self, kind, given, complete):
+        doc = minimal_doc()
+        doc["actuator_groups"].append({"id": "aim", "capacity": 1.0, "semantics": "exclusive"})
+        doc["controllers"]["probe"] = dict(given, type=kind)
+        compiled = cfg.compile_schedule(parse_doc(doc))
+        got_kind, settings = compiled.controllers["probe"]
+        assert (got_kind, settings) == (kind, complete)
+        assert [s.key for s in RUNTIMES[kind].settings] == list(settings)
+        # Values pass through as the document gives them: an int stays an int.
+        assert [type(v) for v in settings.values()] == [type(v) for v in complete.values()]
+
     def test_compiled_event_order_matches_document(self, density_limit_compiled):
         assert density_limit_compiled.one_ids == ("d_ne_edge", "actuator_lim")
 

@@ -58,15 +58,15 @@ class TestWaveform:
         )
 
     def test_feedforward_step_requests_what_it_commands(self):
-        rt = FeedforwardRuntime(task(reference=0.65, group="nbi"))
+        rt = FeedforwardRuntime(task(reference=0.65, group="nbi"), min_request=0.0)
         (request,) = rt.requests(ctx(time=1.0))
         (command,), _ = rt.step(ctx(time=1.0), {"nbi": 1.3})
         assert request.amount == command.value == 0.65
 
 
 class TestPid:
-    def make_state(self, kp=1.0, ki=0.0, kd=0.0, lo=-10.0, hi=10.0, **kw):
-        return PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, **kw)
+    def make_state(self, kp=1.0, ki=0.0, kd=0.0, lo=-10.0, hi=10.0, anti_windup=True):
+        return PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
 
     def test_zero_error_zero_output(self):
         _, out, _ = pid_step(1.0, 1.0, self.make_state(), 0.1)
@@ -226,19 +226,19 @@ def ctx(time=0.0, dt=0.01, signals=None, prev=None):
 
 class TestRuntimes:
     def test_feedforward_command_limited_by_grant(self):
-        rt = FeedforwardRuntime(task(reference=0.65, group="nbi"))
+        rt = FeedforwardRuntime(task(reference=0.65, group="nbi"), min_request=0.0)
         commands, _ = rt.step(ctx(), {"nbi": 0.4})
         assert commands[0].value == 0.4
 
     def test_feedforward_request_anticipates_next_tick(self):
         wf = Waveform(points=((0.0, 0.0), (1.0, 1.0)))
-        rt = FeedforwardRuntime(task(reference=wf, group="nbi"))
+        rt = FeedforwardRuntime(task(reference=wf, group="nbi"), min_request=0.0)
         _, next_reqs = rt.step(ctx(time=0.5, dt=0.1), {"nbi": 0.5})
         assert next_reqs[0].amount == pytest.approx(0.6)
 
     def test_gas_shaper_slow_ramp_telescopes_from_activation_level(self):
         wf = Waveform(points=((0.0, 0.0), (1.0, 120.0)))
-        rt = GasShaperRuntime(task(reference=wf, group="gas"), mode="slow_ramp", factor=0.25)
+        rt = GasShaperRuntime(task(reference=wf, group="gas"), mode="slow_ramp", factor=0.25, ramp_down=0.1)
         prev = {"gas": 50.0}
         value = None
         for k in range(5):
@@ -248,7 +248,7 @@ class TestRuntimes:
         assert value == pytest.approx(50.0 + 5 * 0.25 * 1.2)
 
     def test_gas_shaper_freeze_captures_entry(self):
-        rt = GasShaperRuntime(task(group="gas"), mode="freeze")
+        rt = GasShaperRuntime(task(group="gas"), mode="freeze", factor=0.5, ramp_down=0.1)
         prev = {"gas": 33.0}
         for k in range(3):
             commands, _ = rt.step(ctx(time=0.1 + 0.01 * k, dt=0.01, prev=prev), {"gas": 1e9})
@@ -274,7 +274,7 @@ class TestRuntimes:
     def test_pid_runtime_requests_match_committed_step(self):
         rt = PidRuntime(
             task(reference=1.0, group="nbi"),
-            kp=1.0, ki=0.5, kd=0.0, lo=0.0, hi=2.0, measurement="w",
+            kp=1.0, ki=0.5, kd=0.0, lo=0.0, hi=2.0, measurement="w", anti_windup=True,
         )
         c = ctx(signals={"w": 0.4})
         dry = rt.requests(c)[0].amount

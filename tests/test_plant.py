@@ -35,6 +35,8 @@ def params(**kw):
         w_init=0.006,
         ne_init=0.3,
         gas_init=15.0,
+        nbi_group="nbi",
+        gas_group="gas",
     )
     defaults.update(kw)
     return PlantParams(**defaults)
