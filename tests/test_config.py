@@ -578,6 +578,140 @@ def test_validate_is_the_home_of_each_schedule_rule(mutate, expected):
         cfg.compile_schedule(parse_doc(doc))
 
 
+def shape_errors(mutate):
+    """The lines of the shape error ``minimal_doc()`` raises after ``mutate``, in order; [] if it parses."""
+    doc = minimal_doc()
+    mutate(doc)
+    try:
+        parse_doc(doc)
+    except ConfigError as exc:
+        head, *lines = str(exc).split("\n  ")
+        assert head == "schedule has shape errors:"
+        return lines
+    return []
+
+
+NO_NUMBER = "expected a number, got NoneType"
+
+#: Each reader and rule of the shape pass: a mutation of ``minimal_doc()``
+#: that breaks it, and every line of the error it raises.
+SHAPE_ERRORS = [
+    ("unknown_top_key", set_at("extra", {}), ["schedule: unknown key 'extra'"]),
+    ("unknown_key", set_at("ones.0.typo", 1), ["ones[0]: unknown key 'typo'"]),
+    ("missing_key", drop("run.dt"), ["run: missing required key 'dt'", f"run.dt: {NO_NUMBER}"]),
+    ("missing_section", drop("plant"), [
+        "schedule: missing required key 'plant'",
+        *(f"plant: missing required key {key!r}" for key in (
+            "tau_e", "tau_98", "tau_n", "k_gas", "p_ohmic", "nbi_energy_limit",
+            "nbi_group", "gas_group", "degradation", "boundary",
+        )),
+        *(f"plant.{key}: {NO_NUMBER}" for key in ("tau_e", "tau_98", "tau_n", "k_gas", "p_ohmic", "nbi_energy_limit")),
+        "plant.nbi_group: expected a string, got None",
+        "plant.gas_group: expected a string, got None",
+        "plant.degradation: missing required list",
+        "plant.boundary: missing required list",
+    ]),
+    # A node that is not a mapping gets no missing-key lines.
+    ("section_not_mapping", set_at("run", 5), [
+        "run: expected a mapping, got int", f"run.dt: {NO_NUMBER}", f"run.duration: {NO_NUMBER}",
+    ]),
+    ("event_not_mapping", set_at("ones.0", 5), [
+        "ones[0]: expected a mapping, got int",
+        "ones[0].thresholds: missing required list",
+        "ones[0].id: expected a string, got None",
+        "ones[0].signal: expected a string, got None",
+        "ones[0].direction: expected a string, got None",
+        "ones[0].danger: danger map must be a mapping of event level to danger name",
+        "ones[0].reaction: reaction map must be a mapping of danger name to reaction level",
+    ]),
+    ("missing_list", drop("ones.0.thresholds"), [
+        "ones[0]: missing required key 'thresholds'", "ones[0].thresholds: missing required list",
+    ]),
+    ("not_a_list", set_at("scenarios", {"id": "normal"}), ["scenarios: expected a list, got dict"]),
+    ("plant_pair", set_at("plant.boundary.1", [2.5]), ["plant.boundary[1]: expected a [x, y] pair"]),
+    (
+        "command_range",
+        set_at("actuator_groups.0.command_range", [0.0, 1.0, 2.0]),
+        ["actuator_groups[0].command_range: expected a [lo, hi] pair"],
+    ),
+    (
+        "breakpoint",
+        set_at("scenarios.0.tasks.0.reference", {"points": [[0.0, 0.4], 0.5]}),
+        ["scenarios[0].tasks[0].reference.points[1]: each breakpoint must be a [time, value] pair"],
+    ),
+    ("unit_suffix", set_at("run.dt", "0.01 ms"), ["run.dt: unit suffix 'ms' does not match declared 's'"]),
+    (
+        "pair_unit_suffix",
+        set_at("actuator_groups.0.command_range", ["0 MW", "1 kW"]),
+        ["actuator_groups[0].command_range[1]: unit suffix 'kW' does not match declared 'MW'"],
+    ),
+    ("unitless_suffix", set_at("plant.k_gas", "0.02 MW"), ["plant.k_gas: field does not declare a unit, got suffix 'MW'"]),
+    # An empty group unit declares none; an empty event or waveform unit is declared and empty.
+    (
+        "empty_group_unit",
+        set_at("actuator_groups.0", {"id": "nbi", "capacity": "1.3 MW", "unit": ""}),
+        ["actuator_groups[0].capacity: field does not declare a unit, got suffix 'MW'"],
+    ),
+    (
+        "empty_event_unit",
+        set_at("ones.0", dict(yaml.safe_load(MINIMAL)["ones"][0], unit="", thresholds=["0.5 x"])),
+        ["ones[0].thresholds[0]: unit suffix 'x' does not match declared ''"],
+    ),
+    ("event_unit_type", set_at("ones.0.unit", 5), ["ones[0].unit: unit must be a string"]),
+    ("group_unit_type", set_at("actuator_groups.0.unit", 5), ["actuator_groups[0].unit: expected a string, got 5"]),
+    ("non_finite", set_at("plant.k_gas", float("inf")), ["plant.k_gas: number must be finite, got inf"]),
+    ("number_type", set_at("plant.tau_e", True), ["plant.tau_e: expected a number, got boolean True"]),
+    ("integer_type", set_at("ones.0.irreversible", [3, "4"]), ["ones[0].irreversible[1]: expected an integer, got '4'"]),
+    ("plant_failure_one", set_at("run.plant_failure_one", 5), ["run.plant_failure_one: expected an event id string"]),
+    (
+        "danger_map",
+        set_at("ones.0.danger", ["no"]),
+        ["ones[0].danger: danger map must be a mapping of event level to danger name"],
+    ),
+    (
+        "reaction_map",
+        set_at("ones.0.reaction", 0),
+        ["ones[0].reaction: reaction map must be a mapping of danger name to reaction level"],
+    ),
+    (
+        "virtual_row",
+        virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1]}]),
+        ["virtual_ones[0].rows[1]: missing required key 'level'", "virtual_ones[0].rows[1].level: expected an integer, got None"],
+    ),
+    (
+        "os_row",
+        drop("os_mapping.rows.1.scenario"),
+        ["os_mapping.rows[1]: missing required key 'scenario'", "os_mapping.rows[1].scenario: expected a string, got None"],
+    ),
+    (
+        "activation_event_key",
+        set_at("scenarios.0.tasks.0.activation", {"event": {"one": "watch", "level": 1}}),
+        ["scenarios[0].tasks[0].activation.event: unknown key 'level'"],
+    ),
+    ("controllers", set_at("controllers", ["ff"]), ["controllers: expected a mapping of controller id to settings"]),
+    ("controller", set_at("controllers.ff", "feedforward"), ["controllers.ff: expected a mapping"]),
+    ("waveform", set_at("signals", {"amp": [[0.0, 1.0]]}), [
+        "signals.amp: expected a mapping, got list", "signals.amp.points: missing required list",
+    ]),
+    # (a) An absent required key gets its reader's line too.
+    ("absent_priority", drop("scenarios.0.tasks.0.priority"), ["scenarios[0].tasks[0]: missing required key 'priority'"]),
+    ("absent_default", drop("os_mapping.default"), ["os_mapping: missing required key 'default'"]),
+    # (b) A required key cannot be null.
+    ("null_priority", set_at("scenarios.0.tasks.0.priority", None), []),
+    # (c)
+    ("null_default", set_at("os_mapping.default", None), []),
+    # (d) An optional key given as null reads as its default.
+    ("null_irreversible", set_at("ones.0.irreversible", None), ["ones[0].irreversible: missing required list"]),
+    # (e) Signals, when given, are a mapping.
+    ("signals_list", set_at("signals", []), []),
+]
+
+
+@pytest.mark.parametrize("mutate, lines", [row[1:] for row in SHAPE_ERRORS], ids=[row[0] for row in SHAPE_ERRORS])
+def test_shape_error_lines(mutate, lines):
+    assert shape_errors(mutate) == lines
+
+
 #: Each controller type with only its required settings, and the settings it compiles to.
 REQUIRED_ONLY = [
     ("feedforward", {}, {"min_request": 0.0}),

@@ -38,3 +38,55 @@ def test_detector_sees_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_top_level_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def defined_names(tree):
+    """The top-level functions, classes and assigned names of a module, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return names
+
+
+def referenced_names(tree):
+    """Every name a module reads: bare names, attribute names and names imported from another module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced(sources):
+    """(module, line, name) of each top-level definition that no module of ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(referenced_names, trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in defined_names(tree).items()
+        if name not in used and name not in ("__all__", "__version__")
+    )
+
+
+def test_detector_sees_an_unreferenced_definition():
+    sources = {
+        "a.py": "X = 1\ndef f(): return g()\ndef g(): pass\nclass C: pass\n__version__ = '1'\n",
+        "b.py": "from .a import C\nimport a\nY: int = a.X\n",
+    }
+    assert unreferenced(sources) == [("a.py", 2, "f"), ("b.py", 3, "Y")]
+
+
+def test_every_top_level_definition_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced(sources) == []
