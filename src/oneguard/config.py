@@ -21,8 +21,8 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
@@ -86,25 +86,27 @@ def errors_of(diagnostics: Sequence[Diagnostic]) -> List[Diagnostic]:
     return [d for d in diagnostics if _is_error(d)]
 
 
+#: The default of a field a mapping must have; a field table's other
+#: defaults stand in for an absent or null value.
+REQUIRED = object()
+
+
 class _Shape:
-    """Error accumulator for the shape-checking pass."""
+    """Error accumulator for the shape-checking pass.
+
+    ``unit`` is the unit the section being read declares, for the numbers
+    read after its unit field (None: no unit).
+    """
 
     def __init__(self) -> None:
         self.errors: List[str] = []
+        self.unit: Optional[str] = None
 
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def number(
-        self,
-        value: Any,
-        path: str,
-        unit: Optional[str] = None,
-        default: Optional[float] = None,
-    ) -> float:
+    def number(self, value: Any, path: str, unit: Optional[str] = None) -> float:
         """Parse a numeric leaf, optionally suffixed with a declared unit."""
-        if value is None and default is not None:
-            return default
         if isinstance(value, bool):
             self.fail(path, f"expected a number, got boolean {value}")
             return 0.0
@@ -130,46 +132,61 @@ class _Shape:
             return 0.0
         return num
 
-    def integer(self, value: Any, path: str, default: Optional[int] = None) -> int:
-        if value is None and default is not None:
-            return default
+    def integer(self, value: Any, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             self.fail(path, f"expected an integer, got {value!r}")
             return 0
         return value
 
-    def string(self, value: Any, path: str, default: Optional[str] = None) -> str:
-        if value is None and default is not None:
-            return default
+    def string(self, value: Any, path: str) -> str:
         if not isinstance(value, str):
             self.fail(path, f"expected a string, got {value!r}")
             return ""
         return value
 
-    def mapping(self, value: Any, path: str, allowed: Mapping[str, bool]) -> Dict[str, Any]:
-        """Check a mapping node: required keys present, no unknown keys."""
+    def sequence(self, value: Any, path: str) -> List[Any]:
         if value is None:
-            value = {}
-        if not isinstance(value, dict):
-            self.fail(path, f"expected a mapping, got {type(value).__name__}")
-            return {}
-        for key in value:
-            if key not in allowed:
-                self.fail(path, f"unknown key {key!r}")
-        for key, required in allowed.items():
-            if required and key not in value:
-                self.fail(path, f"missing required key {key!r}")
-        return value
-
-    def sequence(self, value: Any, path: str, required: bool = True) -> List[Any]:
-        if value is None:
-            if required:
-                self.fail(path, "missing required list")
+            self.fail(path, "missing required list")
             return []
         if not isinstance(value, list):
             self.fail(path, f"expected a list, got {type(value).__name__}")
             return []
         return value
+
+    def fields(self, node: Any, path: str, table: Mapping[str, Tuple[Reader, Any]]) -> Dict[str, Any]:
+        """Read a mapping node by its field table of key -> (reader, default), in table order.
+
+        ``path`` is "" for the document root. A null node reads as an empty
+        mapping; a node that is no mapping gets only that line, and every
+        key reads as absent.
+        """
+        where = path or "schedule"
+        if node is None:
+            node = {}
+        if not isinstance(node, dict):
+            self.fail(where, f"expected a mapping, got {type(node).__name__}")
+            node = {}
+        else:
+            self.errors.extend(f"{where}: unknown key {key!r}" for key in node if key not in table)
+            self.errors.extend(
+                f"{where}: missing required key {key!r}"
+                for key, (_, default) in table.items()
+                if default is REQUIRED and key not in node
+            )
+        outer, self.unit = self.unit, None
+        out = {}
+        for key, (read, default) in table.items():
+            value = node.get(key)
+            if value is None and default is not REQUIRED:
+                out[key] = default
+            else:
+                out[key] = read(self, value, f"{path}.{key}" if path else key)
+        self.unit = outer
+        return out
+
+
+#: Parses one value: ``read(sh, value, path)``.
+Reader = Callable[[_Shape, Any, str], Any]
 
 
 def _danger_name(value: Any) -> str:
@@ -263,273 +280,220 @@ class PulseSchedule:
 # Parse (shape pass).
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "run": True,
-    "plant": True,
-    "signals": False,
-    "ones": True,
-    "virtual_ones": False,
-    "os_mapping": True,
-    "scenarios": True,
-    "controllers": True,
-    "actuator_groups": True,
-}
+def _number(unit: Optional[str] = None) -> Reader:
+    """Reader of a number in ``unit``."""
+    return lambda sh, value, path: sh.number(value, path, unit)
 
 
-def _parse_waveform(node: Any, path: str, sh: _Shape) -> Waveform:
-    m = sh.mapping(node, path, {"points": True, "interpolation": False, "unit": False})
-    unit = m.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        sh.fail(f"{path}.unit", "unit must be a string")
-        unit = None
-    interpolation = sh.string(m.get("interpolation"), f"{path}.interpolation", default=LINEAR)
-    points: List[Tuple[float, float]] = []
-    for i, pt in enumerate(sh.sequence(m.get("points"), f"{path}.points")):
-        if not isinstance(pt, list) or len(pt) != 2:
-            sh.fail(f"{path}.points[{i}]", "each breakpoint must be a [time, value] pair")
-            continue
-        t = sh.number(pt[0], f"{path}.points[{i}].time", unit="s")
-        v = sh.number(pt[1], f"{path}.points[{i}].value", unit=unit)
-        points.append((t, v))
-    return Waveform(points=tuple(points), interpolation=interpolation)
+def _in_unit(sh: _Shape, value: Any, path: str) -> float:
+    """A number in the unit its section declares."""
+    return sh.number(value, path, sh.unit)
 
 
-def _parse_reference(node: Any, path: str, sh: _Shape) -> Optional[Waveform]:
-    """A task reference: a waveform, or a scalar promoted to a constant one."""
-    if node is None:
+def _unit(sh: _Shape, value: Any, path: str) -> Optional[str]:
+    """An event's or waveform's unit; the empty unit is declared too."""
+    if not isinstance(value, str):
+        sh.fail(path, "unit must be a string")
         return None
-    if isinstance(node, dict):
-        return _parse_waveform(node, path, sh)
-    return Waveform(points=((0.0, sh.number(node, path)),), interpolation=HOLD)
+    sh.unit = value
+    return value
 
 
-def _parse_level_map(node: Any, path: str, sh: _Shape) -> Tuple[Tuple[int, str], ...]:
+def _group_unit(sh: _Shape, value: Any, path: str) -> str:
+    """An actuator group's unit; an empty one declares no unit."""
+    unit = sh.string(value, path)
+    sh.unit = unit or None
+    return unit
+
+
+def _event_id(sh: _Shape, value: Any, path: str) -> Any:
+    if not isinstance(value, str):
+        sh.fail(path, "expected an event id string")
+    return value
+
+
+def _list(read: Reader) -> Reader:
+    """Reader of a list whose items ``read`` parses."""
+    return lambda sh, value, path: tuple(
+        read(sh, item, f"{path}[{i}]") for i, item in enumerate(sh.sequence(value, path))
+    )
+
+
+def _pair(first: Reader, second: Reader, message: str, names: Tuple[str, str] = ("[0]", "[1]")) -> Reader:
+    """Reader of a two-item list; ``names`` end the paths of its items."""
+
+    def read(sh: _Shape, value: Any, path: str) -> Tuple[Any, Any]:
+        if not isinstance(value, list) or len(value) != 2:
+            sh.fail(path, message)
+            return (0.0, 0.0)
+        return (first(sh, value[0], path + names[0]), second(sh, value[1], path + names[1]))
+
+    return read
+
+
+def _section(table: Mapping[str, Tuple[Reader, Any]], build: Callable[..., Any]) -> Reader:
+    """Reader of a mapping node that ``build`` makes from its fields, passed by key."""
+    return lambda sh, node, path: build(**sh.fields(node, path, table))
+
+
+def _named(read: Reader, message: str) -> Reader:
+    """Reader of a mapping of names to values that ``read`` parses, as (name, value) pairs."""
+
+    def read_named(sh: _Shape, node: Any, path: str) -> Tuple[Tuple[str, Any], ...]:
+        if not isinstance(node, dict):
+            sh.fail(path, message)
+            return ()
+        return tuple((str(name), read(sh, value, f"{path}.{name}")) for name, value in node.items())
+
+    return read_named
+
+
+def _row(levels: str, value: str, read: Reader) -> Reader:
+    """Reader of a table row: a list of levels, and the ``read`` value they map to."""
+    return _section({levels: (_list(_Shape.integer), REQUIRED), value: (read, REQUIRED)}, lambda **f: tuple(f.values()))
+
+
+def _level_map(sh: _Shape, node: Any, path: str) -> Tuple[Tuple[int, str], ...]:
     if not isinstance(node, dict):
         sh.fail(path, "danger map must be a mapping of event level to danger name")
         return ()
-    out = []
-    for key, value in node.items():
-        lvl = sh.integer(key, f"{path}[{key!r}]")
-        out.append((lvl, _danger_name(value)))
-    return tuple(out)
+    return tuple((sh.integer(key, f"{path}[{key!r}]"), _danger_name(value)) for key, value in node.items())
 
 
-def _parse_reaction_map(node: Any, path: str, sh: _Shape) -> Tuple[Tuple[str, int], ...]:
+def _reaction_map(sh: _Shape, node: Any, path: str) -> Tuple[Tuple[str, int], ...]:
     if not isinstance(node, dict):
         sh.fail(path, "reaction map must be a mapping of danger name to reaction level")
         return ()
-    out = []
-    for key, value in node.items():
-        out.append((_danger_name(key), sh.integer(value, f"{path}[{key!r}]")))
-    return tuple(out)
+    return tuple((_danger_name(key), sh.integer(value, f"{path}[{key!r}]")) for key, value in node.items())
 
 
-def _parse_one(node: Any, path: str, sh: _Shape) -> OneSpec:
-    m = sh.mapping(
-        node,
-        path,
-        {
-            "id": True,
-            "signal": True,
-            "direction": True,
-            "thresholds": True,
-            "hysteresis": False,
-            "unit": False,
-            "danger": True,
-            "reaction": True,
-            "irreversible": False,
-        },
-    )
-    unit = m.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        sh.fail(f"{path}.unit", "unit must be a string")
-        unit = None
-    thresholds = tuple(
-        sh.number(v, f"{path}.thresholds[{i}]", unit=unit)
-        for i, v in enumerate(sh.sequence(m.get("thresholds"), f"{path}.thresholds"))
-    )
-    hyst_node = m.get("hysteresis")
-    if hyst_node is None:
-        hysteresis = tuple(0.0 for _ in thresholds)
-    else:
-        hysteresis = tuple(
-            sh.number(v, f"{path}.hysteresis[{i}]", unit=unit)
-            for i, v in enumerate(sh.sequence(hyst_node, f"{path}.hysteresis"))
-        )
-    irreversible = tuple(
-        sh.integer(v, f"{path}.irreversible[{i}]")
-        for i, v in enumerate(sh.sequence(m.get("irreversible", [3, 4]), f"{path}.irreversible"))
-    )
-    return OneSpec(
-        id=sh.string(m.get("id"), f"{path}.id"),
-        signal=sh.string(m.get("signal"), f"{path}.signal"),
-        direction=sh.string(m.get("direction"), f"{path}.direction"),
-        thresholds=thresholds,
-        hysteresis=hysteresis,
-        unit=unit,
-        danger=_parse_level_map(m.get("danger"), f"{path}.danger", sh),
-        reaction=_parse_reaction_map(m.get("reaction"), f"{path}.reaction", sh),
-        irreversible=irreversible,
-    )
+def _settings(sh: _Shape, value: Any, path: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        sh.fail(path, "expected a mapping")
+        return {}
+    return dict(value)
 
 
-def _parse_virtual(node: Any, path: str, sh: _Shape) -> VirtualOneSpec:
-    m = sh.mapping(
-        node,
-        path,
-        {
-            "id": True,
-            "inputs": True,
-            "rows": True,
-            "danger": True,
-            "reaction": True,
-            "irreversible": False,
-        },
-    )
-    inputs = tuple(
-        sh.string(v, f"{path}.inputs[{i}]")
-        for i, v in enumerate(sh.sequence(m.get("inputs"), f"{path}.inputs"))
-    )
-    rows: List[Tuple[Tuple[int, ...], int]] = []
-    for i, row in enumerate(sh.sequence(m.get("rows"), f"{path}.rows")):
-        rm = sh.mapping(row, f"{path}.rows[{i}]", {"levels": True, "level": True})
-        levels = tuple(
-            sh.integer(v, f"{path}.rows[{i}].levels[{j}]")
-            for j, v in enumerate(sh.sequence(rm.get("levels"), f"{path}.rows[{i}].levels"))
-        )
-        rows.append((levels, sh.integer(rm.get("level"), f"{path}.rows[{i}].level")))
-    irreversible = tuple(
-        sh.integer(v, f"{path}.irreversible[{i}]")
-        for i, v in enumerate(sh.sequence(m.get("irreversible", [3, 4]), f"{path}.irreversible"))
-    )
-    return VirtualOneSpec(
-        id=sh.string(m.get("id"), f"{path}.id"),
-        inputs=inputs,
-        rows=tuple(rows),
-        danger=_parse_level_map(m.get("danger"), f"{path}.danger", sh),
-        reaction=_parse_reaction_map(m.get("reaction"), f"{path}.reaction", sh),
-        irreversible=irreversible,
-    )
+def _one(hysteresis: Optional[Tuple[float, ...]], **fields: Any) -> OneSpec:
+    one = OneSpec(hysteresis=hysteresis, **fields)
+    # No hysteresis: a zero band per threshold.
+    return one if hysteresis is not None else replace(one, hysteresis=(0.0,) * len(one.thresholds))
 
 
-def _parse_activation(node: Any, path: str, sh: _Shape) -> Activation:
-    if node is None:
-        return Activation()
-    m = sh.mapping(node, path, {"t_start": False, "t_end": False, "event": False})
-    t_start = sh.number(m.get("t_start"), f"{path}.t_start", unit="s", default=0.0)
-    t_end = None
-    if m.get("t_end") is not None:
-        t_end = sh.number(m.get("t_end"), f"{path}.t_end", unit="s")
-    trigger = None
-    if m.get("event") is not None:
-        em = sh.mapping(m.get("event"), f"{path}.event", {"one": True, "min_level": False, "max_level": False})
-        one = sh.string(em.get("one"), f"{path}.event.one")
-        min_level = sh.integer(em.get("min_level"), f"{path}.event.min_level", default=0)
-        max_level = None
-        if em.get("max_level") is not None:
-            max_level = sh.integer(em.get("max_level"), f"{path}.event.max_level")
-        trigger = EventTrigger(one_id=one, min_level=min_level, max_level=max_level)
-    return Activation(t_start=t_start, t_end=t_end, trigger=trigger)
+def _group(command_range: Optional[Tuple[float, float]], **fields: Any) -> ActuatorGroup:
+    group = ActuatorGroup(command_range=command_range, **fields)
+    # No command range: from zero to the capacity.
+    return group if command_range is not None else replace(group, command_range=(0.0, group.capacity))
 
 
-def _parse_task(node: Any, path: str, sh: _Shape) -> ControlTask:
-    m = sh.mapping(
-        node,
-        path,
-        {
-            "id": True,
-            "priority": True,
-            "controller": True,
-            "group": True,
-            "reference": False,
-            "activation": False,
-        },
-    )
-    return ControlTask(
-        id=sh.string(m.get("id"), f"{path}.id"),
-        priority=sh.integer(m.get("priority"), f"{path}.priority", default=1),
-        controller=sh.string(m.get("controller"), f"{path}.controller"),
-        group=sh.string(m.get("group"), f"{path}.group"),
-        reference=_parse_reference(m.get("reference"), f"{path}.reference", sh),
-        activation=_parse_activation(m.get("activation"), f"{path}.activation", sh),
-    )
+_PAIRS = _list(_pair(_number(), _number(), "expected a [x, y] pair"))
+_IRREVERSIBLE = (_list(_Shape.integer), (3, 4))
+_CLASSIFICATION = {"danger": (_level_map, REQUIRED), "reaction": (_reaction_map, REQUIRED)}
+
+# Each section's field table, in the order its fields are read and their errors reported.
+_WAVEFORM = {
+    "unit": (_unit, None),
+    "interpolation": (_Shape.string, LINEAR),
+    "points": (
+        _list(_pair(_number("s"), _in_unit, "each breakpoint must be a [time, value] pair", (".time", ".value"))),
+        REQUIRED,
+    ),
+}
+_waveform = _section(_WAVEFORM, lambda unit, **fields: Waveform(**fields))
 
 
-def _parse_scenario(node: Any, path: str, sh: _Shape) -> ScenarioSpec:
-    m = sh.mapping(node, path, {"id": True, "type": True, "tasks": False})
-    tasks = tuple(
-        _parse_task(t, f"{path}.tasks[{i}]", sh)
-        for i, t in enumerate(sh.sequence(m.get("tasks", []), f"{path}.tasks", required=False))
-    )
-    return ScenarioSpec(
-        id=sh.string(m.get("id"), f"{path}.id"),
-        type=sh.string(m.get("type"), f"{path}.type"),
-        tasks=tasks,
-    )
+def _reference(sh: _Shape, node: Any, path: str) -> Waveform:
+    """A task reference: a waveform, or a scalar promoted to a constant one."""
+    if isinstance(node, dict):
+        return _waveform(sh, node, path)
+    return Waveform(points=((0.0, sh.number(node, path)),), interpolation=HOLD)
 
 
-def _parse_group(node: Any, path: str, sh: _Shape) -> ActuatorGroup:
-    m = sh.mapping(
-        node,
-        path,
-        {"id": True, "capacity": True, "semantics": False, "command_range": False, "unit": False},
-    )
-    unit = sh.string(m.get("unit"), f"{path}.unit", default="")
-    capacity = sh.number(m.get("capacity"), f"{path}.capacity", unit=unit or None)
-    cr = m.get("command_range")
-    if cr is None:
-        command_range = (0.0, capacity)
-    elif isinstance(cr, list) and len(cr) == 2:
-        command_range = (
-            sh.number(cr[0], f"{path}.command_range[0]", unit=unit or None),
-            sh.number(cr[1], f"{path}.command_range[1]", unit=unit or None),
-        )
-    else:
-        sh.fail(f"{path}.command_range", "expected a [lo, hi] pair")
-        command_range = (0.0, capacity)
-    return ActuatorGroup(
-        id=sh.string(m.get("id"), f"{path}.id"),
-        capacity=capacity,
-        semantics=sh.string(m.get("semantics"), f"{path}.semantics", default=ADDITIVE),
-        command_range=command_range,
-        unit=unit,
-    )
-
-
-def _parse_pairs(node: Any, path: str, sh: _Shape) -> Tuple[Tuple[float, float], ...]:
-    out = []
-    for i, pt in enumerate(sh.sequence(node, path)):
-        if not isinstance(pt, list) or len(pt) != 2:
-            sh.fail(f"{path}[{i}]", "expected a [x, y] pair")
-            continue
-        out.append((sh.number(pt[0], f"{path}[{i}][0]"), sh.number(pt[1], f"{path}[{i}][1]")))
-    return tuple(out)
-
-
-#: Plant numbers: unit suffix, and default (None: required).
-_PLANT_NUMBERS = {
-    "tau_e": ("s", None),
-    "tau_98": ("s", None),
-    "tau_n": ("s", None),
-    "k_gas": (None, None),
-    "p_ohmic": ("MW", None),
-    "nbi_energy_limit": ("MJ", None),
-    "w_init": ("MJ", 0.0),
-    "ne_init": (None, 0.0),
-    "gas_init": (None, 0.0),
+_EVENT_TRIGGER = {
+    "one": (_Shape.string, REQUIRED),
+    "min_level": (_Shape.integer, 0),
+    "max_level": (_Shape.integer, None),
+}
+_ACTIVATION = {
+    "t_start": (_number("s"), 0.0),
+    "t_end": (_number("s"), None),
+    "event": (_section(_EVENT_TRIGGER, lambda one, **fields: EventTrigger(one, **fields)), None),
+}
+_TASK = {
+    "id": (_Shape.string, REQUIRED),
+    "priority": (_Shape.integer, REQUIRED),
+    "controller": (_Shape.string, REQUIRED),
+    "group": (_Shape.string, REQUIRED),
+    "reference": (_reference, None),
+    "activation": (_section(_ACTIVATION, lambda event, **fields: Activation(trigger=event, **fields)), Activation()),
+}
+_SCENARIO = {
+    "tasks": (_list(_section(_TASK, ControlTask)), ()),
+    "id": (_Shape.string, REQUIRED),
+    "type": (_Shape.string, REQUIRED),
+}
+_ONE = {
+    "unit": (_unit, None),
+    "thresholds": (_list(_in_unit), REQUIRED),
+    "hysteresis": (_list(_in_unit), None),
+    "irreversible": _IRREVERSIBLE,
+    "id": (_Shape.string, REQUIRED),
+    "signal": (_Shape.string, REQUIRED),
+    "direction": (_Shape.string, REQUIRED),
+    **_CLASSIFICATION,
+}
+_VIRTUAL_ONE = {
+    "inputs": (_list(_Shape.string), REQUIRED),
+    "rows": (_list(_row("levels", "level", _Shape.integer)), REQUIRED),
+    "irreversible": _IRREVERSIBLE,
+    "id": (_Shape.string, REQUIRED),
+    **_CLASSIFICATION,
+}
+_GROUP = {
+    "unit": (_group_unit, ""),
+    "capacity": (_in_unit, REQUIRED),
+    "command_range": (_pair(_in_unit, _in_unit, "expected a [lo, hi] pair"), None),
+    "id": (_Shape.string, REQUIRED),
+    "semantics": (_Shape.string, ADDITIVE),
+}
+_PLANT = {
+    "tau_e": (_number("s"), REQUIRED),
+    "tau_98": (_number("s"), REQUIRED),
+    "tau_n": (_number("s"), REQUIRED),
+    "k_gas": (_number(), REQUIRED),
+    "p_ohmic": (_number("MW"), REQUIRED),
+    "nbi_energy_limit": (_number("MJ"), REQUIRED),
+    "w_init": (_number("MJ"), 0.0),
+    "ne_init": (_number(), 0.0),
+    "gas_init": (_number(), 0.0),
+    "nbi_group": (_Shape.string, REQUIRED),
+    "gas_group": (_Shape.string, REQUIRED),
+    "degradation": (_PAIRS, REQUIRED),
+    "boundary": (lambda sh, value, path: DisruptionBoundary(_PAIRS(sh, value, path)), REQUIRED),
+}
+_RUN = {
+    "plant_failure_one": (_event_id, None),
+    "dt": (_number("s"), REQUIRED),
+    "duration": (_number("s"), REQUIRED),
+    "post_roll": (_number("s"), 0.0),
+}
+_OS_MAPPING = {"rows": (_list(_row("reactions", "scenario", _Shape.string)), ()), "default": (_Shape.string, REQUIRED)}
+_SCHEDULE = {
+    "run": (_section(_RUN, RunSpec), REQUIRED),
+    "plant": (_section(_PLANT, PlantParams), REQUIRED),
+    "signals": (_named(_waveform, "expected a mapping of signal name to waveform"), ()),
+    "ones": (_list(_section(_ONE, _one)), REQUIRED),
+    "virtual_ones": (_list(_section(_VIRTUAL_ONE, VirtualOneSpec)), ()),
+    "os_mapping": (_section(_OS_MAPPING, lambda rows, default: (default, rows)), REQUIRED),
+    "scenarios": (_list(_section(_SCENARIO, ScenarioSpec)), REQUIRED),
+    "controllers": (_named(_settings, "expected a mapping of controller id to settings"), REQUIRED),
+    "actuator_groups": (_list(_section(_GROUP, _group)), REQUIRED),
 }
 
 
-def _parse_plant(node: Any, sh: _Shape) -> PlantParams:
-    allowed = {key: default is None for key, (_, default) in _PLANT_NUMBERS.items()}
-    m = sh.mapping(node, "plant", dict(allowed, nbi_group=True, gas_group=True, degradation=True, boundary=True))
-    return PlantParams(
-        **{key: sh.number(m.get(key), f"plant.{key}", unit, default) for key, (unit, default) in _PLANT_NUMBERS.items()},
-        nbi_group=sh.string(m.get("nbi_group"), "plant.nbi_group"),
-        gas_group=sh.string(m.get("gas_group"), "plant.gas_group"),
-        degradation=_parse_pairs(m.get("degradation"), "plant.degradation", sh),
-        boundary=DisruptionBoundary(_parse_pairs(m.get("boundary"), "plant.boundary", sh)),
-    )
+def _schedule(signals: Any, os_mapping: Any, actuator_groups: Any, **fields: Any) -> PulseSchedule:
+    os_default, os_rows = os_mapping
+    return PulseSchedule(scripted=signals, os_default=os_default, os_rows=os_rows, groups=actuator_groups, **fields)
 
 
 def load_document(text: str) -> Dict[str, Any]:
@@ -554,86 +518,10 @@ def parse(text: str) -> PulseSchedule:
 def parse_document(doc: Dict[str, Any]) -> PulseSchedule:
     """Shape-check a loaded schedule mapping, raising ConfigError on problems."""
     sh = _Shape()
-    top = sh.mapping(doc, "schedule", _TOP_KEYS)
-
-    run_m = sh.mapping(top.get("run"), "run", {"dt": True, "duration": True, "post_roll": False, "plant_failure_one": False})
-    pf = run_m.get("plant_failure_one")
-    if pf is not None and not isinstance(pf, str):
-        sh.fail("run.plant_failure_one", "expected an event id string")
-        pf = None
-    run = RunSpec(
-        dt=sh.number(run_m.get("dt"), "run.dt", unit="s"),
-        duration=sh.number(run_m.get("duration"), "run.duration", unit="s"),
-        post_roll=sh.number(run_m.get("post_roll"), "run.post_roll", unit="s", default=0.0),
-        plant_failure_one=pf,
-    )
-
-    plant = _parse_plant(top.get("plant"), sh)
-
-    scripted: List[Tuple[str, Waveform]] = []
-    sig_node = top.get("signals") or {}
-    if not isinstance(sig_node, dict):
-        sh.fail("signals", "expected a mapping of signal name to waveform")
-    else:
-        for name, wf in sig_node.items():
-            scripted.append((str(name), _parse_waveform(wf, f"signals.{name}", sh)))
-
-    ones = tuple(
-        _parse_one(o, f"ones[{i}]", sh) for i, o in enumerate(sh.sequence(top.get("ones"), "ones"))
-    )
-    virtual_ones = tuple(
-        _parse_virtual(v, f"virtual_ones[{i}]", sh)
-        for i, v in enumerate(sh.sequence(top.get("virtual_ones", []), "virtual_ones", required=False))
-    )
-
-    os_m = sh.mapping(top.get("os_mapping"), "os_mapping", {"default": True, "rows": False})
-    os_rows: List[Tuple[Tuple[int, ...], str]] = []
-    for i, row in enumerate(sh.sequence(os_m.get("rows", []), "os_mapping.rows", required=False)):
-        rm = sh.mapping(row, f"os_mapping.rows[{i}]", {"reactions": True, "scenario": True})
-        reactions = tuple(
-            sh.integer(v, f"os_mapping.rows[{i}].reactions[{j}]")
-            for j, v in enumerate(sh.sequence(rm.get("reactions"), f"os_mapping.rows[{i}].reactions"))
-        )
-        os_rows.append((reactions, sh.string(rm.get("scenario"), f"os_mapping.rows[{i}].scenario")))
-
-    scenarios = tuple(
-        _parse_scenario(s, f"scenarios[{i}]", sh)
-        for i, s in enumerate(sh.sequence(top.get("scenarios"), "scenarios"))
-    )
-
-    controllers: List[Tuple[str, Mapping[str, Any]]] = []
-    ctrl_node = top.get("controllers")
-    if not isinstance(ctrl_node, dict):
-        sh.fail("controllers", "expected a mapping of controller id to settings")
-    else:
-        for cid, cfg in ctrl_node.items():
-            if not isinstance(cfg, dict):
-                sh.fail(f"controllers.{cid}", "expected a mapping")
-                continue
-            controllers.append((str(cid), dict(cfg)))
-
-    groups = tuple(
-        _parse_group(g, f"actuator_groups[{i}]", sh)
-        for i, g in enumerate(sh.sequence(top.get("actuator_groups"), "actuator_groups"))
-    )
-
-    os_default = sh.string(os_m.get("default"), "os_mapping.default", default="")
-
+    schedule = _section(_SCHEDULE, _schedule)(sh, doc, "")
     if sh.errors:
         raise ConfigError("schedule has shape errors:\n  " + "\n  ".join(sh.errors))
-
-    return PulseSchedule(
-        run=run,
-        plant=plant,
-        scripted=tuple(scripted),
-        ones=ones,
-        virtual_ones=virtual_ones,
-        os_default=os_default,
-        os_rows=tuple(os_rows),
-        scenarios=scenarios,
-        controllers=tuple(controllers),
-        groups=groups,
-    )
+    return schedule
 
 
 def read_text(path) -> str:
@@ -957,12 +845,17 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
     for name in ("tau_e", "tau_98", "tau_n", "nbi_energy_limit"):
         if getattr(ps.plant, name) <= 0.0:
             out.append(Diagnostic("error", f"plant.{name}", "must be positive"))
-    for table, path in ((ps.plant.degradation, "plant.degradation"), (ps.plant.boundary.vertices, "plant.boundary")):
+    boundary = ps.plant.boundary
+    for table, path in ((ps.plant.degradation, "plant.degradation"), (boundary.vertices, "plant.boundary")):
         xs = [x for x, _ in table]
         if len(xs) < 2:
             out.append(Diagnostic("error", path, "needs at least two points"))
         elif any(a >= b for a, b in zip(xs, xs[1:])):
             out.append(Diagnostic("error", path, "densities must be strictly increasing"))
+        elif table is boundary.vertices and not all(0.0 < seg[4] < math.inf for seg in boundary.segments):
+            # The signed distance divides by each segment's squared length.
+            message = "a segment's squared length, extended ends included, is not positive and finite"
+            out.append(Diagnostic("error", path, message))
     for key in ("nbi_group", "gas_group"):
         gid = getattr(ps.plant, key)
         if gid not in groups:

@@ -54,7 +54,8 @@ class DisruptionBoundary:
     segments are extrapolated linearly. States above the curve are stable
     (positive distance), states below have crossed the limit (negative
     distance). The parser builds a boundary before ``validate`` has seen
-    its vertices, so the segments wait for the first distance.
+    its vertices, so the segments wait for their first use: ``validate``
+    checks that each has a positive, finite squared length.
     """
 
     vertices: Tuple[Tuple[float, float], ...]
@@ -64,7 +65,7 @@ class DisruptionBoundary:
         object.__setattr__(self, "_ys", tuple(float(y) for _, y in self.vertices))
 
     @cached_property
-    def _segments(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
+    def segments(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
         """Extended segments as (ax, ay, abx, aby, ab.ab)."""
         xs, ys = self._xs, self._ys
 
@@ -97,7 +98,7 @@ class DisruptionBoundary:
     def signed_distance(self, ne: float, h98: float) -> float:
         """Euclidean distance to the curve, negative once past the limit."""
         dist = math.inf
-        for ax, ay, abx, aby, ab2 in self._segments:
+        for ax, ay, abx, aby, ab2 in self.segments:
             t = ((ne - ax) * abx + (h98 - ay) * aby) / ab2
             if t < 0.0:
                 t = 0.0

@@ -152,6 +152,13 @@ class TestParse:
         ps = cfg.parse(text)
         assert dict(ps.ones[0].danger)[0] == "no"
 
+    def test_null_optional_key_reads_as_its_default(self):
+        doc = minimal_doc()
+        doc["run"]["post_roll"] = None
+        doc["ones"][0].update(irreversible=None, hysteresis=None)
+        ps = parse_doc(doc)
+        assert (ps.run.post_roll, ps.ones[0].irreversible, ps.ones[0].hysteresis) == (0.0, (3, 4), (0.0,))
+
     def test_parse_is_load_then_parse_document(self):
         assert cfg.parse_document(cfg.load_document(MINIMAL)) == cfg.parse(MINIMAL)
 
@@ -436,6 +443,12 @@ CHECK_HOMES = [
         set_at("plant.boundary", [[1.0, 0.1], [1.0, 0.2]]),
         "error: plant.boundary: densities must be strictly increasing",
     ),
+    (
+        # Points so close together, or so far apart, that a squared segment length underflows or overflows.
+        "boundary_segment",
+        set_at("plant.boundary", [[0.0, 0.14], [1.0e-200, 0.14]]),
+        "error: plant.boundary: a segment's squared length, extended ends included, is not positive and finite",
+    ),
     # Actuator groups.
     ("capacity", set_at("actuator_groups.1.capacity", -1.0), "error: actuator_groups[1]: capacity must be >= 0"),
     ("semantics", set_at("actuator_groups.1.semantics", "bogus"), "error: actuator_groups[1]: unknown semantics 'bogus'"),
@@ -693,17 +706,21 @@ SHAPE_ERRORS = [
     ("waveform", set_at("signals", {"amp": [[0.0, 1.0]]}), [
         "signals.amp: expected a mapping, got list", "signals.amp.points: missing required list",
     ]),
-    # (a) An absent required key gets its reader's line too.
-    ("absent_priority", drop("scenarios.0.tasks.0.priority"), ["scenarios[0].tasks[0]: missing required key 'priority'"]),
-    ("absent_default", drop("os_mapping.default"), ["os_mapping: missing required key 'default'"]),
-    # (b) A required key cannot be null.
-    ("null_priority", set_at("scenarios.0.tasks.0.priority", None), []),
-    # (c)
-    ("null_default", set_at("os_mapping.default", None), []),
-    # (d) An optional key given as null reads as its default.
-    ("null_irreversible", set_at("ones.0.irreversible", None), ["ones[0].irreversible: missing required list"]),
-    # (e) Signals, when given, are a mapping.
-    ("signals_list", set_at("signals", []), []),
+    # An absent required key gets its reader's line too.
+    ("absent_priority", drop("scenarios.0.tasks.0.priority"), [
+        "scenarios[0].tasks[0]: missing required key 'priority'",
+        "scenarios[0].tasks[0].priority: expected an integer, got None",
+    ]),
+    ("absent_default", drop("os_mapping.default"), [
+        "os_mapping: missing required key 'default'", "os_mapping.default: expected a string, got None",
+    ]),
+    # A required key cannot be null.
+    ("null_priority", set_at("scenarios.0.tasks.0.priority", None), ["scenarios[0].tasks[0].priority: expected an integer, got None"]),
+    ("null_default", set_at("os_mapping.default", None), ["os_mapping.default: expected a string, got None"]),
+    # An optional key given as null reads as its default.
+    ("null_irreversible", set_at("ones.0.irreversible", None), []),
+    # Signals, when given, are a mapping.
+    ("signals_list", set_at("signals", []), ["signals: expected a mapping of signal name to waveform"]),
 ]
 
 

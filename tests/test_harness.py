@@ -297,6 +297,22 @@ class TestCli:
         assert captured.err == diagnostic + "\n"
         assert captured.out == f"{bad}: 1 error(s), 0 warning(s)\n"
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "plant.boundary=[[0.0, 0.14], [1.0e-200, 0.14]]",
+            "plant.boundary=[[-1.0e+200, 0.1], [1.0e+200, 0.2]]",
+            "plant.boundary.0.0=-1e300",
+        ],
+    )
+    def test_degenerate_boundary_segment_exits_64(self, tmp_path, capsys, assignment):
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", str(DENSITY_LIMIT), "--out", str(out), "--set", assignment]) == 64
+        assert capsys.readouterr().err == (
+            "error: plant.boundary: a segment's squared length, extended ends included, is not positive and finite\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "run", "replay"])
     def test_schedule_that_is_not_utf8_exits_64(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.yaml"
