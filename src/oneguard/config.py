@@ -167,12 +167,12 @@ class _Shape:
             self.fail(where, f"expected a mapping, got {type(node).__name__}")
             node = {}
         else:
-            self.errors.extend(f"{where}: unknown key {key!r}" for key in node if key not in table)
-            self.errors.extend(
-                f"{where}: missing required key {key!r}"
-                for key, (_, default) in table.items()
-                if default is REQUIRED and key not in node
-            )
+            for key in node:
+                if key not in table:
+                    self.fail(where, f"unknown key {key!r}")
+            for key, (_, default) in table.items():
+                if default is REQUIRED and key not in node:
+                    self.fail(where, f"missing required key {key!r}")
         outer, self.unit = self.unit, None
         out = {}
         for key, (read, default) in table.items():
@@ -315,7 +315,7 @@ def _event_id(sh: _Shape, value: Any, path: str) -> Any:
 def _list(read: Reader) -> Reader:
     """Reader of a list whose items ``read`` parses."""
     return lambda sh, value, path: tuple(
-        read(sh, item, f"{path}[{i}]") for i, item in enumerate(sh.sequence(value, path))
+        [read(sh, item, f"{path}[{i}]") for i, item in enumerate(sh.sequence(value, path))]
     )
 
 
