@@ -33,6 +33,7 @@ from .model import (
     Activation,
     ControlTask,
     DangerLevel,
+    EventState,
     EventTrigger,
     REACTION_MAX,
     REACTION_MIN,
@@ -559,6 +560,7 @@ def _check_waveform(spec: Waveform, path: str, out: List[Diagnostic]) -> None:
 def _check_danger_map(
     danger: Tuple[Tuple[int, str], ...], max_level: int, path: str, out: List[Diagnostic]
 ) -> None:
+    """Check that ``danger`` is total over [0, max_level]; gaps are counted, as ``max_level`` can be huge."""
     seen = {}
     for lvl, name in danger:
         if lvl < 0 or lvl > max_level:
@@ -568,9 +570,11 @@ def _check_danger_map(
         if lvl in seen:
             out.append(Diagnostic("error", path, f"duplicate entry for level {lvl}"))
         seen[lvl] = name
-    missing = [l for l in range(max_level + 1) if l not in seen]
+    missing = max_level + 1 - sum(1 for lvl in seen if 0 <= lvl <= max_level)
     if missing:
-        out.append(Diagnostic("error", path, f"non-total mapping: missing levels {missing}"))
+        shown = list(itertools.islice((lvl for lvl in itertools.count() if lvl not in seen), min(missing, 4)))
+        text = f"{missing} missing levels (e.g. {shown})" if missing > 4 else f"missing levels {shown}"
+        out.append(Diagnostic("error", path, f"non-total mapping: {text}"))
 
 
 def _check_reaction_map(
@@ -1115,12 +1119,6 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
         VirtualOneRule(id=v.id, inputs=v.inputs, table={levels: lvl for levels, lvl in v.rows})
         for v in ps.virtual_ones
     )
-    monitor = MonitorConfig(
-        tables=tables,
-        virtual_rules=virtual_rules,
-        plant_failure_one=ps.run.plant_failure_one,
-    )
-
     evaluations = {}
     for spec in list(ps.ones) + list(ps.virtual_ones):
         danger = dict(spec.danger)
@@ -1130,6 +1128,9 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
             reaction=tuple(reaction[d] for d in DangerLevel),
             irreversible=frozenset(spec.irreversible),
         )
+    pf = ps.run.plant_failure_one
+    failure = None if pf is None else EventState(pf, len(evaluations[pf].danger) - 1)
+    monitor = MonitorConfig(tables=tables, virtual_rules=virtual_rules, plant_failure=failure)
 
     scenarios = {
         sc.id: Scenario(

@@ -85,8 +85,6 @@ def pid_step(
     same clamped output. A non-finite measurement holds the previous
     output and raises the fault flag instead of propagating the value.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if not math.isfinite(measurement):
         return state.last_output, state.last_output, state._replace(fault=True)
 

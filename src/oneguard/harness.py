@@ -77,8 +77,9 @@ class ControlLoop:
         cs = self.schedule
         events, faults = monitor_step(signals, cs.monitor, self.events)
         self.events = events
+        levels = tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
         scenario_id, tasks, dangers, reactions, self.sup_state = supervisor_step(
-            events, self.sup_state, cs.supervisor, time
+            levels, self.sup_state, cs.supervisor, time
         )
 
         if tasks is not self.tasks:
@@ -174,8 +175,8 @@ def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState)
     return row
 
 
-def read_trace(path) -> Tuple[List[str], List[Dict[str, str]]]:
-    """Load a trace file as (header, rows-as-dicts), all values strings."""
+def read_trace(path) -> Tuple[List[str], List[List[str]]]:
+    """Load a trace file as (header, rows), each row a list of strings."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -187,7 +188,7 @@ def read_trace(path) -> Tuple[List[str], List[Dict[str, str]]]:
             for line in reader:
                 if len(line) != len(header):
                     raise TraceError(f"{path}: row width {len(line)} != header width {len(header)}")
-                rows.append(dict(zip(header, line)))
+                rows.append(line)
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: trace is not UTF-8 text: {exc}") from None
     return header, rows
@@ -220,8 +221,8 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
     """
     cs = schedule
     dt = cs.run.dt
-    n_ticks = int(round(cs.run.duration / dt)) if dt > 0 else 0
-    post_roll_ticks = int(round(cs.run.post_roll / dt)) if dt > 0 else 0
+    n_ticks = int(round(cs.run.duration / dt))
+    post_roll_ticks = int(round(cs.run.post_roll / dt))
 
     loop = ControlLoop(cs)
     plant = initial_state(cs.plant)
@@ -285,61 +286,69 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
 # Supervisor-only replay.
 # ---------------------------------------------------------------------------
 
+def replay_header(schedule: CompiledSchedule) -> List[str]:
+    """The replay output columns: time, evt/dng/rct per event, scenario, tasks."""
+    cols = ["time"]
+    for one_id in schedule.one_ids:
+        cols += [f"evt_{one_id}", f"dng_{one_id}", f"rct_{one_id}"]
+    cols += ["scenario", "tasks"]
+    return cols
+
+
 def replay_events(
     schedule: CompiledSchedule,
     times: Sequence[float],
-    levels: Sequence[Mapping[str, int]],
-) -> List[Dict[str, str]]:
+    levels: Sequence[Tuple[int, ...]],
+) -> List[List[str]]:
     """Re-run the decision chain over recorded event levels.
 
-    Feeding a run's own event columns back must reproduce its danger,
-    reaction, scenario and task columns exactly.
+    ``levels`` holds one level tuple per time, in ``schedule.one_ids``
+    order; rows follow ``replay_header``. Feeding a run's own event columns
+    back must reproduce its danger, reaction, scenario and task columns.
     """
-    state = SupervisorState.initial(schedule.supervisor)
-    rows: List[Dict[str, str]] = []
+    config = schedule.supervisor
+    state = SupervisorState.initial(config)
+    rows: List[List[str]] = []
     prev_t = None
     for t, lvl in zip(times, levels):
         if prev_t is not None and t <= prev_t:
             raise TraceError(f"trace times not strictly increasing at t={t!r}")
         prev_t = t
-        events = {one_id: EventState(one_id, lvl[one_id]) for one_id in schedule.one_ids}
-        scenario_id, tasks, dangers, reactions, state = supervisor_step(
-            events, state, schedule.supervisor, t
-        )
-        row = {"time": repr(float(t))}
-        for one_id in schedule.one_ids:
-            row[f"evt_{one_id}"] = str(lvl[one_id])
-            row[f"dng_{one_id}"] = dangers[one_id].label
-            row[f"rct_{one_id}"] = str(reactions[one_id])
-        row["scenario"] = scenario_id
-        row["tasks"] = ";".join(t.id for t in tasks)
+        scenario_id, tasks, dangers, reactions, state = supervisor_step(lvl, state, config, t)
+        row = [repr(float(t))]
+        for one_id, level in zip(config.one_ids, lvl):
+            row += [str(level), _DANGER_LABELS[dangers[one_id]], str(reactions[one_id])]
+        row += [scenario_id, ";".join(t.id for t in tasks)]
         rows.append(row)
     return rows
 
 
-def replay_file(schedule: CompiledSchedule, trace_path) -> List[Dict[str, str]]:
-    """Replay the event columns of a trace file (full or events-only)."""
+def replay_file(schedule: CompiledSchedule, trace_path) -> List[List[str]]:
+    """Replay the event columns of a trace file (full or events-only), found by name."""
     header, rows = read_trace(trace_path)
-    if "time" not in header:
+    index = {name: i for i, name in enumerate(header)}
+    if "time" not in index:
         raise TraceError(f"{trace_path}: missing 'time' column")
-    missing = [one_id for one_id in schedule.one_ids if f"evt_{one_id}" not in header]
+    missing = [one_id for one_id in schedule.one_ids if f"evt_{one_id}" not in index]
     if missing:
         raise TraceError(
             f"{trace_path}: missing event columns for {missing}; "
             f"trace does not match the schedule's event list"
         )
-    columns = [(one_id, f"evt_{one_id}", schedule.monitor.max_level(one_id)) for one_id in schedule.one_ids]
+    evaluations = schedule.supervisor.evaluations
+    columns = [(one_id, index[f"evt_{one_id}"], len(evaluations[one_id].danger) - 1) for one_id in schedule.one_ids]
+    time_col = index["time"]
     times: List[float] = []
-    levels: List[Dict[str, int]] = []
+    levels: List[Tuple[int, ...]] = []
     for row in rows:
         try:
-            t = float(row["time"])
+            t = float(row[time_col])
         except ValueError:
             t = math.nan
         if not math.isfinite(t):
-            raise TraceError(f"{trace_path}: bad time {row['time']!r}")
+            raise TraceError(f"{trace_path}: bad time {row[time_col]!r}")
         times.append(t)
-        lvl = {}
+        lvl = []
         for one_id, column, top in columns:
             raw = row[column]
             try:
@@ -350,19 +359,14 @@ def replay_file(schedule: CompiledSchedule, trace_path) -> List[Dict[str, str]]:
                 raise TraceError(
                     f"{trace_path}: event level {value} for {one_id} outside [0, {top}]"
                 )
-            lvl[one_id] = value
-        levels.append(lvl)
+            lvl.append(value)
+        levels.append(tuple(lvl))
     return replay_events(schedule, times, levels)
 
 
-def replay_to_csv(rows: Sequence[Mapping[str, str]], schedule: CompiledSchedule) -> str:
-    cols = ["time"]
-    for one_id in schedule.one_ids:
-        cols += [f"evt_{one_id}", f"dng_{one_id}", f"rct_{one_id}"]
-    cols += ["scenario", "tasks"]
+def replay_to_csv(rows: Sequence[Sequence[str]], schedule: CompiledSchedule) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([row[c] for c in cols])
+    writer.writerow(replay_header(schedule))
+    writer.writerows(rows)
     return buf.getvalue()

@@ -54,10 +54,6 @@ class ThresholdTable:
         sign = 1.0 if self.direction == RISING else -1.0
         object.__setattr__(self, "rising", tuple(sign * t for t in self.thresholds))
 
-    @property
-    def max_level(self) -> int:
-        return len(self.thresholds)
-
     def bucket(self, value: float) -> int:
         """Stateless bucket index of ``value`` (no hysteresis)."""
         return bisect_right(self.rising, value if self.direction == RISING else -value)
@@ -98,10 +94,6 @@ class VirtualOneRule:
     inputs: Tuple[str, ...]
     table: Mapping[Tuple[int, ...], int]
 
-    @property
-    def max_level(self) -> int:
-        return max(self.table.values(), default=0)
-
 
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
     """Evaluate a virtual event from its base events' current states, keyed by event id."""
@@ -116,17 +108,13 @@ class MonitorConfig:
     ``tables`` is keyed by base event id, in configuration order; each
     table's ``signal`` field names the continuous signal that event
     watches. Virtual rules are evaluated after all base events, in
-    configuration order.
+    configuration order. ``plant_failure``, if set, is the state an event
+    is forced to on any fault: its maximum level.
     """
 
     tables: Mapping[str, ThresholdTable]
     virtual_rules: Tuple[VirtualOneRule, ...] = ()
-    plant_failure_one: Optional[str] = None
-
-    def max_level(self, one_id: str) -> int:
-        if one_id in self.tables:
-            return self.tables[one_id].max_level
-        return next(rule.max_level for rule in self.virtual_rules if rule.id == one_id)
+    plant_failure: Optional[EventState] = None
 
 
 def monitor_step(
@@ -138,9 +126,9 @@ def monitor_step(
 
     Returns ``(events, faults)``. A non-finite or missing signal does not
     abort the other events: the affected event keeps its previous level
-    and is reported in ``faults``. If ``plant_failure_one`` is configured,
-    any fault also forces that event to its maximum level. A base event
-    whose level did not move keeps its previous ``EventState`` object.
+    and is reported in ``faults``. If ``plant_failure`` is configured,
+    any fault also puts its event in that state. A base event whose level
+    did not move keeps its previous ``EventState`` object.
     """
     events: Dict[str, EventState] = {}
     faults: List[Tuple[str, str]] = []
@@ -159,8 +147,7 @@ def monitor_step(
     for rule in config.virtual_rules:
         events[rule.id] = compose_virtual(events, rule)
 
-    if faults and config.plant_failure_one is not None:
-        pf = config.plant_failure_one
-        events[pf] = EventState(one_id=pf, level=config.max_level(pf))
+    if faults and config.plant_failure is not None:
+        events[config.plant_failure.one_id] = config.plant_failure
 
     return events, faults

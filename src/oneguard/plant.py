@@ -195,8 +195,6 @@ def plant_step(
     the valve cannot run backwards), keeping injected energy
     non-decreasing no matter the caller.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if not (math.isfinite(p_nbi) and math.isfinite(gas_flux)):
         raise SimFault(f"non-finite actuator command (p_nbi={p_nbi!r}, gas={gas_flux!r})")
     p_nbi = max(p_nbi, 0.0)

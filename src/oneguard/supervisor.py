@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .model import (
     ControlTask,
     DangerLevel,
-    EventState,
     REACTION_MAX,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
@@ -147,18 +146,13 @@ class SupervisorState:
         )
 
 
-def activate_tasks(
-    scenario: Scenario,
-    time: float,
-    events: Mapping[str, EventState],
-) -> List[ControlTask]:
-    """Tasks of ``scenario`` whose activation condition holds, priority order."""
-    levels = {one_id: e.level for one_id, e in events.items()}
+def activate_tasks(scenario: Scenario, time: float, levels: Mapping[str, int]) -> List[ControlTask]:
+    """Tasks of ``scenario`` active at ``time`` for ``levels`` (by event id), priority order."""
     return [t for t in scenario.tasks if t.activation.holds(time, levels)]
 
 
 def supervisor_step(
-    events: Mapping[str, EventState],
+    levels: Tuple[int, ...],
     state: SupervisorState,
     config: SupervisorConfig,
     time: float,
@@ -166,14 +160,13 @@ def supervisor_step(
     """One decision pass.
 
     Returns ``(scenario_id, active_tasks, dangers, reactions, new_state)``.
-    Pure: identical ``(events, state, time)`` always produce identical
-    output. ``events`` holds a state for every configured event. When the
-    level vector equals the one ``state`` decided on and ``time`` lies in
-    its ``[since, until)``, the carried decision and ``state`` itself come
-    back: the latch gives the same reactions again, so the same scenario,
-    and no activation window opened or closed.
+    Pure: identical ``(levels, state, time)`` always produce identical
+    output. ``levels`` holds the level of every configured event, in
+    ``config.one_ids`` order. When it equals the vector ``state`` decided
+    on and ``time`` lies in its ``[since, until)``, the carried decision
+    and ``state`` itself come back: the latch gives the same reactions
+    again, so the same scenario, and no activation window opened or closed.
     """
-    levels = tuple([events[one_id].level for one_id in config.one_ids])
     if levels == state.levels and state.since <= time < state.until:
         return (*state.decision, state)
 
@@ -186,7 +179,8 @@ def supervisor_step(
 
     scenario_id = config.os_mapping.select(tuple(reactions.values()))
     scenario = config.scenarios[scenario_id]
-    decision = (scenario_id, tuple(activate_tasks(scenario, time, events)), dangers, reactions)
+    tasks = tuple(activate_tasks(scenario, time, dict(zip(config.one_ids, levels))))
+    decision = (scenario_id, tasks, dangers, reactions)
     i = bisect_right(scenario.boundaries, time)
     since, until = scenario.boundaries[i - 1 : i + 1]
     new_state = SupervisorState(reactions, scenario_id, levels, decision, since, until)

@@ -27,13 +27,14 @@ from oneguard import config as cfg
 from oneguard import harness
 from oneguard.allocator import allocate
 from oneguard.harness import ControlLoop
-from oneguard.model import DangerLevel, EventState
+from oneguard.model import DangerLevel
 from oneguard.plant import initial_state, plant_step
 from oneguard.controllers import PidState, pid_step
 from oneguard.supervisor import OneEvaluation, SupervisorState, supervisor_step
 
 from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
 from test_allocator import assert_matches_oracle, random_instance
+from test_harness import replayed_rows
 from test_plant import BOUNDARY, sample_polyline
 from test_supervisor import oracle_config_pairs
 
@@ -119,7 +120,7 @@ def test_c1_density_limit_timeline(density_limit_compiled):
 
 def test_c2_dual_ntm_situations(dual_ntm_compiled):
     started = wallclock.monotonic()
-    rows = harness.replay_file(dual_ntm_compiled, DUAL_NTM_EVENTS)
+    rows = replayed_rows(dual_ntm_compiled, DUAL_NTM_EVENTS)
     elapsed = wallclock.monotonic() - started
 
     by_reactions = {}
@@ -199,12 +200,8 @@ def test_c4_scenario_mapping_brute_force():
             state = SupervisorState.initial(config)
             oracle.prev = [0] * n_ones
             for t, levels in enumerate(sequence):
-                events = {
-                    name: EventState(name, levels[i])
-                    for i, name in enumerate(config.one_ids)
-                }
                 scenario_id, _, _, reactions, state = supervisor_step(
-                    events, state, config, float(t)
+                    levels, state, config, float(t)
                 )
                 combo = tuple(reactions[name] for name in config.one_ids)
                 expected_combo, expected_scenario = oracle.step(levels)
@@ -328,7 +325,7 @@ def test_c7_determinism(density_limit_compiled, dual_ntm_compiled, tmp_path):
 
         trace_path = tmp_path / f"{name}.csv"
         trace_path.write_text(first.trace_text)
-        replayed = harness.replay_file(compiled, trace_path)
+        replayed = replayed_rows(compiled, trace_path)
         original = rows_of(first.trace_text)
         decision_columns = ["scenario", "tasks"]
         for one_id in compiled.one_ids:
@@ -635,7 +632,7 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
         path = os.path.join(tmp, "trace.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(result.trace_text)
-        replayed = harness.replay_file(cs, path)
+        replayed = replayed_rows(cs, path)
     assert len(replayed) == len(rows)
     for row, replayed_row in zip(rows, replayed):
         assert replayed_row == {key: row[key] for key in replayed_row}

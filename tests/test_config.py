@@ -508,6 +508,12 @@ CHECK_HOMES = [
         virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1], "level": -1}]),
         "error: virtual_ones[0].rows: output level -1 must be >= 0",
     ),
+    (
+        # The gaps below a huge output level are counted, not listed.
+        "virtual_danger_gaps",
+        virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1], "level": 10**12}]),
+        "error: virtual_ones[0].danger: non-total mapping: 1000000000000 missing levels (e.g. [1, 2, 3, 4])",
+    ),
     # Controllers.
     ("controller_type", controller(type="magic"), "error: controllers.probe: unknown controller type 'magic'"),
     # A list cannot key the table of types.

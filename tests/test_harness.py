@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -31,6 +32,11 @@ def run_schedule(path, mutate=None):
 def rows_of(trace_text):
     reader = csv.DictReader(io.StringIO(trace_text))
     return list(reader)
+
+
+def replayed_rows(compiled, trace_path):
+    """The replay of ``trace_path`` as rows keyed by column name."""
+    return rows_of(harness.replay_to_csv(harness.replay_file(compiled, trace_path), compiled))
 
 
 class TestRun:
@@ -142,7 +148,7 @@ class TestReplay:
         result = harness.run(density_limit_compiled)
         trace_path = tmp_path / "run.csv"
         trace_path.write_text(result.trace_text)
-        replayed = harness.replay_file(density_limit_compiled, trace_path)
+        replayed = replayed_rows(density_limit_compiled, trace_path)
         original = rows_of(result.trace_text)
         assert len(replayed) == len(original)
         for got, want in zip(replayed, original):
@@ -153,14 +159,11 @@ class TestReplay:
 
     def test_recovery_selection_pattern(self, dual_ntm_compiled):
         times = [0.0, 0.01, 0.02, 0.03]
-        levels = [
-            {"ntm21": 0, "ntm43": 0},
-            {"ntm21": 1, "ntm43": 0},
-            {"ntm21": 0, "ntm43": 1},
-            {"ntm21": 1, "ntm43": 1},
-        ]
+        assert dual_ntm_compiled.one_ids == ("ntm21", "ntm43")
+        levels = [(0, 0), (1, 0), (0, 1), (1, 1)]
         rows = harness.replay_events(dual_ntm_compiled, times, levels)
-        assert [r["scenario"] for r in rows] == [
+        scenario = harness.replay_header(dual_ntm_compiled).index("scenario")
+        assert [r[scenario] for r in rows] == [
             "normal",
             "recovery_1",
             "recovery_2",
@@ -168,9 +171,31 @@ class TestReplay:
         ]
 
     def test_shipped_event_script(self, dual_ntm_compiled):
-        rows = harness.replay_file(dual_ntm_compiled, DUAL_NTM_EVENTS)
+        rows = replayed_rows(dual_ntm_compiled, DUAL_NTM_EVENTS)
         assert rows[0]["scenario"] == "normal"
         assert rows[-1]["scenario"] == "mitigation"
+
+    def test_columns_are_found_by_name(self, density_limit_compiled, tmp_path):
+        # Permuted columns and an unknown one replay to the same bytes.
+        result = harness.run(density_limit_compiled)
+        header, *rows = csv.reader(io.StringIO(result.trace_text))
+        order = list(range(len(header)))
+        random.Random(3).shuffle(order)
+        assert order != sorted(order)
+        original, shuffled = tmp_path / "run.csv", tmp_path / "shuffled.csv"
+        original.write_text(result.trace_text)
+        with open(shuffled, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for row in [header] + rows:
+                cells = [row[i] for i in order]
+                cells.insert(len(cells) // 2, "note" if row is header else "x")
+                writer.writerow(cells)
+        outputs = []
+        for trace in (original, shuffled):
+            out = tmp_path / f"{trace.stem}.replay.csv"
+            assert cli.main(["replay", str(trace), str(DENSITY_LIMIT), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == len(rows) + 1
 
     def test_non_monotone_time_rejected(self, dual_ntm_compiled, tmp_path):
         bad = tmp_path / "bad.csv"

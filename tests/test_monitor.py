@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 
+from oneguard import config as cfg
 from oneguard.model import EventState
 from oneguard.monitor import (
     MonitorConfig,
@@ -89,9 +91,10 @@ class TestDiscretize:
         # [0, max_level] when it starts there, so it is not re-checked.
         table = ThresholdTable(signal="x", thresholds=(1.0, 2.0), hysteresis=(0.3, 0.3))
         rng = random.Random(3)
-        for prev in range(table.max_level + 1):
+        top = len(table.thresholds)
+        for prev in range(top + 1):
             for _ in range(200):
-                assert 0 <= table.next_level(rng.uniform(-1.0, 4.0), prev) <= table.max_level
+                assert 0 <= table.next_level(rng.uniform(-1.0, 4.0), prev) <= top
 
     def test_matches_brute_force_automaton(self):
         rng = random.Random(20240811)
@@ -275,10 +278,16 @@ class TestMonitorStep:
     def test_fault_raises_plant_failure_event(self):
         base = density_limit_monitor()
         config = MonitorConfig(
-            tables=base.tables, plant_failure_one="actuator_lim"
+            tables=base.tables, plant_failure=EventState("actuator_lim", 1)
         )
         events, faults = monitor_step({"nbi_energy_frac": 0.0}, config, {})
         assert faults and events["actuator_lim"].level == 1
+
+    def test_compiled_plant_failure_is_the_event_top_level(self, density_limit_schedule):
+        run = dataclasses.replace(density_limit_schedule.run, plant_failure_one="d_ne_edge")
+        compiled = cfg.compile_schedule(dataclasses.replace(density_limit_schedule, run=run))
+        assert compiled.monitor.plant_failure == EventState("d_ne_edge", 3)
+        assert cfg.compile_schedule(density_limit_schedule).monitor.plant_failure is None
 
     def test_deterministic(self):
         config = density_limit_monitor()

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneguard.model import Activation, ControlTask, DangerLevel, EventState, EventTrigger, ScenarioType
+from oneguard.model import Activation, ControlTask, DangerLevel, EventTrigger, ScenarioType
 from oneguard.supervisor import (
     OneEvaluation,
     OsMapping,
@@ -159,11 +159,7 @@ class TestMapScenario:
 class TestActivateTasks:
     def test_backup_scenario_activates_its_three_tasks(self, dual_ntm_compiled):
         scenario = dual_ntm_compiled.supervisor.scenarios["backup1"]
-        events = {
-            "ntm21": EventState("ntm21", 2),
-            "ntm43": EventState("ntm43", 1),
-        }
-        tasks = activate_tasks(scenario, 0.1, events)
+        tasks = activate_tasks(scenario, 0.1, {"ntm21": 2, "ntm43": 1})
         assert [t.id for t in tasks] == [
             "ntm21_stabilization",
             "beta_control",
@@ -172,15 +168,12 @@ class TestActivateTasks:
 
     def test_da_tasks_wait_for_distance_trigger(self, density_limit_compiled):
         scenario = density_limit_compiled.supervisor.scenarios["normal"]
-        quiet = {
-            "d_ne_edge": EventState("d_ne_edge", 0),
-            "actuator_lim": EventState("actuator_lim", 0),
-        }
+        quiet = {"d_ne_edge": 0, "actuator_lim": 0}
         assert [t.id for t in activate_tasks(scenario, 0.2, quiet)] == [
             "ff_power_nor",
             "ff_gas_nor",
         ]
-        near = dict(quiet, d_ne_edge=EventState("d_ne_edge", 1))
+        near = dict(quiet, d_ne_edge=1)
         assert [t.id for t in activate_tasks(scenario, 0.2, near)] == [
             "ff_power_nor",
             "da_power_nor",
@@ -217,12 +210,6 @@ def two_one_config(rows=None):
 
 
 class TestSupervisorStep:
-    def events(self, a, b):
-        return {
-            "one_a": EventState("one_a", a),
-            "one_b": EventState("one_b", b),
-        }
-
     def test_no_events_configured_keeps_default(self):
         config = SupervisorConfig(
             one_ids=(),
@@ -235,37 +222,30 @@ class TestSupervisorStep:
         )
         state = SupervisorState.initial(config)
         for t in range(5):
-            scenario_id, tasks, _, _, state = supervisor_step({}, state, config, float(t))
+            scenario_id, tasks, _, _, state = supervisor_step((), state, config, float(t))
             assert scenario_id == "normal"
 
     def test_density_limit_timeline_decisions(self, density_limit_compiled):
         config = density_limit_compiled.supervisor
         state = SupervisorState.initial(config)
-        events = {
-            "d_ne_edge": EventState("d_ne_edge", 1),
-            "actuator_lim": EventState("actuator_lim", 0),
-        }
-        scenario_id, tasks, _, _, state = supervisor_step(events, state, config, 0.3)
+        assert config.one_ids == ("d_ne_edge", "actuator_lim")
+        scenario_id, tasks, _, _, state = supervisor_step((1, 0), state, config, 0.3)
         assert scenario_id == "normal"
         assert {"da_power_nor", "da_gas_nor"} <= {t.id for t in tasks}
-        events = {
-            "d_ne_edge": EventState("d_ne_edge", 2),
-            "actuator_lim": EventState("actuator_lim", 0),
-        }
-        scenario_id, tasks, _, _, state = supervisor_step(events, state, config, 0.4)
+        scenario_id, tasks, _, _, state = supervisor_step((2, 0), state, config, 0.4)
         assert scenario_id == "recovery"
 
     def test_replay_reproduces_decisions(self):
         config = two_one_config()
         rng = random.Random(7)
-        trace = [(self.events(rng.randint(0, 4), rng.randint(0, 4)), float(t)) for t in range(40)]
+        trace = [((rng.randint(0, 4), rng.randint(0, 4)), float(t)) for t in range(40)]
 
         def run():
             state = SupervisorState.initial(config)
             out = []
-            for events, t in trace:
+            for levels, t in trace:
                 scenario_id, tasks, dangers, reactions, state = supervisor_step(
-                    events, state, config, t
+                    levels, state, config, t
                 )
                 out.append((scenario_id, tuple(t.id for t in tasks), tuple(sorted(reactions.items()))))
             return out
@@ -279,8 +259,8 @@ class TestSupervisorStep:
             state = SupervisorState.initial(config)
             latched = {"one_a": 0, "one_b": 0}
             for t in range(30):
-                events = self.events(rng.randint(0, 4), rng.randint(0, 4))
-                _, _, _, reactions, state = supervisor_step(events, state, config, float(t))
+                levels = (rng.randint(0, 4), rng.randint(0, 4))
+                _, _, _, reactions, state = supervisor_step(levels, state, config, float(t))
                 for one_id, level in reactions.items():
                     if latched[one_id] in (3, 4):
                         assert level >= latched[one_id]
@@ -308,8 +288,8 @@ class TestSupervisorStep:
             state = SupervisorState.initial(config)
             terminal_seen = 0
             for t in range(40):
-                events = self.events(rng.randint(0, 4), rng.randint(0, 4))
-                scenario_id, _, _, _, state = supervisor_step(events, state, config, float(t))
+                levels = (rng.randint(0, 4), rng.randint(0, 4))
+                scenario_id, _, _, _, state = supervisor_step(levels, state, config, float(t))
                 rank = order[config.scenarios[scenario_id].type]
                 if terminal_seen >= 3:
                     assert rank >= terminal_seen
@@ -429,11 +409,7 @@ def test_exhaustive_sequences_match_interpreter_oracle_smoke():
             state = SupervisorState.initial(config)
             oracle.prev = [0, 0]
             for t, levels in enumerate(sequence):
-                events = {
-                    name: EventState(name, levels[i])
-                    for i, name in enumerate(config.one_ids)
-                }
-                scenario_id, _, _, reactions, state = supervisor_step(events, state, config, float(t))
+                scenario_id, _, _, reactions, state = supervisor_step(levels, state, config, float(t))
                 combo = tuple(reactions[name] for name in config.one_ids)
                 expected_combo, expected_scenario = oracle.step(levels)
                 assert combo == expected_combo
@@ -460,7 +436,7 @@ def test_held_levels_reuse_the_decision_until_a_window_opens():
         evaluations={"one_a": evaluation(reaction=(0, 0, 0, 0, 0))},
         os_mapping=small_mapping({}, scenarios={"normal": Scenario("normal", ScenarioType.NORMAL, (late,))}),
     )
-    quiet = {"one_a": EventState("one_a", 0)}
+    quiet = (0,)
     *first, state = supervisor_step(quiet, SupervisorState.initial(config), config, 0.0)
     *held, held_state = supervisor_step(quiet, state, config, DT)
     assert held_state is state and held[1] is first[1] == ()
@@ -468,7 +444,7 @@ def test_held_levels_reuse_the_decision_until_a_window_opens():
     assert opened_state is not held_state and opened[1] == (late,)
     *earlier, _ = supervisor_step(quiet, opened_state, config, DT)
     assert earlier[1] == ()
-    *_, moved_state = supervisor_step({"one_a": EventState("one_a", 1)}, opened_state, config, 3 * DT)
+    *_, moved_state = supervisor_step((1,), opened_state, config, 3 * DT)
     assert moved_state is not opened_state and moved_state.levels == (1,)
 
 
@@ -518,7 +494,6 @@ def test_carried_decision_equals_a_fresh_one(case):
     config, sequence = case
     carried = fresh = SupervisorState.initial(config)
     for k, levels in enumerate(sequence):
-        events = {name: EventState(name, level) for name, level in zip(config.one_ids, levels)}
-        *got, carried = supervisor_step(events, carried, config, k * DT)
-        *want, fresh = supervisor_step(events, SupervisorState(fresh.reactions, fresh.scenario_id), config, k * DT)
+        *got, carried = supervisor_step(levels, carried, config, k * DT)
+        *want, fresh = supervisor_step(levels, SupervisorState(fresh.reactions, fresh.scenario_id), config, k * DT)
         assert got == want, k
