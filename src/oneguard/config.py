@@ -571,8 +571,8 @@ def _check_danger_map(
             out.append(Diagnostic("error", path, f"duplicate entry for level {lvl}"))
         seen[lvl] = name
     missing = max_level + 1 - sum(1 for lvl in seen if 0 <= lvl <= max_level)
-    if missing:
-        shown = list(itertools.islice((lvl for lvl in itertools.count() if lvl not in seen), min(missing, 4)))
+    if missing > 0:
+        shown = list(itertools.islice((lvl for lvl in range(max_level + 1) if lvl not in seen), 4))
         text = f"{missing} missing levels (e.g. {shown})" if missing > 4 else f"missing levels {shown}"
         out.append(Diagnostic("error", path, f"non-total mapping: {text}"))
 

@@ -509,6 +509,12 @@ CHECK_HOMES = [
         "error: virtual_ones[0].rows: output level -1 must be >= 0",
     ),
     (
+        # With every output level negative, no level of the danger map can be missing.
+        "virtual_levels_negative",
+        virtual(rows=[{"levels": [0], "level": -2}, {"levels": [1], "level": -3}]),
+        "error: virtual_ones[0].rows: output level -2 must be >= 0",
+    ),
+    (
         # The gaps below a huge output level are counted, not listed.
         "virtual_danger_gaps",
         virtual(rows=[{"levels": [0], "level": 0}, {"levels": [1], "level": 10**12}]),
