@@ -542,8 +542,21 @@ def parse_file(path) -> PulseSchedule:
 # Validate (semantic pass).
 # ---------------------------------------------------------------------------
 
-_DANGER_NAMES = tuple(d.label for d in DangerLevel)
-_SCENARIO_TYPES = tuple(t.value for t in ScenarioType)
+_DANGER_NAMES = {d.label: d for d in DangerLevel}
+_SCENARIO_TYPES = {t.value: t for t in ScenarioType}
+
+
+def _items(
+    section: str, items: Sequence[Any], what: str, out: List[Diagnostic], seen: Optional[set] = None
+) -> Iterator[Tuple[str, Any]]:
+    """``(path, item)`` for each item of a section, reporting a repeated id just before its item."""
+    seen = set() if seen is None else seen
+    for i, item in enumerate(items):
+        path = f"{section}[{i}]"
+        if item.id in seen:
+            out.append(Diagnostic("error", path, f"duplicate {what} id {item.id!r}"))
+        seen.add(item.id)
+        yield path, item
 
 
 def _check_waveform(spec: Waveform, path: str, out: List[Diagnostic]) -> None:
@@ -832,12 +845,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         )
 
     # Actuator groups.
-    seen_groups = set()
-    for i, g in enumerate(ps.groups):
-        path = f"actuator_groups[{i}]"
-        if g.id in seen_groups:
-            out.append(Diagnostic("error", path, f"duplicate group id {g.id!r}"))
-        seen_groups.add(g.id)
+    for path, g in _items("actuator_groups", ps.groups, "group", out):
         if g.capacity < 0.0:
             out.append(Diagnostic("error", path, "capacity must be >= 0"))
         if g.semantics not in (ADDITIVE, EXCLUSIVE):
@@ -874,12 +882,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 
     # Events.
     seen_ones = set()
-    base_ids = {o.id for o in ps.ones}
-    for i, one in enumerate(ps.ones):
-        path = f"ones[{i}]"
-        if one.id in seen_ones:
-            out.append(Diagnostic("error", path, f"duplicate event id {one.id!r}"))
-        seen_ones.add(one.id)
+    for path, one in _items("ones", ps.ones, "event", out, seen_ones):
         if one.signal not in known_signals:
             out.append(Diagnostic("error", f"{path}.signal", f"unknown signal {one.signal!r}"))
         if one.direction not in (RISING, FALLING):
@@ -894,29 +897,24 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         elif ts:
             if any(h < 0.0 for h in hs):
                 out.append(Diagnostic("error", f"{path}.hysteresis", "bands must be >= 0"))
-            if one.direction == RISING:
-                if any(a >= b for a, b in zip(ts, ts[1:])):
-                    out.append(Diagnostic("error", f"{path}.thresholds", "must be strictly increasing"))
-                elif any(ts[j] + hs[j] >= ts[j + 1] - hs[j + 1] for j in range(len(ts) - 1)):
-                    out.append(Diagnostic("error", f"{path}.hysteresis", "bands overlap neighbouring thresholds"))
-            elif one.direction == FALLING:
-                if any(a <= b for a, b in zip(ts, ts[1:])):
-                    out.append(Diagnostic("error", f"{path}.thresholds", "must be strictly decreasing"))
-                elif any(ts[j] - hs[j] <= ts[j + 1] + hs[j + 1] for j in range(len(ts) - 1)):
+            if one.direction in (RISING, FALLING):
+                # A falling table is the rising table of the negated signal; negation is exact.
+                sign, order = (1.0, "increasing") if one.direction == RISING else (-1.0, "decreasing")
+                rs = [sign * t for t in ts]
+                if any(a >= b for a, b in zip(rs, rs[1:])):
+                    out.append(Diagnostic("error", f"{path}.thresholds", f"must be strictly {order}"))
+                elif any(rs[j] + hs[j] >= rs[j + 1] - hs[j + 1] for j in range(len(rs) - 1)):
                     out.append(Diagnostic("error", f"{path}.hysteresis", "bands overlap neighbouring thresholds"))
         _check_classification(one, path, out)
 
-    # Virtual events.
-    for i, v in enumerate(ps.virtual_ones):
-        path = f"virtual_ones[{i}]"
-        if v.id in seen_ones:
-            out.append(Diagnostic("error", path, f"duplicate event id {v.id!r}"))
-        seen_ones.add(v.id)
+    # Virtual events; an input names the first base event of its id.
+    base_levels = {o.id: o.max_level for o in reversed(ps.ones)}
+    for path, v in _items("virtual_ones", ps.virtual_ones, "event", out, seen_ones):
         if not v.inputs:
             out.append(Diagnostic("error", f"{path}.inputs", "needs at least one input"))
         ranges: List[range] = []
         for j, input_id in enumerate(v.inputs):
-            if input_id not in base_ids:
+            if input_id not in base_levels:
                 out.append(
                     Diagnostic(
                         "error",
@@ -926,8 +924,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
                 )
                 ranges.append(range(1))
             else:
-                base = next(o for o in ps.ones if o.id == input_id)
-                ranges.append(range(base.max_level + 1))
+                ranges.append(range(base_levels[input_id] + 1))
         table = {}
         for levels, lvl in v.rows:
             if levels in table:
@@ -944,22 +941,12 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         _check_classification(v, path, out)
 
     # Scenarios and tasks.
-    seen_scenarios = set()
     bindings: Dict[str, Tuple[str, ControlTask]] = {}  # task id -> its first path and task
-    for i, sc in enumerate(ps.scenarios):
-        path = f"scenarios[{i}]"
-        if sc.id in seen_scenarios:
-            out.append(Diagnostic("error", path, f"duplicate scenario id {sc.id!r}"))
-        seen_scenarios.add(sc.id)
+    for path, sc in _items("scenarios", ps.scenarios, "scenario", out):
         if sc.type not in _SCENARIO_TYPES:
             out.append(Diagnostic("error", f"{path}.type", f"unknown scenario type {sc.type!r}"))
         seen_prio: Dict[int, str] = {}
-        seen_tasks = set()
-        for j, task in enumerate(sc.tasks):
-            tpath = f"{path}.tasks[{j}]"
-            if task.id in seen_tasks:
-                out.append(Diagnostic("error", tpath, f"duplicate task id {task.id!r}"))
-            seen_tasks.add(task.id)
+        for tpath, task in _items(f"{path}.tasks", sc.tasks, "task", out):
             first_path, first = bindings.setdefault(task.id, (tpath, task))
             differs = [k for k in ("controller", "group", "reference") if getattr(task, k) != getattr(first, k)]
             if differs:
@@ -1121,11 +1108,10 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
     )
     evaluations = {}
     for spec in list(ps.ones) + list(ps.virtual_ones):
-        danger = dict(spec.danger)
-        reaction = {DangerLevel.from_name(name): lvl for name, lvl in spec.reaction}
+        danger, reaction = dict(spec.danger), dict(spec.reaction)
         evaluations[spec.id] = OneEvaluation(
-            danger=tuple(DangerLevel.from_name(danger[lvl]) for lvl in range(spec.max_level + 1)),
-            reaction=tuple(reaction[d] for d in DangerLevel),
+            danger=tuple(_DANGER_NAMES[danger[lvl]] for lvl in range(spec.max_level + 1)),
+            reaction=tuple(reaction[name] for name in _DANGER_NAMES),
             irreversible=frozenset(spec.irreversible),
         )
     pf = ps.run.plant_failure_one
@@ -1135,7 +1121,7 @@ def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
     scenarios = {
         sc.id: Scenario(
             id=sc.id,
-            type=ScenarioType.from_name(sc.type),
+            type=_SCENARIO_TYPES[sc.type],
             tasks=tuple(sorted(sc.tasks, key=lambda t: t.priority)),
         )
         for sc in ps.scenarios

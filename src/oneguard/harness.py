@@ -175,8 +175,12 @@ def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState)
     return row
 
 
-def read_trace(path) -> Tuple[List[str], List[List[str]]]:
-    """Load a trace file as (header, rows), each row a list of strings."""
+def read_trace(path, columns: Sequence[str]) -> Tuple[List[str], List[List[str]]]:
+    """Load a trace file as (header, rows).
+
+    Each row keeps only the cells of those ``columns`` the header has, in
+    the order given; a name the header repeats reads its last column.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -184,11 +188,13 @@ def read_trace(path) -> Tuple[List[str], List[List[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise TraceError(f"{path}: empty trace file") from None
+            index = {name: i for i, name in enumerate(header)}
+            keep = [index[name] for name in columns if name in index]
             rows = []
             for line in reader:
                 if len(line) != len(header):
                     raise TraceError(f"{path}: row width {len(line)} != header width {len(header)}")
-                rows.append(line)
+                rows.append([line[i] for i in keep])
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: trace is not UTF-8 text: {exc}") from None
     return header, rows
@@ -325,32 +331,30 @@ def replay_events(
 
 def replay_file(schedule: CompiledSchedule, trace_path) -> List[List[str]]:
     """Replay the event columns of a trace file (full or events-only), found by name."""
-    header, rows = read_trace(trace_path)
-    index = {name: i for i, name in enumerate(header)}
-    if "time" not in index:
+    evt_columns = [f"evt_{one_id}" for one_id in schedule.one_ids]
+    header, rows = read_trace(trace_path, ["time", *evt_columns])
+    if "time" not in header:
         raise TraceError(f"{trace_path}: missing 'time' column")
-    missing = [one_id for one_id in schedule.one_ids if f"evt_{one_id}" not in index]
+    missing = [one_id for one_id, name in zip(schedule.one_ids, evt_columns) if name not in header]
     if missing:
         raise TraceError(
             f"{trace_path}: missing event columns for {missing}; "
             f"trace does not match the schedule's event list"
         )
     evaluations = schedule.supervisor.evaluations
-    columns = [(one_id, index[f"evt_{one_id}"], len(evaluations[one_id].danger) - 1) for one_id in schedule.one_ids]
-    time_col = index["time"]
+    tops = [(one_id, len(evaluations[one_id].danger) - 1) for one_id in schedule.one_ids]
     times: List[float] = []
     levels: List[Tuple[int, ...]] = []
-    for row in rows:
+    for time_cell, *cells in rows:
         try:
-            t = float(row[time_col])
+            t = float(time_cell)
         except ValueError:
             t = math.nan
         if not math.isfinite(t):
-            raise TraceError(f"{trace_path}: bad time {row[time_col]!r}")
+            raise TraceError(f"{trace_path}: bad time {time_cell!r}")
         times.append(t)
         lvl = []
-        for one_id, column, top in columns:
-            raw = row[column]
+        for (one_id, top), raw in zip(tops, cells):
             try:
                 value = int(raw)
             except ValueError:

@@ -25,13 +25,6 @@ class DangerLevel(IntEnum):
     HIGH = 3
     VERY_HIGH = 4
 
-    @classmethod
-    def from_name(cls, name: str) -> "DangerLevel":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown danger level {name!r}") from None
-
     @property
     def label(self) -> str:
         return self.name.lower()
@@ -51,13 +44,6 @@ class ScenarioType(Enum):
     BACKUP = "backup"
     SOFT_SHUTDOWN = "soft_shutdown"
     DISRUPTION_MITIGATION = "disruption_mitigation"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ScenarioType":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown scenario type {name!r}") from None
 
 
 #: Reaction level k escalates to a scenario of this type when the

@@ -38,33 +38,32 @@ class ThresholdTable:
     rising table escalates at ``value >= t_i``, a falling one at
     ``value <= t_i``. ``hysteresis`` holds one non-negative band per
     threshold (all zero when left empty), and the bands must not make
-    neighbouring thresholds overlap. ``rising`` holds the thresholds in
-    rising order, negated for a falling table, for the bucket search.
+    neighbouring thresholds overlap. A falling table is the rising table
+    of the negated signal: ``sign`` is -1.0 for it (1.0 for a rising one),
+    and ``rising`` holds the thresholds times ``sign``, in rising order.
     """
 
     signal: str
     thresholds: Tuple[float, ...]
     direction: str = RISING
     hysteresis: Tuple[float, ...] = ()
+    sign: float = field(init=False, repr=False, compare=False)
     rising: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hysteresis:
             object.__setattr__(self, "hysteresis", tuple(0.0 for _ in self.thresholds))
         sign = 1.0 if self.direction == RISING else -1.0
+        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "rising", tuple(sign * t for t in self.thresholds))
 
     def bucket(self, value: float) -> int:
         """Stateless bucket index of ``value`` (no hysteresis)."""
-        return bisect_right(self.rising, value if self.direction == RISING else -value)
+        return bisect_right(self.rising, self.sign * value)
 
     def holds_level(self, value: float, level: int) -> bool:
         """Whether ``value`` is still within the hysteresis band of ``level``."""
-        t = self.thresholds[level - 1]
-        h = self.hysteresis[level - 1]
-        if self.direction == RISING:
-            return value >= t - h
-        return value <= t + h
+        return self.sign * value >= self.rising[level - 1] - self.hysteresis[level - 1]
 
     def next_level(self, value: float, previous_level: int) -> int:
         """Event level after sample ``value``, given the previous level.

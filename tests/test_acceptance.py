@@ -530,7 +530,8 @@ TASK_POOL = {
 @st.composite
 def generated_schedules(draw):
     """A schedule with random total danger and reaction maps, irreversible
-    sets, scenario types, task lists and os_mapping rows."""
+    sets, scenario types, task lists and os_mapping rows, and 0 or 1
+    virtual event over 1-2 base events with a total combiner."""
     ones = []
     for i in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, 3))
@@ -545,6 +546,21 @@ def generated_schedules(draw):
             "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_NAMES},
             "irreversible": draw(st.lists(st.integers(0, 4), unique=True, max_size=5)),
         })
+    virtuals = []
+    for _ in range(draw(st.integers(0, 1))):
+        inputs = draw(st.lists(st.sampled_from(ones), min_size=1, max_size=2, unique_by=lambda o: o["id"]))
+        combos = itertools.product(*[range(len(o["thresholds"]) + 1) for o in inputs])
+        rows = [{"levels": list(c), "level": draw(st.integers(0, 2))} for c in combos]
+        top = max(r["level"] for r in rows)
+        virtuals.append({
+            "id": "combo",
+            "inputs": [o["id"] for o in inputs],
+            "rows": rows,
+            "danger": {lvl: draw(st.sampled_from(DANGER_NAMES)) for lvl in range(top + 1)},
+            "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_NAMES},
+            "irreversible": draw(st.lists(st.integers(0, 4), unique=True, max_size=5)),
+        })
+    event_ids = [o["id"] for o in ones + virtuals]
     # Each other type has zero to two scenarios; without one, a reachable
     # reaction of its level is a validate error.
     types = {"normal": "normal"}
@@ -560,12 +576,13 @@ def generated_schedules(draw):
                 task["reference"] = draw(st.integers(0, 13)) / 10
             tasks.append(task)
         scenarios.append({"id": sid, "type": scenario_type, "tasks": tasks})
-    row = st.tuples(st.tuples(*[st.integers(0, 4)] * len(ones)), st.sampled_from(sorted(types)))
+    row = st.tuples(st.tuples(*[st.integers(0, 4)] * len(event_ids)), st.sampled_from(sorted(types)))
     rows = draw(st.lists(row, max_size=6, unique_by=lambda r: r[0]))
     doc = yaml.safe_load(MINIMAL_PLANT)
-    doc["run"]["plant_failure_one"] = draw(st.sampled_from([None] + [o["id"] for o in ones]))
+    doc["run"]["plant_failure_one"] = draw(st.sampled_from([None] + event_ids))
     doc.update(
         ones=ones,
+        virtual_ones=virtuals,
         os_mapping={"default": "normal", "rows": [{"reactions": list(r), "scenario": s} for r, s in rows]},
         scenarios=scenarios,
     )
@@ -613,7 +630,7 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
     cs = cfg.compile_schedule(ps)
     # A reaction at or above the set's lowest level is never left downward,
     # gaps in the set ([1, 3, 4]) included.
-    latch_from = {one.id: min(one.irreversible, default=5) for one in ps.ones}
+    latch_from = {spec.id: min(spec.irreversible, default=5) for spec in ps.ones + ps.virtual_ones}
     floor = dict.fromkeys(latch_from, 0)
     rng = random.Random(seed)
     loop = ControlLoop(cs)

@@ -603,6 +603,36 @@ def test_validate_is_the_home_of_each_schedule_rule(mutate, expected):
         cfg.compile_schedule(parse_doc(doc))
 
 
+def many_faults(doc):
+    doc["actuator_groups"].append({"id": "nbi", "capacity": -1.0, "semantics": "bogus"})
+    doc["ones"].append(dict(doc["ones"][0], thresholds=[0.4, 0.5]))
+    rows = [{"levels": [0], "level": 0}, {"levels": [1], "level": 1}]
+    danger, reaction = {0: "no", 1: "low"}, doc["ones"][0]["reaction"]
+    doc["virtual_ones"] = [{"id": "watch", "inputs": ["watch"], "rows": rows, "danger": danger, "reaction": reaction}]
+    doc["scenarios"][0]["tasks"].append(dict(doc["scenarios"][0]["tasks"][0], priority=0))
+    doc["scenarios"].append(dict(doc["scenarios"][1]))
+
+
+def test_diagnostics_come_section_by_section_in_document_order():
+    # The virtual input names the first 'watch' (one threshold), so its two rows are total.
+    assert diagnose(many_faults) == [
+        "error: actuator_groups[2]: duplicate group id 'nbi'",
+        "error: actuator_groups[2]: capacity must be >= 0",
+        "error: actuator_groups[2]: unknown semantics 'bogus'",
+        "error: actuator_groups[2]: command_range inverted",
+        "error: ones[1]: duplicate event id 'watch'",
+        "error: ones[1].thresholds: must be strictly decreasing",
+        "error: ones[1].danger: non-total mapping: missing levels [2]",
+        "error: virtual_ones[0]: duplicate event id 'watch'",
+        "error: scenarios[0].tasks[1]: duplicate task id 'heat'",
+        "error: scenarios[0].tasks[1]: priority must be >= 1",
+        "error: scenarios[3]: duplicate scenario id 'recovery'",
+        "error: os_mapping.rows[0]: row arity 1 does not match 3 events",
+        "error: os_mapping.rows[1]: row arity 1 does not match 3 events",
+        "error: os_mapping.rows[2]: row arity 1 does not match 3 events",
+    ]
+
+
 def shape_errors(mutate):
     """The lines of the shape error ``minimal_doc()`` raises after ``mutate``, in order; [] if it parses."""
     doc = minimal_doc()

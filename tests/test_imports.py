@@ -90,3 +90,43 @@ def test_detector_sees_an_unreferenced_definition():
 def test_every_top_level_definition_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced(sources) == []
+
+
+def unread_methods(package, readers):
+    """(module, line, "Class.method") of each method of ``package`` that no module of ``readers`` reads as an attribute.
+
+    A method is a function defined in a class body; dunders are left out,
+    as the language calls them by protocol. An attribute that is only
+    assigned or deleted is not read.
+    """
+    read = {
+        node.attr
+        for source in readers.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, fn.lineno, f"{cls.name}.{fn.name}")
+        for module, source in package.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    )
+
+
+def test_detector_sees_an_unread_method():
+    package = {
+        "a.py": "class C:\n    def used(self): pass\n    def unused(self): pass\n"
+        "    def __len__(self): return 0\n    @property\n    def p(self): return 1\n",
+    }
+    readers = dict(package, **{"t.py": "C().used()\nc.p\nc.unused = 1\n"})
+    assert unread_methods(package, readers) == [("a.py", 3, "C.unused")]
+
+
+def test_every_method_is_read():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in Path(__file__).parent.glob("*.py")}
+    assert unread_methods(package, dict(package, **tests)) == []

@@ -1,5 +1,6 @@
 import math
 
+from oneguard import config as cfg
 from oneguard.model import (
     Activation,
     DangerLevel,
@@ -9,7 +10,11 @@ from oneguard.model import (
 )
 from oneguard.monitor import MonitorConfig, ThresholdTable, monitor_step
 
-from test_config import diagnose, second_task, set_at
+from test_config import diagnose, minimal_doc, parse_doc, second_task, set_at
+
+
+def compile_doc(doc):
+    return cfg.compile_schedule(parse_doc(doc))
 
 
 class TestEnums:
@@ -24,12 +29,22 @@ class TestEnums:
                 assert (a < b) == (int(a) < int(b))
 
     def test_danger_names_round_trip(self):
-        for d in DangerLevel:
-            assert DangerLevel.from_name(d.label) is d
+        # A danger map naming every level compiles to the levels in order;
+        # the reaction map is read by name, whatever order it is written in.
+        doc = minimal_doc()
+        one = doc["ones"][0]
+        one.update(thresholds=[0.5, 0.4, 0.3, 0.2], danger={d.value: d.label for d in DangerLevel})
+        one["reaction"] = dict(reversed(one["reaction"].items()))
+        evaluation = compile_doc(doc).supervisor.evaluations["watch"]
+        assert evaluation.danger == tuple(DangerLevel)
+        assert evaluation.reaction == (0, 0, 1, 3, 3)
 
     def test_five_scenario_types(self):
         assert len(ScenarioType) == 5
-        assert ScenarioType.from_name("soft_shutdown") is ScenarioType.SOFT_SHUTDOWN
+        for kind in ScenarioType:
+            doc = minimal_doc()
+            doc["scenarios"][1]["type"] = kind.value
+            assert compile_doc(doc).supervisor.os_mapping.scenarios["recovery"].type is kind
 
     def test_reaction_levels_map_onto_scenario_types(self):
         assert SCENARIO_TYPE_FOR_REACTION[0] is ScenarioType.NORMAL
