@@ -19,28 +19,28 @@ for one group, so neither function re-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .model import NO_GRANTS, Allocation, ResourceRequest
+from .model import NO_GRANTS, Allocation, Record, ResourceRequest
 
 ADDITIVE = "additive"
 EXCLUSIVE = "exclusive"
 
 
-@dataclass(frozen=True)
-class ActuatorGroup:
+class ActuatorGroup(Record):
     """One shared actuator resource pool.
 
     Every allocation round may grant up to ``capacity``. ``command_range``
     clamps the merged command of an exclusive group.
     """
 
-    id: str
-    capacity: float
-    command_range: Tuple[float, float]
-    semantics: str = ADDITIVE
-    unit: str = ""
+    __slots__ = ("id", "capacity", "command_range", "semantics", "unit")
+
+    def __init__(
+        self, id: str, capacity: float, command_range: Tuple[float, float], semantics: str = ADDITIVE, unit: str = ""
+    ) -> None:
+        self.id, self.capacity, self.command_range = id, capacity, command_range
+        self.semantics, self.unit = semantics, unit
 
 
 class ActuatorCommand(NamedTuple):

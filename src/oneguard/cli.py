@@ -1,15 +1,16 @@
 """Command-line entry points: run, replay, validate.
 
 Exit codes: 0 clean completion, 2 the surrogate plasma disrupted, 3 the
-discharge ended inside a shutdown-type scenario, 64 schedule invalid or
-trace unusable, 1 an output file could not be written.
+discharge ended inside a shutdown-type scenario, 64 schedule invalid,
+trace unusable or command line wrong, 1 an output file could not be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 import yaml
 
@@ -138,8 +139,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return harness.EXIT_CLEAN
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 64: exit 2 means a disruption."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(harness.EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oneguard",
         description="Supervisory off-normal-event handling against a surrogate plasma.",
     )

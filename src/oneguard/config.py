@@ -21,8 +21,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import yaml
 
@@ -37,6 +36,7 @@ from .model import (
     EventTrigger,
     REACTION_MAX,
     REACTION_MIN,
+    Record,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
 )
@@ -59,8 +59,7 @@ PLANT_SIGNALS = (
 _QUANTITY_RE = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([^\s]*)\s*")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding, anchored to a document path."""
 
     severity: str  # "error" or "warning"
@@ -203,16 +202,14 @@ def _danger_name(value: Any) -> str:
 # Typed document model.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     dt: float
     duration: float
     post_roll: float = 0.0
     plant_failure_one: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OneSpec:
+class OneSpec(NamedTuple):
     id: str
     signal: str
     direction: str
@@ -228,8 +225,7 @@ class OneSpec:
         return len(self.thresholds)
 
 
-@dataclass(frozen=True)
-class VirtualOneSpec:
+class VirtualOneSpec(NamedTuple):
     id: str
     inputs: Tuple[str, ...]
     rows: Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -242,15 +238,13 @@ class VirtualOneSpec:
         return max((lvl for _, lvl in self.rows), default=0)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     id: str
     type: str
     tasks: Tuple[ControlTask, ...]
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+class PulseSchedule(NamedTuple):
     """Typed mirror of one schedule document.
 
     Waveforms, tasks, actuator groups and the plant parameters are already
@@ -378,13 +372,13 @@ def _settings(sh: _Shape, value: Any, path: str) -> Dict[str, Any]:
 def _one(hysteresis: Optional[Tuple[float, ...]], **fields: Any) -> OneSpec:
     one = OneSpec(hysteresis=hysteresis, **fields)
     # No hysteresis: a zero band per threshold.
-    return one if hysteresis is not None else replace(one, hysteresis=(0.0,) * len(one.thresholds))
+    return one if hysteresis is not None else one._replace(hysteresis=(0.0,) * len(one.thresholds))
 
 
 def _group(command_range: Optional[Tuple[float, float]], **fields: Any) -> ActuatorGroup:
     group = ActuatorGroup(command_range=command_range, **fields)
     # No command range: from zero to the capacity.
-    return group if command_range is not None else replace(group, command_range=(0.0, group.capacity))
+    return group if command_range is not None else group._replace(command_range=(0.0, group.capacity))
 
 
 _PAIRS = _list(_pair(_number(), _number(), "expected a [x, y] pair"))
@@ -835,10 +829,13 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
     # Run section.
     if ps.run.dt <= 0.0:
         out.append(Diagnostic("error", "run.dt", "control period must be positive"))
-    if ps.run.duration < 0.0:
-        out.append(Diagnostic("error", "run.duration", "duration must be >= 0"))
-    if ps.run.post_roll < 0.0:
-        out.append(Diagnostic("error", "run.post_roll", "post_roll must be >= 0"))
+    for key in ("duration", "post_roll"):
+        value = getattr(ps.run, key)
+        if value < 0.0:
+            out.append(Diagnostic("error", f"run.{key}", f"{key} must be >= 0"))
+        elif ps.run.dt > 0.0 and not math.isfinite(value / ps.run.dt):
+            # The run counts its ticks as int(round(value / dt)).
+            out.append(Diagnostic("error", f"run.{key}", f"tick count {key} / dt must be finite"))
     if ps.run.plant_failure_one is not None and ps.run.plant_failure_one not in ps.one_ids:
         out.append(
             Diagnostic("error", "run.plant_failure_one", f"unknown event {ps.run.plant_failure_one!r}")
@@ -1048,21 +1045,24 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 # Compile (typed runtime objects).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompiledSchedule:
-    """Runtime-ready view of a validated schedule."""
+class CompiledSchedule(Record):
+    """Runtime-ready view of a validated schedule.
 
-    run: RunSpec
-    monitor: MonitorConfig
-    supervisor: SupervisorConfig
-    groups: Mapping[str, ActuatorGroup]
-    #: Controller id -> (type, settings with every default filled in).
-    controllers: Mapping[str, Tuple[str, Mapping[str, Any]]]
-    plant: PlantParams
-    scripted: Mapping[str, Waveform]
-    #: Event id -> monitored signal name, in trace column order (None for
-    #: a virtual event); the trace row follows it.
-    event_signals: Mapping[str, Optional[str]]
+    ``controllers`` maps each controller id to its (type, settings with
+    every default filled in). ``event_signals`` maps each event id to its
+    monitored signal name, in trace column order (None for a virtual
+    event); the trace row follows it.
+    """
+
+    __slots__ = ("run", "monitor", "supervisor", "groups", "controllers", "plant", "scripted", "event_signals")
+
+    def __init__(
+        self, run: RunSpec, monitor: MonitorConfig, supervisor: SupervisorConfig, groups: Mapping[str, ActuatorGroup],
+        controllers: Mapping[str, Tuple[str, Mapping[str, Any]]], plant: PlantParams, scripted: Mapping[str, Waveform],
+        event_signals: Mapping[str, Optional[str]],
+    ) -> None:
+        self.run, self.monitor, self.supervisor, self.groups = run, monitor, supervisor, groups
+        self.controllers, self.plant, self.scripted, self.event_signals = controllers, plant, scripted, event_signals
 
     @property
     def one_ids(self) -> Tuple[str, ...]:

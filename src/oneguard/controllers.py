@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .model import ControlTask, ResourceRequest
+from .model import ControlTask, Record, ResourceRequest
 from .allocator import ActuatorCommand, ActuatorGroup
 
 HOLD = "hold"
 LINEAR = "linear"
 
 
-@dataclass(frozen=True)
-class Waveform:
+class Waveform(Record):
     """Piecewise reference trajectory over time.
 
     Evaluation holds the first value before the first breakpoint and the
@@ -36,11 +34,12 @@ class Waveform:
     least one breakpoint, with strictly increasing times.
     """
 
-    points: Tuple[Tuple[float, float], ...]
-    interpolation: str = LINEAR
+    _fields = ("points", "interpolation")
+    __slots__ = _fields + ("_times",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.points))
+    def __init__(self, points: Tuple[Tuple[float, float], ...], interpolation: str = LINEAR) -> None:
+        self.points, self.interpolation = points, interpolation
+        self._times = tuple(t for t, _ in points)
 
     def __call__(self, time: float) -> float:
         idx = bisect_right(self._times, time) - 1
@@ -189,14 +188,18 @@ class Setting(NamedTuple):
     keyword: Optional[str] = None
 
 
-@dataclass
-class StepContext:
+class StepContext(Record):
     """What every controller may look at during one tick."""
 
-    time: float
-    dt: float
-    signals: Mapping[str, float]
-    prev_commands: Mapping[str, float]
+    __slots__ = ("time", "dt", "signals", "prev_commands")
+
+    def __init__(
+        self, time: float, dt: float, signals: Mapping[str, float], prev_commands: Mapping[str, float]
+    ) -> None:
+        self.time = time
+        self.dt = dt
+        self.signals = signals
+        self.prev_commands = prev_commands
 
 
 class TaskRuntime:

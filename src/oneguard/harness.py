@@ -14,14 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .allocator import ActuatorCommand, allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
-from .model import NO_GRANTS, ControlTask, DangerLevel, EventState, ResourceRequest, ScenarioType
+from .model import NO_GRANTS, ControlTask, DangerLevel, EventState, Record, ResourceRequest, ScenarioType
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
 from .supervisor import SupervisorState, supervisor_step
@@ -34,22 +33,33 @@ EXIT_CONFIG = 64
 _SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATION)
 
 
-@dataclass(slots=True)
-class TickRecord:
+class TickRecord(Record):
     """Everything one tick decided, for the trace."""
 
-    time: float
-    signals: Mapping[str, float]
-    events: Mapping[str, EventState]
-    dangers: Mapping[str, DangerLevel]
-    reactions: Mapping[str, int]
-    scenario_id: str
-    task_ids: Tuple[str, ...]
-    group_grants: Mapping[str, float]
-    commands: Mapping[str, float]
-    task_commands: List[Tuple[str, ActuatorCommand]]
-    faults: List[Tuple[str, str]]
-    violations: List[Tuple[str, str, str]]
+    __slots__ = (
+        "time", "signals", "events", "dangers", "reactions", "scenario_id", "task_ids", "group_grants", "commands",
+        "task_commands", "faults", "violations",
+    )
+
+    def __init__(
+        self, time: float, signals: Mapping[str, float], events: Mapping[str, EventState],
+        dangers: Mapping[str, DangerLevel], reactions: Mapping[str, int], scenario_id: str, task_ids: Tuple[str, ...],
+        group_grants: Mapping[str, float], commands: Mapping[str, float],
+        task_commands: List[Tuple[str, ActuatorCommand]], faults: List[Tuple[str, str]],
+        violations: List[Tuple[str, str, str]],
+    ) -> None:
+        self.time = time
+        self.signals = signals
+        self.events = events
+        self.dangers = dangers
+        self.reactions = reactions
+        self.scenario_id = scenario_id
+        self.task_ids = task_ids
+        self.group_grants = group_grants
+        self.commands = commands
+        self.task_commands = task_commands
+        self.faults = faults
+        self.violations = violations
 
 
 class ControlLoop:
@@ -204,8 +214,7 @@ def read_trace(path, columns: Sequence[str]) -> Tuple[List[str], List[List[str]]
 # Full closed-loop run.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     exit_code: int
     trace_text: str
     rows: int

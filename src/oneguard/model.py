@@ -1,16 +1,16 @@
 """Shared domain vocabulary for the supervisory control chain.
 
-Plain immutable values passed between the event monitor, the supervisor,
-the actuator manager and the controllers. Everything here is safe to copy
+Plain values passed between the event monitor, the supervisor, the
+actuator manager and the controllers. Everything here is safe to copy
 across execution contexts; nothing mutates after construction. The values
 built on every tick (``EventState``, ``ResourceRequest``, ``Allocation``)
-are named tuples: just as immutable, and cheaper to build than frozen
-dataclasses.
+are named tuples. The records read on every tick are ``Record`` classes:
+slots and a written-out ``__init__``, so that defining them costs no code
+generation at import and reading a field costs no tuple indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional
@@ -68,13 +68,51 @@ class EventState(NamedTuple):
     level: int
 
 
-@dataclass(frozen=True)
-class EventTrigger:
+class Record:
+    """Base of the records a schedule compiles into and the tick reads.
+
+    A subclass names its fields in ``__slots__`` and assigns them in its
+    own ``__init__``. A class that also keeps values derived in ``__init__``
+    names its declared fields in ``_fields``, and only those take part in
+    equality, hash, repr and ``_replace``, as in a dataclass: two records
+    are equal when they are of the same class and their field tuples are.
+    Records are immutable by convention only: enforcing it would take the
+    ``__setattr__`` override that makes frozen dataclasses slow to build.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes: Any) -> Any:
+        """A copy with ``changes`` to some fields, built through ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class EventTrigger(Record):
     """Event condition gating a task: level of ``one_id`` within bounds."""
 
-    one_id: str
-    min_level: int = 0
-    max_level: Optional[int] = None
+    __slots__ = ("one_id", "min_level", "max_level")
+
+    def __init__(self, one_id: str, min_level: int = 0, max_level: Optional[int] = None) -> None:
+        self.one_id, self.min_level, self.max_level = one_id, min_level, max_level
 
     def holds(self, level: int) -> bool:
         if level < self.min_level:
@@ -82,17 +120,19 @@ class EventTrigger:
         return self.max_level is None or level <= self.max_level
 
 
-@dataclass(frozen=True)
-class Activation:
+class Activation(Record):
     """When a control task is live: a time window and/or an event trigger.
 
     Bounds default to the whole run; ``t_end`` is exclusive so adjacent
     windows do not overlap.
     """
 
-    t_start: float = 0.0
-    t_end: Optional[float] = None
-    trigger: Optional[EventTrigger] = None
+    __slots__ = ("t_start", "t_end", "trigger")
+
+    def __init__(
+        self, t_start: float = 0.0, t_end: Optional[float] = None, trigger: Optional[EventTrigger] = None
+    ) -> None:
+        self.t_start, self.t_end, self.trigger = t_start, t_end, trigger
 
     def holds(self, time: float, events: Mapping[str, int]) -> bool:
         if time < self.t_start:
@@ -104,21 +144,23 @@ class Activation:
         return True
 
 
-@dataclass(frozen=True)
-class ControlTask:
+class ControlTask(Record):
     """One control objective inside a scenario's prioritized task list.
 
     ``priority`` 1 is the most important; priorities are unique within a
     scenario. ``reference`` is the scenario-specific setpoint waveform
     handed to the bound controller (None for controllers that need none).
+    A task without an activation shares one always-live ``Activation()``.
     """
 
-    id: str
-    priority: int
-    controller: str
-    group: str
-    reference: Any = None
-    activation: Activation = field(default_factory=Activation)
+    __slots__ = ("id", "priority", "controller", "group", "reference", "activation")
+
+    def __init__(
+        self, id: str, priority: int, controller: str, group: str, reference: Any = None,
+        activation: Activation = Activation(),
+    ) -> None:
+        self.id, self.priority, self.controller, self.group = id, priority, controller, group
+        self.reference, self.activation = reference, activation
 
 
 class ResourceRequest(NamedTuple):

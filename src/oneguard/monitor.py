@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .model import EventState
+from .model import EventState, Record
 
 RISING = "rising"
 FALLING = "falling"
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(Record):
     """Discretization table for one monitored signal.
 
     ``thresholds`` are strictly increasing for ``direction == "rising"``
@@ -43,19 +41,16 @@ class ThresholdTable:
     and ``rising`` holds the thresholds times ``sign``, in rising order.
     """
 
-    signal: str
-    thresholds: Tuple[float, ...]
-    direction: str = RISING
-    hysteresis: Tuple[float, ...] = ()
-    sign: float = field(init=False, repr=False, compare=False)
-    rising: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("signal", "thresholds", "direction", "hysteresis")
+    __slots__ = _fields + ("sign", "rising")
 
-    def __post_init__(self) -> None:
-        if not self.hysteresis:
-            object.__setattr__(self, "hysteresis", tuple(0.0 for _ in self.thresholds))
-        sign = 1.0 if self.direction == RISING else -1.0
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "rising", tuple(sign * t for t in self.thresholds))
+    def __init__(
+        self, signal: str, thresholds: Tuple[float, ...], direction: str = RISING, hysteresis: Tuple[float, ...] = ()
+    ) -> None:
+        self.signal, self.thresholds, self.direction = signal, thresholds, direction
+        self.hysteresis = hysteresis or tuple(0.0 for _ in thresholds)
+        self.sign = 1.0 if direction == RISING else -1.0
+        self.rising = tuple(self.sign * t for t in thresholds)
 
     def bucket(self, value: float) -> int:
         """Stateless bucket index of ``value`` (no hysteresis)."""
@@ -81,17 +76,17 @@ class ThresholdTable:
         return level
 
 
-@dataclass(frozen=True)
-class VirtualOneRule:
+class VirtualOneRule(Record):
     """Combine the levels of several base events into one virtual event.
 
     ``table`` maps tuples of input levels to the output level and must be
     total over the declared input ranges (validated from the schedule).
     """
 
-    id: str
-    inputs: Tuple[str, ...]
-    table: Mapping[Tuple[int, ...], int]
+    __slots__ = ("id", "inputs", "table")
+
+    def __init__(self, id: str, inputs: Tuple[str, ...], table: Mapping[Tuple[int, ...], int]) -> None:
+        self.id, self.inputs, self.table = id, inputs, table
 
 
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
@@ -100,8 +95,7 @@ def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> E
     return EventState(rule.id, rule.table[tuple(e.level for e in inputs)])
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Record):
     """Monitor wiring for one schedule.
 
     ``tables`` is keyed by base event id, in configuration order; each
@@ -111,9 +105,13 @@ class MonitorConfig:
     is forced to on any fault: its maximum level.
     """
 
-    tables: Mapping[str, ThresholdTable]
-    virtual_rules: Tuple[VirtualOneRule, ...] = ()
-    plant_failure: Optional[EventState] = None
+    __slots__ = ("tables", "virtual_rules", "plant_failure")
+
+    def __init__(
+        self, tables: Mapping[str, ThresholdTable], virtual_rules: Tuple[VirtualOneRule, ...] = (),
+        plant_failure: Optional[EventState] = None,
+    ) -> None:
+        self.tables, self.virtual_rules, self.plant_failure = tables, virtual_rules, plant_failure
 
 
 def monitor_step(

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence, Tuple
 
 from .errors import SimFault
+from .model import Record
 
 # End segments of the limit curve are continued this far in density so the
 # signed distance stays continuous for any state the surrogate can reach.
@@ -45,8 +44,7 @@ def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
     return slope * (x - xs[j]) + ys[j]
 
 
-@dataclass(frozen=True)
-class DisruptionBoundary:
+class DisruptionBoundary(Record):
     """Piecewise-linear empirical limit in the (density, confinement) plane.
 
     Vertices are at least two (ne_edge_norm, h98y2) pairs with strictly
@@ -58,15 +56,20 @@ class DisruptionBoundary:
     checks that each has a positive, finite squared length.
     """
 
-    vertices: Tuple[Tuple[float, float], ...]
+    _fields = ("vertices",)
+    __slots__ = _fields + ("_xs", "_ys", "_segments")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_xs", tuple(float(x) for x, _ in self.vertices))
-        object.__setattr__(self, "_ys", tuple(float(y) for _, y in self.vertices))
+    def __init__(self, vertices: Tuple[Tuple[float, float], ...]) -> None:
+        self.vertices = vertices
+        self._xs = tuple(float(x) for x, _ in vertices)
+        self._ys = tuple(float(y) for _, y in vertices)
+        self._segments = None
 
-    @cached_property
+    @property
     def segments(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
-        """Extended segments as (ax, ay, abx, aby, ab.ab)."""
+        """Extended segments as (ax, ay, abx, aby, ab.ab), built on first use."""
+        if self._segments is not None:
+            return self._segments
         xs, ys = self._xs, self._ys
 
         def extended(i: int, j: int) -> Tuple[float, float]:
@@ -82,7 +85,8 @@ class DisruptionBoundary:
         for (ax, ay), (bx, by) in zip(points, points[1:]):
             abx, aby = bx - ax, by - ay
             segments.append((ax, ay, abx, aby, abx * abx + aby * aby))
-        return tuple(segments)
+        self._segments = tuple(segments)
+        return self._segments
 
     def h_limit(self, ne: float) -> float:
         """Curve height at ``ne`` (end segments extrapolated)."""
@@ -112,8 +116,7 @@ class DisruptionBoundary:
         return dist if h98 >= self.h_limit(ne) else -dist
 
 
-@dataclass(frozen=True)
-class PlantParams:
+class PlantParams(Record):
     """Tuning of the surrogate dynamics; all values schedule-supplied.
 
     The time constants and ``nbi_energy_limit`` are positive, and the
@@ -122,23 +125,22 @@ class PlantParams:
     commands drive the beam and the gas valve.
     """
 
-    tau_e: float
-    tau_98: float
-    tau_n: float
-    k_gas: float
-    p_ohmic: float
-    nbi_energy_limit: float
-    w_init: float
-    ne_init: float
-    gas_init: float
-    nbi_group: str
-    gas_group: str
-    degradation: Tuple[Tuple[float, float], ...]
-    boundary: DisruptionBoundary
+    _fields = (
+        "tau_e", "tau_98", "tau_n", "k_gas", "p_ohmic", "nbi_energy_limit", "w_init", "ne_init", "gas_init",
+        "nbi_group", "gas_group", "degradation", "boundary",
+    )
+    __slots__ = _fields + ("_deg_xs", "_deg_ys")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_deg_xs", tuple(float(x) for x, _ in self.degradation))
-        object.__setattr__(self, "_deg_ys", tuple(float(y) for _, y in self.degradation))
+    def __init__(
+        self, tau_e: float, tau_98: float, tau_n: float, k_gas: float, p_ohmic: float, nbi_energy_limit: float,
+        w_init: float, ne_init: float, gas_init: float, nbi_group: str, gas_group: str,
+        degradation: Tuple[Tuple[float, float], ...], boundary: DisruptionBoundary,
+    ) -> None:
+        self.tau_e, self.tau_98, self.tau_n, self.k_gas, self.p_ohmic = tau_e, tau_98, tau_n, k_gas, p_ohmic
+        self.nbi_energy_limit, self.w_init, self.ne_init, self.gas_init = nbi_energy_limit, w_init, ne_init, gas_init
+        self.nbi_group, self.gas_group, self.degradation, self.boundary = nbi_group, gas_group, degradation, boundary
+        self._deg_xs = tuple(float(x) for x, _ in degradation)
+        self._deg_ys = tuple(float(y) for _, y in degradation)
 
     def degradation_at(self, ne: float) -> float:
         return _interp(ne, self._deg_xs, self._deg_ys)
@@ -147,23 +149,30 @@ class PlantParams:
         return (self.tau_e / self.tau_98) * self.degradation_at(ne)
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(Record):
     """Snapshot of the surrogate plasma and its actuators.
 
     ``distance`` is the boundary's signed distance at
     (``ne_edge_norm``, ``h98y2``), computed once when the state is made.
     """
 
-    h98y2: float
-    ne_edge_norm: float
-    w_mj: float
-    nbi_power: float
-    nbi_energy: float
-    gas_flux: float
-    time: float
-    distance: float
-    disrupted: bool = False
+    __slots__ = (
+        "h98y2", "ne_edge_norm", "w_mj", "nbi_power", "nbi_energy", "gas_flux", "time", "distance", "disrupted",
+    )
+
+    def __init__(
+        self, h98y2: float, ne_edge_norm: float, w_mj: float, nbi_power: float, nbi_energy: float, gas_flux: float,
+        time: float, distance: float, disrupted: bool = False,
+    ) -> None:
+        self.h98y2 = h98y2
+        self.ne_edge_norm = ne_edge_norm
+        self.w_mj = w_mj
+        self.nbi_power = nbi_power
+        self.nbi_energy = nbi_energy
+        self.gas_flux = gas_flux
+        self.time = time
+        self.distance = distance
+        self.disrupted = disrupted
 
 
 def initial_state(params: PlantParams) -> PlantState:
@@ -201,7 +210,7 @@ def plant_step(
     gas_flux = max(gas_flux, 0.0)
 
     if state.disrupted:
-        return replace(state, time=state.time + dt)
+        return state._replace(time=state.time + dt)
 
     w = state.w_mj + dt * (p_nbi + params.p_ohmic - state.w_mj / params.tau_e)
     target = params.k_gas * gas_flux

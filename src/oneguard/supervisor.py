@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .model import (
     ControlTask,
     DangerLevel,
     REACTION_MAX,
+    Record,
     SCENARIO_TYPE_FOR_REACTION,
     ScenarioType,
 )
 
 
-@dataclass(frozen=True)
-class OneEvaluation:
+class OneEvaluation(Record):
     """The whole decision table of one off-normal event.
 
     ``danger[level]`` classifies an event level, ``reaction[danger]`` maps
@@ -39,13 +38,14 @@ class OneEvaluation:
     level evaluated against its own result gives that result again.
     """
 
-    danger: Tuple[DangerLevel, ...]
-    reaction: Tuple[int, ...]
-    irreversible: FrozenSet[int]
-    latch_from: int = field(init=False, repr=False, compare=False)
+    _fields = ("danger", "reaction", "irreversible")
+    __slots__ = _fields + ("latch_from",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "latch_from", min(self.irreversible, default=REACTION_MAX + 1))
+    def __init__(
+        self, danger: Tuple[DangerLevel, ...], reaction: Tuple[int, ...], irreversible: FrozenSet[int]
+    ) -> None:
+        self.danger, self.reaction, self.irreversible = danger, reaction, irreversible
+        self.latch_from = min(irreversible, default=REACTION_MAX + 1)
 
     def evaluate(self, level: int, previous: int) -> Tuple[DangerLevel, int]:
         danger = self.danger[level]
@@ -55,8 +55,7 @@ class OneEvaluation:
         return danger, reaction
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named, typed, prioritized task list.
 
     ``tasks`` are in priority order (1 first), with unique priorities.
@@ -64,21 +63,19 @@ class Scenario:
     windows opens or closes, between -inf and inf.
     """
 
-    id: str
-    type: ScenarioType
-    tasks: Tuple[ControlTask, ...] = ()
-    boundaries: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("id", "type", "tasks")
+    __slots__ = _fields + ("boundaries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, type: ScenarioType, tasks: Tuple[ControlTask, ...] = ()) -> None:
+        self.id, self.type, self.tasks = id, type, tasks
         times = {-math.inf, math.inf}
-        for t in self.tasks:
+        for t in tasks:
             times.add(t.activation.t_start)
             times.add(math.inf if t.activation.t_end is None else t.activation.t_end)
-        object.__setattr__(self, "boundaries", tuple(sorted(times)))
+        self.boundaries = tuple(sorted(times))
 
 
-@dataclass(frozen=True)
-class OsMapping:
+class OsMapping(Record):
     """Reaction-combination to scenario lookup.
 
     ``rows`` maps tuples of reaction levels (one entry per configured
@@ -89,18 +86,17 @@ class OsMapping:
     (None if there is none: ``validate`` makes such a k unreachable).
     """
 
-    rows: Mapping[Tuple[int, ...], str]
-    scenarios: Mapping[str, Scenario]
-    default: str
-    fallback: Tuple[Optional[str], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("rows", "scenarios", "default")
+    __slots__ = _fields + ("fallback",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Mapping[Tuple[int, ...], str], scenarios: Mapping[str, Scenario], default: str) -> None:
+        self.rows, self.scenarios, self.default = rows, scenarios, default
         first_of_type: Dict[ScenarioType, str] = {}
-        for scenario in sorted(self.scenarios.values(), key=lambda s: s.id):
+        for scenario in sorted(scenarios.values(), key=lambda s: s.id):
             first_of_type.setdefault(scenario.type, scenario.id)
-        table = [self.default]
+        table = [default]
         table += [first_of_type.get(SCENARIO_TYPE_FOR_REACTION[k]) for k in range(1, REACTION_MAX + 1)]
-        object.__setattr__(self, "fallback", tuple(table))
+        self.fallback = tuple(table)
 
     def select(self, reactions: Tuple[int, ...]) -> str:
         hit = self.rows.get(reactions)
@@ -109,21 +105,22 @@ class OsMapping:
         return self.fallback[max(reactions, default=0)]
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
+class SupervisorConfig(Record):
     """Everything the supervisor needs for one schedule."""
 
-    one_ids: Tuple[str, ...]
-    evaluations: Mapping[str, OneEvaluation]
-    os_mapping: OsMapping
+    __slots__ = ("one_ids", "evaluations", "os_mapping")
+
+    def __init__(
+        self, one_ids: Tuple[str, ...], evaluations: Mapping[str, OneEvaluation], os_mapping: OsMapping
+    ) -> None:
+        self.one_ids, self.evaluations, self.os_mapping = one_ids, evaluations, os_mapping
 
     @property
     def scenarios(self) -> Mapping[str, Scenario]:
         return self.os_mapping.scenarios
 
 
-@dataclass(frozen=True)
-class SupervisorState:
+class SupervisorState(Record):
     """Carry-over between ticks: previous reaction levels and scenario.
 
     ``decision`` is the last ``(scenario_id, tasks, dangers, reactions)``,
@@ -131,12 +128,18 @@ class SupervisorState:
     any time in ``[since, until)``. The initial state has none.
     """
 
-    reactions: Mapping[str, int]
-    scenario_id: str
-    levels: Optional[Tuple[int, ...]] = None
-    decision: Optional[tuple] = None
-    since: float = 0.0
-    until: float = 0.0
+    __slots__ = ("reactions", "scenario_id", "levels", "decision", "since", "until")
+
+    def __init__(
+        self, reactions: Mapping[str, int], scenario_id: str, levels: Optional[Tuple[int, ...]] = None,
+        decision: Optional[tuple] = None, since: float = 0.0, until: float = 0.0,
+    ) -> None:
+        self.reactions = reactions
+        self.scenario_id = scenario_id
+        self.levels = levels
+        self.decision = decision
+        self.since = since
+        self.until = until
 
     @classmethod
     def initial(cls, config: SupervisorConfig) -> "SupervisorState":

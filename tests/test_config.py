@@ -491,6 +491,10 @@ CHECK_HOMES = [
         "error: os_mapping.rows: reachable combination [1] has no row and no 'recovery' scenario to fall back to",
     ),
     ("plant_failure_one", set_at("run.plant_failure_one", "ghost"), "error: run.plant_failure_one: unknown event 'ghost'"),
+    # The run counts its ticks as int(round(value / dt)), which an infinite quotient cannot give.
+    ("duration_ticks", set_at("run.duration", 1.0e308), "error: run.duration: tick count duration / dt must be finite"),
+    ("post_roll_ticks", set_at("run.post_roll", 1.0e308), "error: run.post_roll: tick count post_roll / dt must be finite"),
+    ("subnormal_dt", set_at("run.dt", 1.0e-320), "error: run.duration: tick count duration / dt must be finite"),
     # Virtual events.
     ("virtual_inputs", virtual(inputs=[]), "error: virtual_ones[0].inputs: needs at least one input"),
     (

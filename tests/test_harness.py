@@ -426,6 +426,31 @@ class TestCli:
         assert cli.main(["run", str(DENSITY_LIMIT), "--out", str(out)]) == 2
         assert len(calls) == 2
 
+    def test_usage_errors_exit_64_and_help_exits_0(self, capsys):
+        # Exit 2 means the plasma disrupted, so a usage error must not exit with it.
+        for argv in ([], ["run"], ["run", str(DENSITY_LIMIT), "--until", "abc"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 64
+            assert "error: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().error("no such option")
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith("oneguard: error: no such option\n")
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+
+    def test_until_past_the_tick_count_exits_64_without_traceback(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "oneguard.cli", "run", str(DENSITY_LIMIT), "--until", "1e308"]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert result.returncode == 64
+        assert "Traceback" not in result.stderr
+        assert "error: run.duration: tick count duration / dt must be finite" in result.stderr
+
     def test_import_does_not_load_numpy(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))

@@ -1,11 +1,25 @@
-"""Every top-level import in the package is used, so a deletion leaves none behind."""
+"""Import hygiene: the command line's import stays light, and every top-level
+import and definition in the package is used, so a deletion leaves none behind."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oneguard"
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # A fresh interpreter: dataclasses (and the inspect it imports) would
+    # cost the command line's cold start a third of its import time.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import oneguard.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def exported(tree):

@@ -1,8 +1,10 @@
 import math
 
 from oneguard import config as cfg
+from oneguard.controllers import Waveform
 from oneguard.model import (
     Activation,
+    ControlTask,
     DangerLevel,
     EventTrigger,
     SCENARIO_TYPE_FOR_REACTION,
@@ -84,3 +86,34 @@ class TestValues:
         trigger = EventTrigger("x", min_level=0, max_level=0)
         assert trigger.holds(0)
         assert not trigger.holds(1)
+
+
+class TestRecords:
+    """Records compare, hash and print by their declared fields only, of one class."""
+
+    def test_threshold_table_leaves_derived_values_out(self):
+        table = ThresholdTable("x", (1.0, 2.0))
+        assert repr(table) == (
+            "ThresholdTable(signal='x', thresholds=(1.0, 2.0), direction='rising', hysteresis=(0.0, 0.0))"
+        )
+        explicit = ThresholdTable("x", (1.0, 2.0), "rising", (0.0, 0.0))
+        assert table == explicit and hash(table) == hash(explicit)
+        assert table != ThresholdTable("x", (1.0, 2.0), "falling")
+
+    def test_equal_waveforms(self):
+        # One shared NaN object compares equal inside the field tuple.
+        points = ((0.0, 1.0), (1.0, math.nan))
+        a, b = Waveform(points, "hold"), Waveform(points, "hold")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Waveform(points=((0.0, 1.0), (1.0, nan)), interpolation='hold')"
+        assert a != Waveform(points) and a != (points, "hold")
+
+    def test_control_task_has_the_default_activation(self):
+        task = ControlTask("a", 1, "c", "g")
+        assert repr(task) == (
+            "ControlTask(id='a', priority=1, controller='c', group='g', reference=None, "
+            "activation=Activation(t_start=0.0, t_end=None, trigger=None))"
+        )
+        same = ControlTask("a", 1, "c", "g", None, Activation())
+        assert task == same and hash(task) == hash(same)
+        assert task != ControlTask("a", 2, "c", "g")

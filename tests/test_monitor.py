@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -284,8 +283,8 @@ class TestMonitorStep:
         assert faults and events["actuator_lim"].level == 1
 
     def test_compiled_plant_failure_is_the_event_top_level(self, density_limit_schedule):
-        run = dataclasses.replace(density_limit_schedule.run, plant_failure_one="d_ne_edge")
-        compiled = cfg.compile_schedule(dataclasses.replace(density_limit_schedule, run=run))
+        run = density_limit_schedule.run._replace(plant_failure_one="d_ne_edge")
+        compiled = cfg.compile_schedule(density_limit_schedule._replace(run=run))
         assert compiled.monitor.plant_failure == EventState("d_ne_edge", 3)
         assert cfg.compile_schedule(density_limit_schedule).monitor.plant_failure is None
 

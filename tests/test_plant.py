@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,7 +289,7 @@ class TestEnergyCheck:
 
     def fraction(self, nbi_energy, limit=1.3):
         p = params(nbi_energy_limit=limit)
-        state = replace(initial_state(p), nbi_energy=nbi_energy)
+        state = initial_state(p)._replace(nbi_energy=nbi_energy)
         return plant_signals(state, p)["nbi_energy_frac"]
 
     def test_zero_energy_zero_fraction(self):
