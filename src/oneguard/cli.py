@@ -12,8 +12,6 @@ import argparse
 import sys
 from typing import List, NoReturn, Optional
 
-import yaml
-
 from . import config as cfg
 from . import harness
 from .errors import ConfigError, TraceError
@@ -34,10 +32,7 @@ def _apply_override(doc: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     path, raw_value = assignment.split("=", 1)
-    try:
-        value = yaml.safe_load(raw_value)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"override {assignment!r}: value is not valid YAML: {exc}") from None
+    value = cfg.load_yaml(raw_value, f"override {assignment!r}: value")
     keys = path.split(".")
     node = doc
     for key in keys[:-1]:

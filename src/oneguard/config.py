@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import reprlib
 from collections import Counter
 from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -134,13 +135,13 @@ class _Shape:
 
     def integer(self, value: Any, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(path, f"expected an integer, got {value!r}")
+            self.fail(path, f"expected an integer, got {reprlib.repr(value)}")
             return 0
         return value
 
     def string(self, value: Any, path: str) -> str:
         if not isinstance(value, str):
-            self.fail(path, f"expected a string, got {value!r}")
+            self.fail(path, f"expected a string, got {reprlib.repr(value)}")
             return ""
         return value
 
@@ -195,7 +196,7 @@ def _danger_name(value: Any) -> str:
         return "no"
     if value is True:
         return "yes"
-    return str(value)
+    return value if isinstance(value, str) else reprlib.repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +492,44 @@ def _schedule(signals: Any, os_mapping: Any, actuator_groups: Any, **fields: Any
     return PulseSchedule(scripted=signals, os_default=os_default, os_rows=os_rows, groups=actuator_groups, **fields)
 
 
+#: The deepest nesting of collections ``load_yaml`` accepts. A schedule
+#: nests fewer than ten deep; libyaml's composer recurses once per level on
+#: the C stack, and crashed the interpreter at 30 000 levels (8 MiB stack).
+MAX_NESTING = 5000
+# libyaml's safe loader where PyYAML has it builds the same documents several times faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str, what: str) -> Any:
+    """Load one YAML document, raising ConfigError if ``what`` is not valid YAML or nests too deep."""
+    try:
+        # Each level of nesting opens with one of these characters, so their
+        # count bounds the depth: only a text with that many is walked.
+        if sum(map(text.count, "[{-:?")) > MAX_NESTING and _nests_deeper(text, MAX_NESTING):
+            raise ConfigError(f"{what} nests collections more than {MAX_NESTING} deep")
+        return yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, RecursionError) as exc:
+        # RecursionError: PyYAML's pure-Python composer recurses per level too.
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from None
+
+
+def _nests_deeper(text: str, limit: int) -> bool:
+    """Whether ``text`` nests collections deeper than ``limit``, read off its event stream.
+
+    Nothing recurses to build the stream. The walk stops one level past the
+    limit, because libyaml's scanner takes time quadratic in the depth.
+    """
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        if depth > limit:
+            return True
+    return False
+
+
 def load_document(text: str) -> Dict[str, Any]:
     """Load schedule text into its raw mapping, raising ConfigError if it is not one."""
-    try:
-        # libyaml's safe loader where PyYAML has it builds the same documents several times faster.
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"schedule is not valid YAML: {exc}") from None
+    doc = load_yaml(text, "schedule")
     if doc is None:
         raise ConfigError("schedule document is empty")
     if not isinstance(doc, dict):
@@ -673,7 +705,7 @@ def _setting_error(
             return f"{key} must be a boolean"
     elif kind == GROUP:
         if not isinstance(value, str) or value not in groups:
-            return f"{key} references unknown group {value!r}"
+            return f"{key} references unknown group {reprlib.repr(value)}"
     elif value not in kind:
         return f"{key} must be one of {', '.join(map(repr, kind))}"
     return None
@@ -686,7 +718,7 @@ def _check_controller(
     kind = cfg.get("type")
     runtime = _runtime_class(kind)
     if runtime is None:
-        out.append(Diagnostic("error", path, f"unknown controller type {kind!r}"))
+        out.append(Diagnostic("error", path, f"unknown controller type {reprlib.repr(kind)}"))
         return
     keys = {s.key for s in runtime.settings}
     for key in cfg:

@@ -176,16 +176,12 @@ UNIT_INTERVAL = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 class Setting(NamedTuple):
-    """One key of a controller type's settings; one without a default is required.
-
-    ``keyword`` names the runtime's argument when it differs from ``key``.
-    """
+    """A controller setting and the runtime argument of that name; without a default it is required."""
 
     key: str
     kind: Any
     default: Any = None
     bound: Optional[Tuple[str, Callable[[float], bool]]] = None
-    keyword: Optional[str] = None
 
 
 class StepContext(Record):
@@ -292,23 +288,23 @@ class DaPowerRuntime(TaskRuntime):
         Setting("d_critical1", NUMBER),
         Setting("gain", NUMBER, 1.0, NON_NEGATIVE),
         Setting("p_max", NUMBER, bound=POSITIVE),
-        Setting("signal", SIGNAL, keyword="distance_signal"),
+        Setting("signal", SIGNAL),
     )
 
     def __init__(
-        self, task: ControlTask, *, mode: str, d_critical1: float, gain: float, p_max: float, distance_signal: str
+        self, task: ControlTask, *, mode: str, d_critical1: float, gain: float, p_max: float, signal: str
     ):
         super().__init__(task)
         self.mode = mode
         self.d_critical1 = d_critical1
         self.gain = gain
         self.p_max = p_max
-        self.distance_signal = distance_signal
+        self.signal = signal
 
     needs_reference = staticmethod(lambda settings: False)
 
     def _desired(self, ctx: StepContext) -> float:
-        distance = ctx.signals.get(self.distance_signal, math.nan)
+        distance = ctx.signals.get(self.signal, math.nan)
         if not math.isfinite(distance):
             # No usable distance estimate: do not inject extra power.
             return 0.0 if self.mode == MODE_NORMAL else self.p_max
@@ -461,7 +457,7 @@ def build_runtime(
     """
     kind, settings = controller
     cls = RUNTIMES[kind]
-    kwargs = {s.keyword or s.key: settings[s.key] for s in cls.settings}
+    kwargs = {s.key: settings[s.key] for s in cls.settings}
     if cls is NtmRuntime:
         kwargs["power_capacity"] = groups[task.group].capacity
     return cls(task, **kwargs)

@@ -14,16 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .allocator import ActuatorCommand, allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
-from .model import NO_GRANTS, ControlTask, DangerLevel, EventState, Record, ResourceRequest, ScenarioType
+from .model import NO_GRANTS, EventState, Record, ResourceRequest, ScenarioType
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
-from .supervisor import SupervisorState, supervisor_step
+from .supervisor import SupervisorConfig, SupervisorState, supervisor_step
 
 EXIT_CLEAN = 0
 EXIT_DISRUPTED = 2
@@ -34,27 +35,18 @@ _SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATIO
 
 
 class TickRecord(Record):
-    """Everything one tick decided, for the trace."""
+    """Everything one tick decided, for the trace; ``cells`` holds its decision's ``decision_cells``."""
 
-    __slots__ = (
-        "time", "signals", "events", "dangers", "reactions", "scenario_id", "task_ids", "group_grants", "commands",
-        "task_commands", "faults", "violations",
-    )
+    __slots__ = ("time", "signals", "cells", "group_grants", "commands", "task_commands", "faults", "violations")
 
     def __init__(
-        self, time: float, signals: Mapping[str, float], events: Mapping[str, EventState],
-        dangers: Mapping[str, DangerLevel], reactions: Mapping[str, int], scenario_id: str, task_ids: Tuple[str, ...],
-        group_grants: Mapping[str, float], commands: Mapping[str, float],
-        task_commands: List[Tuple[str, ActuatorCommand]], faults: List[Tuple[str, str]],
-        violations: List[Tuple[str, str, str]],
+        self, time: float, signals: Mapping[str, float], cells: Tuple[str, ...], group_grants: Mapping[str, float],
+        commands: Mapping[str, float], task_commands: List[Tuple[str, ActuatorCommand]],
+        faults: List[Tuple[str, str]], violations: List[Tuple[str, str, str]],
     ) -> None:
         self.time = time
         self.signals = signals
-        self.events = events
-        self.dangers = dangers
-        self.reactions = reactions
-        self.scenario_id = scenario_id
-        self.task_ids = task_ids
+        self.cells = cells
         self.group_grants = group_grants
         self.commands = commands
         self.task_commands = task_commands
@@ -65,11 +57,12 @@ class TickRecord(Record):
 class ControlLoop:
     """Monitor -> supervisor -> allocator -> controllers, one tick at a time.
 
-    Owns all cross-tick state (previous event levels, supervisor memory,
-    controller runtimes, pending requests, last merged commands). The
-    plant stays outside so the same loop drives both live runs and fuzzed
-    signal traces. Task ids, priorities and the stale-runtime sweep are
-    redone only when the supervisor hands over a new task tuple.
+    Owns all cross-tick state (previous event levels, the supervisor
+    state with its last decision, controller runtimes, pending requests,
+    last merged commands). The plant stays outside so the same loop drives
+    both live runs and fuzzed signal traces. The decision's trace cells,
+    the task priorities and the stale-runtime sweep are redone only when
+    the supervisor hands over a new state.
     """
 
     def __init__(self, schedule: CompiledSchedule):
@@ -79,8 +72,7 @@ class ControlLoop:
         self.runtimes: Dict[str, TaskRuntime] = {}
         self.pending: Dict[str, List[ResourceRequest]] = {}
         self.prev_commands: Dict[str, float] = {gid: 0.0 for gid in schedule.groups}
-        self.tasks: Tuple[ControlTask, ...] = ()
-        self.task_ids: Tuple[str, ...] = ()
+        self.cells: Tuple[str, ...] = ()
         self.priorities: Dict[str, int] = {}
 
     def tick(self, signals: Mapping[str, float], time: float, dt: float) -> TickRecord:
@@ -88,13 +80,10 @@ class ControlLoop:
         events, faults = monitor_step(signals, cs.monitor, self.events)
         self.events = events
         levels = tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
-        scenario_id, tasks, dangers, reactions, self.sup_state = supervisor_step(
-            levels, self.sup_state, cs.supervisor, time
-        )
-
-        if tasks is not self.tasks:
-            self.tasks = tasks
-            self.task_ids = tuple(t.id for t in tasks)
+        _, tasks, _, _, state = supervisor_step(levels, self.sup_state, cs.supervisor, time)
+        if state is not self.sup_state:
+            self.sup_state = state
+            self.cells = decision_cells(cs.supervisor, state)
             self.priorities = {t.id: t.priority for t in tasks}
             for stale in [tid for tid in self.runtimes if tid not in self.priorities]:
                 del self.runtimes[stale]
@@ -125,11 +114,7 @@ class ControlLoop:
         return TickRecord(
             time=time,
             signals=signals,
-            events=events,
-            dangers=dangers,
-            reactions=reactions,
-            scenario_id=scenario_id,
-            task_ids=self.task_ids,
+            cells=self.cells,
             group_grants=allocation.totals,
             commands=commands,
             task_commands=outputs,
@@ -142,7 +127,9 @@ class ControlLoop:
 # Trace format.
 # ---------------------------------------------------------------------------
 
-_PLANT_COLUMNS = ("h98y2", "ne_edge_norm", "w_mj", "nbi_power", "nbi_energy", "gas_flux", "disrupted")
+#: The plant's float columns, named as its state's fields; the "disrupted" flag follows them.
+_PLANT_FLOATS = ("h98y2", "ne_edge_norm", "w_mj", "nbi_power", "nbi_energy", "gas_flux")
+_plant_floats = attrgetter(*_PLANT_FLOATS)
 
 
 def trace_header(schedule: CompiledSchedule) -> List[str]:
@@ -152,36 +139,31 @@ def trace_header(schedule: CompiledSchedule) -> List[str]:
     cols += ["scenario", "tasks"]
     for gid in schedule.groups:
         cols += [f"grant_{gid}", f"cmd_{gid}"]
-    cols += list(_PLANT_COLUMNS)
-    return cols
+    return cols + [*_PLANT_FLOATS, "disrupted"]
 
 
-_DANGER_LABELS = {level: level.label for level in DangerLevel}
+def decision_cells(config: SupervisorConfig, state: SupervisorState) -> Tuple[str, ...]:
+    """A decision's cells, as trace and replay write them: evt, dng, rct per event, then scenario, tasks."""
+    cells: List[str] = []
+    for one_id, level in zip(config.one_ids, state.levels):
+        cells += (str(level), state.dangers[one_id].label, str(state.reactions[one_id]))
+    cells += (state.scenario_id, ";".join([t.id for t in state.tasks]))
+    return tuple(cells)
 
 
 def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState) -> List[str]:
     row = [repr(record.time)]
-    signals = record.signals
-    for one_id, signal_name in schedule.event_signals.items():
+    signals, cells = record.signals, record.cells
+    for k, signal_name in enumerate(schedule.event_signals.values()):
         value = signals.get(signal_name)
         row.append("" if value is None else repr(value))
-        row.append(str(record.events[one_id].level))
-        row.append(_DANGER_LABELS[record.dangers[one_id]])
-        row.append(str(record.reactions[one_id]))
-    row.append(record.scenario_id)
-    row.append(";".join(record.task_ids))
+        row += cells[3 * k : 3 * k + 3]
+    row += cells[-2:]
     for gid in schedule.groups:
         row.append(repr(record.group_grants[gid]))
         row.append(repr(record.commands[gid]))
-    row += [
-        repr(plant.h98y2),
-        repr(plant.ne_edge_norm),
-        repr(plant.w_mj),
-        repr(plant.nbi_power),
-        repr(plant.nbi_energy),
-        repr(plant.gas_flux),
-        "1" if plant.disrupted else "0",
-    ]
+    row += map(repr, _plant_floats(plant))
+    row.append("1" if plant.disrupted else "0")
     return row
 
 
@@ -207,6 +189,8 @@ def read_trace(path, columns: Sequence[str]) -> Tuple[List[str], List[List[str]]
                 rows.append([line[i] for i in keep])
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: trace is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise TraceError(f"{path}: trace is not readable CSV: {exc}") from None
     return header, rows
 
 
@@ -249,7 +233,6 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
 
     violations = 0
     faults = 0
-    final_scenario = cs.supervisor.os_mapping.default
     ticks_after_disruption = 0
 
     for k in range(n_ticks):
@@ -258,7 +241,7 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
             if ticks_after_disruption > post_roll_ticks:
                 break
         t = k * dt
-        signals = dict(plant_signals(plant, cs.plant))
+        signals = plant_signals(plant, cs.plant)
         for name, wf in cs.scripted.items():
             signals[name] = wf(t)
         record = loop.tick(signals, t, dt)
@@ -267,7 +250,6 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
             observer(record)
         violations += len(record.violations)
         faults += len(record.faults)
-        final_scenario = record.scenario_id
 
         plant = plant_step(
             plant,
@@ -277,6 +259,7 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
             dt=dt,
         )
 
+    final_scenario = loop.sup_state.scenario_id
     scenario_type = cs.supervisor.scenarios[final_scenario].type
     if plant.disrupted:
         exit_code = EXIT_DISRUPTED
@@ -329,12 +312,11 @@ def replay_events(
         if prev_t is not None and t <= prev_t:
             raise TraceError(f"trace times not strictly increasing at t={t!r}")
         prev_t = t
-        scenario_id, tasks, dangers, reactions, state = supervisor_step(lvl, state, config, t)
-        row = [repr(float(t))]
-        for one_id, level in zip(config.one_ids, lvl):
-            row += [str(level), _DANGER_LABELS[dangers[one_id]], str(reactions[one_id])]
-        row += [scenario_id, ";".join(t.id for t in tasks)]
-        rows.append(row)
+        *_, new_state = supervisor_step(lvl, state, config, t)
+        if new_state is not state:
+            state = new_state
+            cells = decision_cells(config, state)
+        rows.append([repr(float(t)), *cells])
     return rows
 
 

@@ -121,32 +121,26 @@ class SupervisorConfig(Record):
 
 
 class SupervisorState(Record):
-    """Carry-over between ticks: previous reaction levels and scenario.
+    """The last decision, and the carry-over between ticks.
 
-    ``decision`` is the last ``(scenario_id, tasks, dangers, reactions)``,
-    derived from the event levels ``levels``; it holds for those levels at
-    any time in ``[since, until)``. The initial state has none.
+    ``scenario_id``, ``tasks`` (active, in priority order), ``dangers`` and
+    ``reactions`` were derived from the event levels ``levels`` and hold
+    for them at any time in ``[since, until)``; the reactions are also the
+    latch's memory. The initial state has decided on no levels yet.
     """
 
-    __slots__ = ("reactions", "scenario_id", "levels", "decision", "since", "until")
+    __slots__ = ("scenario_id", "tasks", "dangers", "reactions", "levels", "since", "until")
 
     def __init__(
-        self, reactions: Mapping[str, int], scenario_id: str, levels: Optional[Tuple[int, ...]] = None,
-        decision: Optional[tuple] = None, since: float = 0.0, until: float = 0.0,
+        self, scenario_id: str, tasks: Tuple[ControlTask, ...], dangers: Mapping[str, DangerLevel],
+        reactions: Mapping[str, int], levels: Optional[Tuple[int, ...]] = None, since: float = 0.0, until: float = 0.0,
     ) -> None:
-        self.reactions = reactions
-        self.scenario_id = scenario_id
-        self.levels = levels
-        self.decision = decision
-        self.since = since
-        self.until = until
+        self.scenario_id, self.tasks, self.dangers, self.reactions = scenario_id, tasks, dangers, reactions
+        self.levels, self.since, self.until = levels, since, until
 
     @classmethod
     def initial(cls, config: SupervisorConfig) -> "SupervisorState":
-        return cls(
-            reactions={one_id: 0 for one_id in config.one_ids},
-            scenario_id=config.os_mapping.default,
-        )
+        return cls(config.os_mapping.default, (), {}, dict.fromkeys(config.one_ids, 0))
 
 
 def activate_tasks(scenario: Scenario, time: float, levels: Mapping[str, int]) -> List[ControlTask]:
@@ -171,7 +165,7 @@ def supervisor_step(
     again, so the same scenario, and no activation window opened or closed.
     """
     if levels == state.levels and state.since <= time < state.until:
-        return (*state.decision, state)
+        return state.scenario_id, state.tasks, state.dangers, state.reactions, state
 
     dangers: Dict[str, DangerLevel] = {}
     reactions: Dict[str, int] = {}
@@ -183,8 +177,7 @@ def supervisor_step(
     scenario_id = config.os_mapping.select(tuple(reactions.values()))
     scenario = config.scenarios[scenario_id]
     tasks = tuple(activate_tasks(scenario, time, dict(zip(config.one_ids, levels))))
-    decision = (scenario_id, tasks, dangers, reactions)
     i = bisect_right(scenario.boundaries, time)
     since, until = scenario.boundaries[i - 1 : i + 1]
-    new_state = SupervisorState(reactions, scenario_id, levels, decision, since, until)
-    return (*decision, new_state)
+    state = SupervisorState(scenario_id, tasks, dangers, reactions, levels, since, until)
+    return scenario_id, tasks, dangers, reactions, state

@@ -638,7 +638,7 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
         signals = {name: math.nan if rng.random() < 0.05 else rng.uniform(-3.0, 3.0) for name in cfg.PLANT_SIGNALS}
         record = loop.tick(signals, k * cs.run.dt, cs.run.dt)
         assert record.violations == []
-        for one_id, reaction in record.reactions.items():
+        for one_id, reaction in loop.sup_state.reactions.items():
             assert reaction >= floor[one_id]
             if reaction >= latch_from[one_id]:
                 floor[one_id] = reaction

@@ -173,6 +173,26 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"^schedule is not valid YAML: (.|\n)*line 2, column 4"):
             cfg.load_document("a: b\n  c: d: e\n")
 
+    def test_nesting_limit_is_exact(self):
+        limit = cfg.MAX_NESTING
+        value = cfg.load_yaml("[" * limit + "]" * limit, "value")
+        for _ in range(limit - 1):
+            (value,) = value
+        assert value == []
+        with pytest.raises(ConfigError, match=f"^value nests collections more than {limit} deep$"):
+            cfg.load_yaml("[" * (limit + 1) + "]" * (limit + 1), "value")
+
+    @pytest.mark.parametrize("path", [DENSITY_LIMIT, DUAL_NTM])
+    def test_shipped_schedules_skip_the_nesting_walk(self, path, monkeypatch):
+        # Their indicator count bounds their depth well inside the limit.
+        monkeypatch.setattr(cfg, "_nests_deeper", lambda text, limit: pytest.fail("walked"))
+        cfg.load_document(path.read_text())
+
+    def test_pure_python_loader_recursion_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(cfg, "_LOADER", yaml.SafeLoader)
+        with pytest.raises(ConfigError, match="^value is not valid YAML: maximum recursion depth"):
+            cfg.load_yaml("[" * 3000 + "]" * 3000, "value")
+
     @pytest.mark.parametrize("path", [DENSITY_LIMIT, DUAL_NTM])
     def test_load_document_equals_the_pure_python_loader(self, path):
         text = path.read_text()

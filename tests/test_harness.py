@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import os
 import random
@@ -32,6 +33,18 @@ def run_schedule(path, mutate=None):
 def rows_of(trace_text):
     reader = csv.DictReader(io.StringIO(trace_text))
     return list(reader)
+
+
+def wide_schedule(seed):
+    """The compiled ``wide_switching`` schedule of ``seed`` (bench/wide.py)."""
+    spec = importlib.util.spec_from_file_location("wide", REPO / "bench" / "wide.py")
+    wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wide)
+    return cfg.compile_schedule(cfg.parse(wide.generate(seed)[0]))
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
 
 
 def replayed_rows(compiled, trace_path):
@@ -92,19 +105,27 @@ class TestRun:
     def test_no_command_violations_in_closed_loop(self, density_limit_compiled):
         assert harness.run(density_limit_compiled).violations == 0
 
-    def test_reused_task_id_keeps_its_first_binding_across_a_switch(self):
+    def test_reused_task_id_keeps_its_first_binding_across_a_switch(self, monkeypatch):
         # validate warns about this schedule; the run behaviour is pinned
         # until the semantics of a reused id change.
         def reuse(doc):
             recovery = next(sc for sc in doc["scenarios"] if sc["id"] == "recovery")
             recovery["tasks"][0].update(id="ff_power_nor", reference=0.1)
 
-        records = []
+        ticks = []
+        real_tick = harness.ControlLoop.tick
+
+        def tick(loop, *args):
+            record = real_tick(loop, *args)
+            ticks.append((loop.sup_state.scenario_id, record))
+            return record
+
+        monkeypatch.setattr(harness.ControlLoop, "tick", tick)
         doc = yaml.safe_load(DENSITY_LIMIT.read_text())
         reuse(doc)
         compiled = cfg.compile_schedule(cfg.parse(yaml.safe_dump(doc, sort_keys=False)))
-        harness.run(compiled, observer=records.append)
-        first = next(r for r in records if r.scenario_id == "recovery")
+        harness.run(compiled)
+        first = next(record for scenario_id, record in ticks if scenario_id == "recovery")
         assert first.time == pytest.approx(0.5)
         assert ("ff_power_nor", ActuatorCommand("nbi", 0.65)) in first.task_commands
 
@@ -117,8 +138,8 @@ class TestRun:
         signals = dict(plant_signals(initial_state(cs.plant), cs.plant))
         runtimes = []
         for k, distance in enumerate([0.6, 0.6, 0.4, 0.4, 0.6, 0.6]):
-            record = loop.tick(dict(signals, d_ne_edge=distance), k * cs.run.dt, cs.run.dt)
-            assert record.scenario_id == "normal"
+            loop.tick(dict(signals, d_ne_edge=distance), k * cs.run.dt, cs.run.dt)
+            assert loop.sup_state.scenario_id == "normal"
             runtimes.append(loop.runtimes.get("ff_gas_nor"))
         assert runtimes[0] is runtimes[1] is not None
         assert runtimes[2] is None and runtimes[3] is None
@@ -216,6 +237,38 @@ class TestReplay:
             harness.replay_file(dual_ntm_compiled, bad)
 
 
+@pytest.mark.parametrize("schedule", ["dual_ntm", "wide"])
+def test_decision_cells_are_formatted_once_per_new_state(schedule, dual_ntm_compiled, tmp_path, monkeypatch):
+    # run and replay format a decision when the supervisor hands over a new
+    # state, and reuse those cells on every tick that carries it.
+    cs = dual_ntm_compiled if schedule == "dual_ntm" else wide_schedule(0)
+    stepped, formatted = [], []
+    real_step, real_cells = harness.supervisor_step, harness.decision_cells
+
+    def step(*args):
+        result = real_step(*args)
+        stepped.append(result[4])
+        return result
+
+    def cells(config, state):
+        formatted.append(state)
+        return real_cells(config, state)
+
+    monkeypatch.setattr(harness, "supervisor_step", step)
+    monkeypatch.setattr(harness, "decision_cells", cells)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(harness.run(cs).trace_text)
+    ticks = len(stepped)
+    harness.replay_file(cs, trace)
+    assert len(stepped) == 2 * ticks
+    for states in (stepped[:ticks], stepped[ticks:]):
+        new = [state for k, state in enumerate(states) if k == 0 or state is not states[k - 1]]
+        assert len(set(map(id, new))) == len(new) < ticks / 4
+        assert list(map(id, formatted[: len(new)])) == list(map(id, new))
+        del formatted[: len(new)]
+    assert formatted == []
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", str(DENSITY_LIMIT)]) == 0
@@ -289,6 +342,18 @@ class TestCli:
             ("ones.9.id=foo", "index 9 outside"),
             ("ones.0.thresholds.7=0.2", "index 7 outside"),
             ("run.dt=[", "not valid YAML"),
+            # Deeper than Python's recursion limit: the loader builds it, and
+            # a diagnostic names it without recursing into it.
+            pytest.param(f"run.dt={nested(3000)}", "run.dt: expected a number, got list", id="deep_number"),
+            pytest.param(
+                f"ones.0.id={nested(3000)}", "ones[0].id: expected a string, got [[[[[[[...]]]]]]]", id="deep_string"
+            ),
+            pytest.param(
+                f"controllers.ff.type={nested(3000)}",
+                "error: controllers.ff: unknown controller type [[[[[[[...]]]]]]]",
+                id="deep_controller_type",
+            ),
+            pytest.param(f"run.dt={nested(6000)}", "value nests collections more than 5000 deep", id="too_deep"),
         ],
     )
     def test_bad_override_exits_64(self, tmp_path, capsys, assignment, message):
@@ -369,6 +434,25 @@ class TestCli:
         assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
         assert capsys.readouterr().err == f"error: {bad}: bad time '{bad_time}'\n"
 
+    def test_over_long_trace_field_exits_64(self, tmp_path, capsys):
+        # Longer than the csv module's field limit (131072 characters).
+        bad = tmp_path / "events.csv"
+        bad.write_text(f"time,evt_ntm21,evt_ntm43\n0.0,{'1' * 200_000},0\n")
+        assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
+        assert capsys.readouterr().err == (
+            f"error: {bad}: trace is not readable CSV: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "run", "replay"])
+    def test_schedule_nested_past_the_limit_exits_64(self, tmp_path, capsys, command):
+        # libyaml's composer would overflow the C stack on this one.
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(f"run: {nested(30_000)}\n")
+        argv = {"validate": [str(deep)], "run": [str(deep), "--out", str(tmp_path / "x.csv")]}
+        argv["replay"] = [str(DUAL_NTM_EVENTS), str(deep)]
+        assert cli.main([command] + argv[command]) == 64
+        assert capsys.readouterr().err == "error: schedule nests collections more than 5000 deep\n"
+
     def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"
         bad.write_text("run: [1\n")
@@ -377,8 +461,7 @@ class TestCli:
 
     def test_run_parses_the_overridden_document_once(self, tmp_path, monkeypatch):
         # The overridden document goes straight to the parser: no dump and reload.
-        # yaml.load sees every load: the schedule's, and the override value's
-        # through yaml.safe_load.
+        # yaml.load sees every load: the schedule's, and the override value's.
         loads = []
         real_load = yaml.load
         monkeypatch.setattr(yaml, "load", lambda text, Loader: loads.append(text) or real_load(text, Loader))

@@ -489,11 +489,13 @@ def decision_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(decision_cases())
 def test_carried_decision_equals_a_fresh_one(case):
-    # Stepping with the carried state (which may hand back its cached
-    # decision) matches stepping with the cache fields stripped.
+    # Stepping with the carried state (which may hand back its decision)
+    # matches stepping with a copy stripped of the levels and span that
+    # decision holds for, which always decides afresh.
     config, sequence = case
     carried = fresh = SupervisorState.initial(config)
     for k, levels in enumerate(sequence):
         *got, carried = supervisor_step(levels, carried, config, k * DT)
-        *want, fresh = supervisor_step(levels, SupervisorState(fresh.reactions, fresh.scenario_id), config, k * DT)
+        stripped = SupervisorState(fresh.scenario_id, fresh.tasks, fresh.dangers, fresh.reactions)
+        *want, fresh = supervisor_step(levels, stripped, config, k * DT)
         assert got == want, k
