@@ -9,6 +9,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import reprlib
 import sys
 from typing import List, NoReturn, Optional
 
@@ -21,18 +22,18 @@ def _list_index(node: list, key: str, path: str) -> int:
     try:
         index = int(key)
     except ValueError:
-        raise ConfigError(f"override path {path!r}: {key!r} is not a list index") from None
+        raise ConfigError(f"override path {reprlib.repr(path)}: {reprlib.repr(key)} is not a list index") from None
     if not -len(node) <= index < len(node):
-        raise ConfigError(f"override path {path!r}: index {index} outside a list of {len(node)}")
+        raise ConfigError(f"override path {reprlib.repr(path)}: index {index} outside a list of {len(node)}")
     return index
 
 
 def _apply_override(doc: dict, assignment: str) -> None:
     """Apply one ``dotted.path=value`` override onto the raw document."""
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        raise ConfigError(f"override {reprlib.repr(assignment)} is not of the form key=value")
     path, raw_value = assignment.split("=", 1)
-    value = cfg.load_yaml(raw_value, f"override {assignment!r}: value")
+    value = cfg.load_yaml(raw_value, f"override {reprlib.repr(assignment)}: value")
     keys = path.split(".")
     node = doc
     for key in keys[:-1]:
@@ -40,17 +41,17 @@ def _apply_override(doc: dict, assignment: str) -> None:
             node = node[_list_index(node, key, path)]
         elif isinstance(node, dict):
             if key not in node:
-                raise ConfigError(f"override path {path!r}: no such key {key!r}")
+                raise ConfigError(f"override path {reprlib.repr(path)}: no such key {reprlib.repr(key)}")
             node = node[key]
         else:
-            raise ConfigError(f"override path {path!r}: cannot descend into {key!r}")
+            raise ConfigError(f"override path {reprlib.repr(path)}: cannot descend into {reprlib.repr(key)}")
     leaf = keys[-1]
     if isinstance(node, list):
         node[_list_index(node, leaf, path)] = value
     elif isinstance(node, dict):
         node[leaf] = value
     else:
-        raise ConfigError(f"override path {path!r}: cannot assign to {leaf!r}")
+        raise ConfigError(f"override path {reprlib.repr(path)}: cannot assign to {reprlib.repr(leaf)}")
 
 
 def _load_schedule(path: str, overrides: List[str], until: Optional[float]) -> cfg.PulseSchedule:

@@ -1,4 +1,4 @@
-"""Pulse-schedule document: parsing, validation, compilation.
+"""Pulse-schedule document: parsing, then validation and compilation in one pass.
 
 The schedule is a YAML document with sections ``run``, ``plant``,
 ``signals``, ``ones``, ``virtual_ones``, ``os_mapping``, ``scenarios``,
@@ -6,9 +6,11 @@ The schedule is a YAML document with sections ``run``, ``plant``,
 (unknown keys are rejected, every number must be finite, unit suffixes
 must match the field's declared unit); ``validate`` then reports semantic
 problems as diagnostics without throwing. ``validate`` is the only place
-the schedule's rules are checked: the runtime objects assume them, and a
-schedule that validates with zero errors compiles into runtime objects
-that cannot raise ConfigError on any input trace.
+the schedule's rules are checked, and it builds the runtime objects as it
+checks them: a schedule with zero errors comes back with its
+``CompiledSchedule`` attached, whose objects assume the rules and cannot
+raise ConfigError on any input trace. ``compile_schedule`` only refuses a
+schedule with errors or hands that compiled schedule over.
 
 YAML 1.1 note: an unquoted ``no`` loads as boolean false. Since "no" is a
 legitimate danger-level name, bare booleans in danger positions are read
@@ -87,6 +89,12 @@ def errors_of(diagnostics: Sequence[Diagnostic]) -> List[Diagnostic]:
     return [d for d in diagnostics if _is_error(d)]
 
 
+class Diagnostics(list):
+    """What ``validate`` found, in order; ``schedule`` is the compiled schedule if none is an error, else None."""
+
+    schedule: Optional[CompiledSchedule] = None
+
+
 #: The default of a field a mapping must have; a field table's other
 #: defaults stand in for an absent or null value.
 REQUIRED = object()
@@ -116,15 +124,15 @@ class _Shape:
         elif isinstance(value, str):
             m = _QUANTITY_RE.fullmatch(value)
             if not m:
-                self.fail(path, f"cannot parse number {value!r}")
+                self.fail(path, f"cannot parse number {reprlib.repr(value)}")
                 return 0.0
             num = float(m.group(1))
             suffix = m.group(2)
             if suffix:
                 if unit is None:
-                    self.fail(path, f"field does not declare a unit, got suffix {suffix!r}")
+                    self.fail(path, f"field does not declare a unit, got suffix {reprlib.repr(suffix)}")
                 elif suffix != unit:
-                    self.fail(path, f"unit suffix {suffix!r} does not match declared {unit!r}")
+                    self.fail(path, f"unit suffix {reprlib.repr(suffix)} does not match declared {reprlib.repr(unit)}")
         else:
             self.fail(path, f"expected a number, got {type(value).__name__}")
             return 0.0
@@ -170,7 +178,7 @@ class _Shape:
         else:
             for key in node:
                 if key not in table:
-                    self.fail(where, f"unknown key {key!r}")
+                    self.fail(where, f"unknown key {reprlib.repr(key)}")
             for key, (_, default) in table.items():
                 if default is REQUIRED and key not in node:
                     self.fail(where, f"missing required key {key!r}")
@@ -267,9 +275,6 @@ class PulseSchedule(NamedTuple):
     @property
     def one_ids(self) -> Tuple[str, ...]:
         return tuple(o.id for o in self.ones) + tuple(v.id for v in self.virtual_ones)
-
-    def group_map(self) -> Dict[str, ActuatorGroup]:
-        return {g.id: g for g in self.groups}
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +603,8 @@ def _check_waveform(spec: Waveform, path: str, out: List[Diagnostic]) -> None:
 
 def _check_danger_map(
     danger: Tuple[Tuple[int, str], ...], max_level: int, path: str, out: List[Diagnostic]
-) -> None:
-    """Check that ``danger`` is total over [0, max_level]; gaps are counted, as ``max_level`` can be huge."""
+) -> Dict[int, str]:
+    """Check that ``danger`` is total over [0, max_level], and return it; gaps are counted, as the level can be huge."""
     seen = {}
     for lvl, name in danger:
         if lvl < 0 or lvl > max_level:
@@ -614,11 +619,11 @@ def _check_danger_map(
         shown = list(itertools.islice((lvl for lvl in range(max_level + 1) if lvl not in seen), 4))
         text = f"{missing} missing levels (e.g. {shown})" if missing > 4 else f"missing levels {shown}"
         out.append(Diagnostic("error", path, f"non-total mapping: {text}"))
+    return seen
 
 
-def _check_reaction_map(
-    reaction: Tuple[Tuple[str, int], ...], path: str, out: List[Diagnostic]
-) -> None:
+def _check_reaction_map(reaction: Tuple[Tuple[str, int], ...], path: str, out: List[Diagnostic]) -> Dict[str, int]:
+    """Check that ``reaction`` is total over the danger names and return its known names as a dict."""
     seen = {}
     for name, lvl in reaction:
         if name not in _DANGER_NAMES:
@@ -634,12 +639,17 @@ def _check_reaction_map(
     missing = [n for n in _DANGER_NAMES if n not in seen]
     if missing:
         out.append(Diagnostic("error", path, f"non-total mapping: missing danger levels {missing}"))
+    return seen
 
 
-def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[Diagnostic]) -> None:
-    """The danger map, reaction map and irreversible set of a base or virtual event."""
-    _check_danger_map(spec.danger, spec.max_level, f"{path}.danger", out)
-    _check_reaction_map(spec.reaction, f"{path}.reaction", out)
+def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[Diagnostic]) -> Optional[OneEvaluation]:
+    """The danger map, reaction map and irreversible set of a base or virtual event.
+
+    Returns the evaluation they make, or None if they have an error.
+    """
+    start = len(out)
+    danger = _check_danger_map(spec.danger, spec.max_level, f"{path}.danger", out)
+    reaction = _check_reaction_map(spec.reaction, f"{path}.reaction", out)
     for lvl in spec.irreversible:
         if not REACTION_MIN <= lvl <= REACTION_MAX:
             out.append(Diagnostic("error", f"{path}.irreversible", f"level {lvl} outside [0, 4]"))
@@ -651,33 +661,18 @@ def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[D
                 "set does not cover the conventional irreversible levels {3, 4}",
             )
         )
-
-
-def _reachable_reactions(
-    danger: Tuple[Tuple[int, str], ...],
-    reaction: Tuple[Tuple[str, int], ...],
-    levels: Sequence[int],
-) -> Tuple[int, ...]:
-    """Reaction levels this event can ever report (latch adds nothing new)."""
-    dmap = dict(danger)
-    rmap = dict(reaction)
-    out = set()
-    for lvl in levels:
-        name = dmap.get(lvl)
-        if name is None or name not in rmap:
-            continue
-        out.add(rmap[name])
-    return tuple(sorted(out))
+    if errors_of(out[start:]):
+        return None
+    return OneEvaluation(
+        danger=tuple(_DANGER_NAMES[danger[lvl]] for lvl in range(spec.max_level + 1)),
+        reaction=tuple(reaction[name] for name in _DANGER_NAMES),
+        irreversible=frozenset(spec.irreversible),
+    )
 
 
 def _runtime_class(kind: Any) -> Optional[type]:
     # Only a string can name a type; a list or mapping is not hashable.
     return RUNTIMES.get(kind) if isinstance(kind, str) else None
-
-
-def _complete(runtime: type, cfg: Mapping[str, Any]) -> Dict[str, Any]:
-    """A controller's settings with the defaults of its table filled in."""
-    return {s.key: cfg.get(s.key, s.default) for s in runtime.settings}
 
 
 def _setting_error(
@@ -713,13 +708,14 @@ def _setting_error(
 
 def _check_controller(
     cid: str, cfg: Mapping[str, Any], signals: set, groups: Mapping[str, ActuatorGroup], out: List[Diagnostic]
-) -> None:
+) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """Check a controller's settings; returns its type and settings with the defaults filled in, None if untyped."""
     path = f"controllers.{cid}"
     kind = cfg.get("type")
     runtime = _runtime_class(kind)
     if runtime is None:
         out.append(Diagnostic("error", path, f"unknown controller type {reprlib.repr(kind)}"))
-        return
+        return None
     keys = {s.key for s in runtime.settings}
     for key in cfg:
         if key != "type" and key not in keys:
@@ -728,7 +724,7 @@ def _check_controller(
         message = _setting_error(setting, cfg, signals, groups)
         if message is not None:
             out.append(Diagnostic("error", path, message))
-    settings = _complete(runtime, cfg)
+    settings = {s.key: cfg.get(s.key, s.default) for s in runtime.settings}
     if kind == "pid":
         lo, hi = settings["lo"], settings["hi"]
         if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo > hi:
@@ -737,6 +733,7 @@ def _check_controller(
         aim = settings["aim_group"]
         if isinstance(aim, str) and aim in groups and groups[aim].semantics != EXCLUSIVE:
             out.append(Diagnostic("error", path, f"aim_group {aim!r} must have exclusive semantics"))
+    return kind, settings
 
 
 def _combos_with_max(per_one: Sequence[Sequence[int]], maxima: set) -> Iterator[Tuple[int, ...]]:
@@ -850,11 +847,14 @@ def _combiner_gap(ranges: Sequence[range], table: Mapping[Tuple[int, ...], int])
     return f"combiner not total: {missing} missing combinations (e.g. {shown})"
 
 
-def validate(ps: PulseSchedule) -> List[Diagnostic]:
-    """Semantic checks. Returns diagnostics; never raises on content."""
-    out: List[Diagnostic] = []
-    groups = ps.group_map()
-    scenario_map = {s.id: s for s in ps.scenarios}
+def validate(ps: PulseSchedule) -> Diagnostics:
+    """Semantic checks, building the runtime objects as they pass; never raises on content.
+
+    The diagnostics' ``schedule`` is the compiled schedule when none of
+    them is an error.
+    """
+    out = Diagnostics()
+    groups: Dict[str, ActuatorGroup] = {}
     controller_map = dict(ps.controllers)
     known_signals = set(PLANT_SIGNALS) | {name for name, _ in ps.scripted}
 
@@ -875,6 +875,7 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
 
     # Actuator groups.
     for path, g in _items("actuator_groups", ps.groups, "group", out):
+        groups[g.id] = g
         if g.capacity < 0.0:
             out.append(Diagnostic("error", path, "capacity must be >= 0"))
         if g.semantics not in (ADDITIVE, EXCLUSIVE):
@@ -910,6 +911,8 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         _check_waveform(spec, path, out)
 
     # Events.
+    tables: Dict[str, ThresholdTable] = {}
+    evaluations: Dict[str, Optional[OneEvaluation]] = {}
     seen_ones = set()
     for path, one in _items("ones", ps.ones, "event", out, seen_ones):
         if one.signal not in known_signals:
@@ -934,10 +937,12 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
                     out.append(Diagnostic("error", f"{path}.thresholds", f"must be strictly {order}"))
                 elif any(rs[j] + hs[j] >= rs[j + 1] - hs[j + 1] for j in range(len(rs) - 1)):
                     out.append(Diagnostic("error", f"{path}.hysteresis", "bands overlap neighbouring thresholds"))
-        _check_classification(one, path, out)
+        tables[one.id] = ThresholdTable(one.signal, ts, one.direction, hs)
+        evaluations[one.id] = _check_classification(one, path, out)
 
     # Virtual events; an input names the first base event of its id.
     base_levels = {o.id: o.max_level for o in reversed(ps.ones)}
+    virtual_rules: List[VirtualOneRule] = []
     for path, v in _items("virtual_ones", ps.virtual_ones, "event", out, seen_ones):
         if not v.inputs:
             out.append(Diagnostic("error", f"{path}.inputs", "needs at least one input"))
@@ -967,11 +972,15 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
             gap = _combiner_gap(ranges, table)
             if gap is not None:
                 out.append(Diagnostic("error", f"{path}.rows", gap))
-        _check_classification(v, path, out)
+        virtual_rules.append(VirtualOneRule(v.id, v.inputs, table))
+        evaluations[v.id] = _check_classification(v, path, out)
 
     # Scenarios and tasks.
     bindings: Dict[str, Tuple[str, ControlTask]] = {}  # task id -> its first path and task
+    scenarios: Dict[str, Scenario] = {}
     for path, sc in _items("scenarios", ps.scenarios, "scenario", out):
+        tasks = tuple(sorted(sc.tasks, key=lambda t: t.priority))
+        scenarios[sc.id] = Scenario(sc.id, _SCENARIO_TYPES.get(sc.type), tasks)
         if sc.type not in _SCENARIO_TYPES:
             out.append(Diagnostic("error", f"{path}.type", f"unknown scenario type {sc.type!r}"))
         seen_prio: Dict[int, str] = {}
@@ -1028,14 +1037,13 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
                     out.append(Diagnostic("error", f"{tpath}.activation", "max_level below min_level"))
 
     # Controllers.
-    for cid, cfg in ps.controllers:
-        _check_controller(cid, cfg, known_signals, groups, out)
+    controllers = {cid: _check_controller(cid, cfg, known_signals, groups, out) for cid, cfg in ps.controllers}
 
     # Scenario mapping.
     n_ones = len(ps.one_ids)
-    if ps.os_default not in scenario_map:
+    if ps.os_default not in scenarios:
         out.append(Diagnostic("error", "os_mapping.default", f"unknown scenario {ps.os_default!r}"))
-    elif scenario_map[ps.os_default].type != ScenarioType.NORMAL.value:
+    elif scenarios[ps.os_default].type is not ScenarioType.NORMAL:
         out.append(Diagnostic("error", "os_mapping.default", "default scenario must be of type normal"))
     seen_rows = set()
     row_map = {}
@@ -1051,30 +1059,45 @@ def validate(ps: PulseSchedule) -> List[Diagnostic]:
         if reactions in seen_rows:
             out.append(Diagnostic("error", path, f"duplicate row for combination {list(reactions)}"))
         seen_rows.add(reactions)
-        if scenario_id not in scenario_map:
+        if scenario_id not in scenarios:
             out.append(Diagnostic("error", path, f"unknown scenario {scenario_id!r}"))
             continue
         row_map[reactions] = scenario_id
-        if all(r == 0 for r in reactions) and scenario_map[scenario_id].type != ScenarioType.NORMAL.value:
+        if all(r == 0 for r in reactions) and scenarios[scenario_id].type is not ScenarioType.NORMAL:
             out.append(
                 Diagnostic("error", path, "the all-zero combination must map to a normal-type scenario")
             )
 
-    # Coverage of reachable reaction combinations.
+    # Coverage of reachable reaction combinations. A base event reports
+    # every level, a virtual one its rows' outputs; the latch adds no
+    # reaction. Without errors the event ids are unique, so ``evaluations``
+    # holds one evaluation per event, in event order.
     if n_ones > 0 and not errors_of(out):
-        per_one = []
-        for one in ps.ones:
-            per_one.append(_reachable_reactions(one.danger, one.reaction, range(one.max_level + 1)))
-        for v in ps.virtual_ones:
-            levels = sorted({lvl for _, lvl in v.rows})
-            per_one.append(_reachable_reactions(v.danger, v.reaction, levels))
+        outputs = [range(one.max_level + 1) for one in ps.ones] + [rule.table.values() for rule in virtual_rules]
+        per_one = [
+            sorted({ev.reaction[ev.danger[lvl]] for lvl in levels}) for ev, levels in zip(evaluations.values(), outputs)
+        ]
         out.extend(_coverage_diagnostics(per_one, row_map, {sc.type for sc in ps.scenarios}))
+    if errors_of(out):
+        return out
 
+    pf = ps.run.plant_failure_one
+    failure = None if pf is None else EventState(pf, len(evaluations[pf].danger) - 1)
+    out.schedule = CompiledSchedule(
+        run=ps.run,
+        monitor=MonitorConfig(tables, tuple(virtual_rules), failure),
+        supervisor=SupervisorConfig(ps.one_ids, evaluations, OsMapping(row_map, scenarios, ps.os_default)),
+        groups=groups,
+        controllers=controllers,
+        plant=ps.plant,
+        scripted=dict(ps.scripted),
+        event_signals={one_id: t.signal for one_id, t in tables.items()} | dict.fromkeys(r.id for r in virtual_rules),
+    )
     return out
 
 
 # ---------------------------------------------------------------------------
-# Compile (typed runtime objects).
+# The compiled schedule, which validate builds.
 # ---------------------------------------------------------------------------
 
 class CompiledSchedule(Record):
@@ -1117,69 +1140,8 @@ class ValidationFailed(ConfigError):
 
 
 def compile_schedule(ps: PulseSchedule) -> CompiledSchedule:
-    """Build runtime objects from a schedule, insisting on zero errors.
-
-    Raises ``ValidationFailed`` if ``validate`` reports an error.
-    """
+    """The runtime objects ``validate`` built, raising ``ValidationFailed`` if it reports an error."""
     diagnostics = validate(ps)
-    if errors_of(diagnostics):
+    if diagnostics.schedule is None:
         raise ValidationFailed(diagnostics)
-
-    tables = {
-        one.id: ThresholdTable(
-            signal=one.signal,
-            thresholds=one.thresholds,
-            direction=one.direction,
-            hysteresis=one.hysteresis,
-        )
-        for one in ps.ones
-    }
-    virtual_rules = tuple(
-        VirtualOneRule(id=v.id, inputs=v.inputs, table={levels: lvl for levels, lvl in v.rows})
-        for v in ps.virtual_ones
-    )
-    evaluations = {}
-    for spec in list(ps.ones) + list(ps.virtual_ones):
-        danger, reaction = dict(spec.danger), dict(spec.reaction)
-        evaluations[spec.id] = OneEvaluation(
-            danger=tuple(_DANGER_NAMES[danger[lvl]] for lvl in range(spec.max_level + 1)),
-            reaction=tuple(reaction[name] for name in _DANGER_NAMES),
-            irreversible=frozenset(spec.irreversible),
-        )
-    pf = ps.run.plant_failure_one
-    failure = None if pf is None else EventState(pf, len(evaluations[pf].danger) - 1)
-    monitor = MonitorConfig(tables=tables, virtual_rules=virtual_rules, plant_failure=failure)
-
-    scenarios = {
-        sc.id: Scenario(
-            id=sc.id,
-            type=_SCENARIO_TYPES[sc.type],
-            tasks=tuple(sorted(sc.tasks, key=lambda t: t.priority)),
-        )
-        for sc in ps.scenarios
-    }
-    os_mapping = OsMapping(
-        rows={reactions: sid for reactions, sid in ps.os_rows},
-        scenarios=scenarios,
-        default=ps.os_default,
-    )
-    supervisor = SupervisorConfig(
-        one_ids=ps.one_ids,
-        evaluations=evaluations,
-        os_mapping=os_mapping,
-    )
-
-    event_signals: Dict[str, Optional[str]] = {one.id: one.signal for one in ps.ones}
-    event_signals.update((v.id, None) for v in ps.virtual_ones)
-    return CompiledSchedule(
-        run=ps.run,
-        monitor=monitor,
-        supervisor=supervisor,
-        groups=ps.group_map(),
-        controllers={
-            cid: (cfg["type"], _complete(RUNTIMES[cfg["type"]], cfg)) for cid, cfg in ps.controllers
-        },
-        plant=ps.plant,
-        scripted=dict(ps.scripted),
-        event_signals=event_signals,
-    )
+    return diagnostics.schedule

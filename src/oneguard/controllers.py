@@ -8,8 +8,8 @@ and own whatever state survives between ticks. Runtime state lives per
 task binding and is discarded when the task deactivates. Task references
 are ``Waveform``s (the parser promotes a scalar to a constant one). Each
 runtime class carries its type's settings table; ``validate`` checks a
-schedule's settings against it, ``compile_schedule`` fills in its
-defaults, and ``build_runtime`` passes the complete settings on.
+schedule's settings against it and fills in its defaults in the same
+pass, and ``build_runtime`` passes the complete settings on.
 """
 
 from __future__ import annotations

@@ -208,15 +208,13 @@ class RunResult(NamedTuple):
     faults: int
 
 
-def run(schedule: CompiledSchedule, observer=None) -> RunResult:
+def run(schedule: CompiledSchedule) -> RunResult:
     """Execute the closed loop for the configured duration.
 
     Stops early when the plant disrupts, after rolling the loop for the
     configured post-roll so the trace shows the frozen state. The exit
     code distinguishes clean completion, disruption and a discharge that
-    ended inside a shutdown-type scenario. ``observer``, if given, is
-    called with every TickRecord (diagnostic hook; the trace stays the
-    source of truth).
+    ended inside a shutdown-type scenario.
     """
     cs = schedule
     dt = cs.run.dt
@@ -246,8 +244,6 @@ def run(schedule: CompiledSchedule, observer=None) -> RunResult:
             signals[name] = wf(t)
         record = loop.tick(signals, t, dt)
         writer.writerow(trace_row(cs, record, plant))
-        if observer is not None:
-            observer(record)
         violations += len(record.violations)
         faults += len(record.faults)
 

@@ -14,6 +14,7 @@ import os
 import random
 import tempfile
 import time as wallclock
+from unittest import mock
 
 import numpy as np
 
@@ -48,10 +49,17 @@ def rows_of(trace_text):
     return list(csv.DictReader(io.StringIO(trace_text)))
 
 
-def test_c1_density_limit_timeline(density_limit_compiled):
-    started = wallclock.monotonic()
+def test_c1_density_limit_timeline(density_limit_compiled, monkeypatch):
     task_rows = []
-    result = harness.run(density_limit_compiled, observer=lambda r: task_rows.append(r))
+    tick = ControlLoop.tick
+
+    def recording_tick(loop, *args):
+        task_rows.append(tick(loop, *args))
+        return task_rows[-1]
+
+    monkeypatch.setattr(ControlLoop, "tick", recording_tick)
+    started = wallclock.monotonic()
+    result = harness.run(density_limit_compiled)
     elapsed = wallclock.monotonic() - started
     rows = rows_of(result.trace_text)
 
@@ -619,37 +627,56 @@ actuator_groups:
 @settings(max_examples=100, deadline=None)
 @given(generated_schedules())
 def test_c8_generated_schedules_that_validate_run_clean(drawn):
-    # Any schedule validate accepts compiles and runs fuzzed ticks with no
-    # exception, a latch that only moves up and no dropped command. Its
+    # validate attaches a compiled schedule exactly when it reports no
+    # error, the one compile_schedule hands over. Any schedule validate
+    # accepts runs fuzzed ticks with no exception, a latch that only moves
+    # up, no dropped command and a feasible allocation on every tick. Its
     # closed-loop run is byte-identical twice over, and replaying that
     # trace gives back its decision columns.
     doc, seed = drawn
     ps = cfg.parse(yaml.safe_dump(doc, sort_keys=False))
-    if cfg.errors_of(cfg.validate(ps)):
+    diagnostics = cfg.validate(ps)
+    assert (diagnostics.schedule is None) == bool(cfg.errors_of(diagnostics))
+    if diagnostics.schedule is None:
         return
     cs = cfg.compile_schedule(ps)
-    # A reaction at or above the set's lowest level is never left downward,
-    # gaps in the set ([1, 3, 4]) included.
-    latch_from = {spec.id: min(spec.irreversible, default=5) for spec in ps.ones + ps.virtual_ones}
-    floor = dict.fromkeys(latch_from, 0)
-    rng = random.Random(seed)
-    loop = ControlLoop(cs)
-    for k in range(20):
-        signals = {name: math.nan if rng.random() < 0.05 else rng.uniform(-3.0, 3.0) for name in cfg.PLANT_SIGNALS}
-        record = loop.tick(signals, k * cs.run.dt, cs.run.dt)
-        assert record.violations == []
-        for one_id, reaction in loop.sup_state.reactions.items():
-            assert reaction >= floor[one_id]
-            if reaction >= latch_from[one_id]:
-                floor[one_id] = reaction
-    result = harness.run(cs)
-    assert harness.run(cs).trace_text == result.trace_text
-    rows = rows_of(result.trace_text)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(result.trace_text)
-        replayed = replayed_rows(cs, path)
-    assert len(replayed) == len(rows)
-    for row, replayed_row in zip(rows, replayed):
-        assert replayed_row == {key: row[key] for key in replayed_row}
+    assert cs == diagnostics.schedule
+    allocations = []
+
+    def recording_allocate(requests, groups, priorities):
+        allocations.append((list(requests), allocate(requests, groups, priorities)))
+        return allocations[-1][1]
+
+    # A patch, not a fixture: hypothesis refuses function-scoped fixtures.
+    with mock.patch.object(harness, "allocate", recording_allocate):
+        # A reaction at or above the set's lowest level is never left downward,
+        # gaps in the set ([1, 3, 4]) included.
+        latch_from = {spec.id: min(spec.irreversible, default=5) for spec in ps.ones + ps.virtual_ones}
+        floor = dict.fromkeys(latch_from, 0)
+        rng = random.Random(seed)
+        loop = ControlLoop(cs)
+        for k in range(20):
+            signals = {name: math.nan if rng.random() < 0.05 else rng.uniform(-3.0, 3.0) for name in cfg.PLANT_SIGNALS}
+            record = loop.tick(signals, k * cs.run.dt, cs.run.dt)
+            assert record.violations == []
+            for one_id, reaction in loop.sup_state.reactions.items():
+                assert reaction >= floor[one_id]
+                if reaction >= latch_from[one_id]:
+                    floor[one_id] = reaction
+        result = harness.run(cs)
+        assert harness.run(cs).trace_text == result.trace_text
+        rows = rows_of(result.trace_text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(result.trace_text)
+            replayed = replayed_rows(cs, path)
+        assert len(replayed) == len(rows)
+        for row, replayed_row in zip(rows, replayed):
+            assert replayed_row == {key: row[key] for key in replayed_row}
+    for requests, allocation in allocations:
+        for gid, group in cs.groups.items():
+            assert sum(grants.get(gid, 0.0) for grants in allocation.grants.values()) <= group.capacity + 1e-9
+        for task_id, gid, amount, minimum in requests:
+            grant = allocation.grant(task_id, gid)
+            assert grant == 0.0 or minimum - 1e-9 <= grant <= amount

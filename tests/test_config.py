@@ -787,6 +787,24 @@ SHAPE_ERRORS = [
     ("null_irreversible", set_at("ones.0.irreversible", None), []),
     # Signals, when given, are a mapping.
     ("signals_list", set_at("signals", []), ["signals: expected a mapping of signal name to waveform"]),
+    # Document text is echoed through reprlib.repr, shortened past 30 characters.
+    ("long_number", set_at("run.dt", "x" * 100), ["run.dt: cannot parse number 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"]),
+    (
+        "long_suffix",
+        set_at("run.dt", "0.01 " + "m" * 100),
+        ["run.dt: unit suffix 'mmmmmmmmmmmm...mmmmmmmmmmmmm' does not match declared 's'"],
+    ),
+    (
+        "long_unitless_suffix",
+        set_at("plant.k_gas", "0.02 " + "m" * 100),
+        ["plant.k_gas: field does not declare a unit, got suffix 'mmmmmmmmmmmm...mmmmmmmmmmmmm'"],
+    ),
+    (
+        "long_unit",
+        set_at("ones.0", dict(yaml.safe_load(MINIMAL)["ones"][0], unit="u" * 100, thresholds=["0.5 x"])),
+        ["ones[0].thresholds[0]: unit suffix 'x' does not match declared 'uuuuuuuuuuuu...uuuuuuuuuuuuu'"],
+    ),
+    ("long_unknown_key", set_at("ones.0." + "k" * 100, 1), ["ones[0]: unknown key 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"]),
 ]
 
 

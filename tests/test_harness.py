@@ -364,6 +364,13 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_long_override_text_is_echoed_shortened(self, tmp_path, capsys):
+        long = "k" * 100_000
+        out = tmp_path / "x.csv"
+        for assignment in (f"run.dt={nested(6000)}", long, f"{long}.x=1", f"ones.{long}.id=1", f"run.{long}=1"):
+            assert cli.main(["run", str(DENSITY_LIMIT), "--out", str(out), "--set", assignment]) == 64
+            assert len(capsys.readouterr().err.encode()) < 1024
+
     @pytest.mark.parametrize(
         "assignment, diagnostic",
         [
