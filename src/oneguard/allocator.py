@@ -12,9 +12,11 @@ groups (e.g. beam-aiming) take only the highest-priority holder's command.
 A command from a task without a grant on the group is dropped and reported
 as a violation rather than silently applied.
 
-Requests and commands come from the active tasks of a schedule that
-``validate`` accepted: each task's groups exist, and no task asks twice
-for one group, so neither function re-checks them.
+Both run in grant order. The loop hands them the requests and commands
+of its active tasks in priority order, and a schedule that ``validate``
+accepted names existing groups and no group twice within a task, so the
+group order inside a task changes no grant, total or command. Neither
+function sorts, reads a priority or re-checks these conditions.
 """
 
 from __future__ import annotations
@@ -43,6 +45,26 @@ class ActuatorGroup(Record):
         self.semantics, self.unit = semantics, unit
 
 
+class GroupTable:
+    """What the actuator round reads of a schedule's groups, built once per schedule.
+
+    ``capacity`` maps each group id to its capacity, in schedule order.
+    ``exclusive`` holds the ids of the exclusive groups. ``ranges`` holds
+    ``(id, lo, hi)`` per group, in schedule order: the range its merged
+    command is clamped to, ``[0, capacity]`` for an additive group and
+    ``command_range`` for an exclusive one.
+    """
+
+    __slots__ = ("capacity", "exclusive", "ranges")
+
+    def __init__(self, groups: Mapping[str, ActuatorGroup]) -> None:
+        self.capacity = {gid: g.capacity for gid, g in groups.items()}
+        self.exclusive = frozenset(gid for gid, g in groups.items() if g.semantics == EXCLUSIVE)
+        self.ranges = tuple(
+            (gid, *(g.command_range if gid in self.exclusive else (0.0, g.capacity))) for gid, g in groups.items()
+        )
+
+
 class ActuatorCommand(NamedTuple):
     """A value commanded on one group."""
 
@@ -50,30 +72,22 @@ class ActuatorCommand(NamedTuple):
     value: float
 
 
-def allocate(
-    requests: Sequence[ResourceRequest],
-    groups: Mapping[str, ActuatorGroup],
-    priorities: Mapping[str, int],
-) -> Allocation:
-    """Grant resources to requests in task-priority order.
+def allocate(requests: Sequence[ResourceRequest], table: GroupTable) -> Allocation:
+    """Grant resources to ``requests``, in the order given.
 
-    ``priorities`` maps each requesting task's id to its priority in the
-    current scenario. Tasks whose request cannot reach its minimum
-    acceptable amount are granted zero and listed in
-    ``Allocation.starved``. The minimum comparison
+    The requests come in non-decreasing priority of their tasks, as the
+    loop walks its active tasks. Tasks whose request cannot reach its
+    minimum acceptable amount are granted zero and listed in
+    ``Allocation.starved``, in request order. The minimum comparison
     carries a 1e-9 slack so accumulated float error in the remaining
     capacity cannot starve an exactly-satisfiable request. Each group's
     total adds its grants from 0.0 in the same priority order.
     """
-    remaining = {gid: g.capacity for gid, g in groups.items()}
-    totals = dict.fromkeys(groups, 0.0)
-    # Stable order: priority first, then group id so multi-group tasks
-    # allocate deterministically.
-    ordered = sorted(requests, key=lambda r: (priorities[r[0]], r[1]))
-
+    remaining = dict(table.capacity)
+    totals = dict.fromkeys(remaining, 0.0)
     grants: Dict[str, Dict[str, float]] = {}
     starved: List[Tuple[str, str]] = []
-    for task_id, gid, amount, minimum in ordered:
+    for task_id, gid, amount, minimum in requests:
         granted = min(amount, remaining[gid])
         if granted + 1e-9 < minimum or (amount > 0.0 and granted <= 0.0):
             starved.append((task_id, gid))
@@ -85,12 +99,9 @@ def allocate(
 
 
 def merge_commands(
-    outputs: Sequence[Tuple[str, ActuatorCommand]],
-    allocation: Allocation,
-    groups: Mapping[str, ActuatorGroup],
-    priorities: Mapping[str, int],
+    outputs: Sequence[Tuple[str, ActuatorCommand]], allocation: Allocation, table: GroupTable
 ) -> Tuple[Dict[str, float], List[Tuple[str, str, str]]]:
-    """Combine per-task commands into one final value per group, in one pass.
+    """Combine per-task commands, in task-priority order, into one final value per group, in one pass.
 
     Returns ``(commands, violations)`` where ``commands`` maps group id to
     the merged value (0 for groups nobody commands) and ``violations``
@@ -99,8 +110,8 @@ def merge_commands(
     ``0.0``, not ``-0.0``.
     """
     grants = allocation.grants
-    sums: Dict[str, float] = {}
-    holders: Dict[str, Tuple[Tuple[int, str], float]] = {}
+    exclusive = table.exclusive
+    merged: Dict[str, float] = {}
     violations: List[Tuple[str, str, str]] = []
 
     for task_id, (gid, value) in outputs:
@@ -108,25 +119,15 @@ def merge_commands(
         if grant <= 0.0:
             if value != 0.0:
                 violations.append((task_id, gid, "no grant"))
-            continue
-        if groups[gid].semantics == ADDITIVE:
-            if abs(value) > grant + 1e-12:
-                violations.append((task_id, gid, "command exceeds grant"))
-                continue
-            sums[gid] = sums.get(gid, 0) + value
+        elif gid in exclusive:
+            merged.setdefault(gid, value)
+        elif abs(value) > grant + 1e-12:
+            violations.append((task_id, gid, "command exceeds grant"))
         else:
-            rank = (priorities[task_id], task_id)
-            held = holders.get(gid)
-            if held is None or rank < held[0]:
-                holders[gid] = (rank, value)
+            merged[gid] = merged.get(gid, 0) + value
 
     commands: Dict[str, float] = {}
-    for gid, group in groups.items():
-        if gid in sums:
-            commands[gid] = min(max(sums[gid], 0.0), group.capacity)
-        elif gid in holders:
-            lo, hi = group.command_range
-            commands[gid] = min(max(holders[gid][1], lo), hi)
-        else:
-            commands[gid] = 0.0
+    for gid, lo, hi in table.ranges:
+        value = merged.get(gid)
+        commands[gid] = 0.0 if value is None else min(max(value, lo), hi)
     return commands, violations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .model import ControlTask, Record, ResourceRequest
 from .allocator import ActuatorCommand, ActuatorGroup
@@ -402,8 +402,8 @@ class NtmRuntime(TaskRuntime):
     """Aim the EC beam at the mode location and spend the whole grant.
 
     Holds one request on the power group (asks for everything available)
-    and one ownership token on the aiming group. ``power_capacity`` is
-    the capacity of the task's group, not a setting.
+    and one ownership token on the aiming group, both built once.
+    ``power_capacity`` is the capacity of the task's group, not a setting.
     """
 
     settings = (Setting("position_signal", SIGNAL), Setting("aim_group", GROUP))
@@ -412,20 +412,20 @@ class NtmRuntime(TaskRuntime):
         super().__init__(task)
         self.position_signal = position_signal
         self.aim_group = aim_group
-        self.power_capacity = power_capacity
+        self.fixed_requests = (
+            ResourceRequest(task.id, task.group, power_capacity),
+            ResourceRequest(task.id, aim_group, 1.0, 1.0),
+        )
 
     needs_reference = staticmethod(lambda settings: False)
 
-    def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        return [
-            ResourceRequest(self.task.id, self.task.group, self.power_capacity),
-            ResourceRequest(self.task.id, self.aim_group, 1.0, 1.0),
-        ]
+    def requests(self, ctx: StepContext) -> Sequence[ResourceRequest]:
+        return self.fixed_requests
 
     def step(self, ctx, grants):
         if grants.get(self.aim_group, 0.0) <= 0.0:
             # Lost the aiming contest: park rather than dump power off-target.
-            return [], self.requests(ctx)
+            return [], self.fixed_requests
         rho = ctx.signals.get(self.position_signal, math.nan)
         if not math.isfinite(rho):
             rho = 0.0
@@ -433,7 +433,7 @@ class NtmRuntime(TaskRuntime):
             ActuatorCommand(self.task.group, grants.get(self.task.group, 0.0)),
             ActuatorCommand(self.aim_group, min(max(rho, 0.0), 1.0)),
         ]
-        return cmds, self.requests(ctx)
+        return cmds, self.fixed_requests
 
 
 #: Runtime class of each controller type.

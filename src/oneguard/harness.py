@@ -17,7 +17,7 @@ import math
 from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .allocator import ActuatorCommand, allocate, merge_commands
+from .allocator import ActuatorCommand, GroupTable, allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
@@ -60,67 +60,59 @@ class ControlLoop:
     Owns all cross-tick state (previous event levels, the supervisor
     state with its last decision, controller runtimes, pending requests,
     last merged commands). The plant stays outside so the same loop drives
-    both live runs and fuzzed signal traces. The decision's trace cells,
-    the task priorities and the stale-runtime sweep are redone only when
-    the supervisor hands over a new state.
+    both live runs and fuzzed signal traces. Only when the supervisor hands
+    over a new state are the decision's trace cells formatted and its tasks
+    bound to their runtimes (``bound``: ``(task_id, runtime)`` pairs in
+    priority order). A task that left loses its runtime and pending
+    requests; a new one gets its runtime built.
     """
 
     def __init__(self, schedule: CompiledSchedule):
         self.schedule = schedule
+        self.table = GroupTable(schedule.groups)
         self.events: Dict[str, EventState] = {}
         self.sup_state = SupervisorState.initial(schedule.supervisor)
-        self.runtimes: Dict[str, TaskRuntime] = {}
-        self.pending: Dict[str, List[ResourceRequest]] = {}
+        self.pending: Dict[str, Sequence[ResourceRequest]] = {}
         self.prev_commands: Dict[str, float] = {gid: 0.0 for gid in schedule.groups}
         self.cells: Tuple[str, ...] = ()
-        self.priorities: Dict[str, int] = {}
+        self.bound: Tuple[Tuple[str, TaskRuntime], ...] = ()
 
     def tick(self, signals: Mapping[str, float], time: float, dt: float) -> TickRecord:
         cs = self.schedule
         events, faults = monitor_step(signals, cs.monitor, self.events)
         self.events = events
         levels = tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
-        _, tasks, _, _, state = supervisor_step(levels, self.sup_state, cs.supervisor, time)
+        state = supervisor_step(levels, self.sup_state, cs.supervisor, time)[4]
         if state is not self.sup_state:
             self.sup_state = state
             self.cells = decision_cells(cs.supervisor, state)
-            self.priorities = {t.id: t.priority for t in tasks}
-            for stale in [tid for tid in self.runtimes if tid not in self.priorities]:
-                del self.runtimes[stale]
-                self.pending.pop(stale, None)
+            runtimes = dict(self.bound)
+            self.bound = tuple(
+                (t.id, runtimes.get(t.id) or build_runtime(t, cs.controllers[t.controller], cs.groups))
+                for t in state.tasks
+            )
+            self.pending = {t.id: self.pending[t.id] for t in state.tasks if t.id in self.pending}
 
-        ctx = StepContext(time=time, dt=dt, signals=signals, prev_commands=self.prev_commands)
+        # Both per-tick records are built positionally: a keyword call builds a dict.
+        ctx = StepContext(time, dt, signals, self.prev_commands)
+        pending = self.pending
         requests: List[ResourceRequest] = []
-        for task in tasks:
-            runtime = self.runtimes.get(task.id)
-            if runtime is None:
-                runtime = build_runtime(task, cs.controllers[task.controller], cs.groups)
-                self.runtimes[task.id] = runtime
-            queued = self.pending.get(task.id)
+        for task_id, runtime in self.bound:
+            queued = pending.get(task_id)
             requests.extend(queued if queued is not None else runtime.requests(ctx))
 
-        allocation = allocate(requests, cs.groups, self.priorities)
+        allocation = allocate(requests, self.table)
 
         outputs: List[Tuple[str, ActuatorCommand]] = []
         grants = allocation.grants
-        for task in tasks:
-            task_id = task.id
-            issued, self.pending[task_id] = self.runtimes[task_id].step(ctx, grants.get(task_id, NO_GRANTS))
+        for task_id, runtime in self.bound:
+            issued, pending[task_id] = runtime.step(ctx, grants.get(task_id, NO_GRANTS))
             for cmd in issued:
                 outputs.append((task_id, cmd))
 
-        commands, violations = merge_commands(outputs, allocation, cs.groups, self.priorities)
+        commands, violations = merge_commands(outputs, allocation, self.table)
         self.prev_commands = commands
-        return TickRecord(
-            time=time,
-            signals=signals,
-            cells=self.cells,
-            group_grants=allocation.totals,
-            commands=commands,
-            task_commands=outputs,
-            faults=faults,
-            violations=violations,
-        )
+        return TickRecord(time, signals, self.cells, allocation.totals, commands, outputs, faults, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,11 @@ class Allocation(NamedTuple):
 
     ``grants`` maps task id -> group id -> granted amount. A task may hold
     grants on several groups (one per group). ``starved`` lists the
-    (task, group) requests that received nothing. ``totals`` maps each
-    group id to the sum of its grants, added in priority order.
+    (task, group) requests that received nothing, in request order.
+    ``totals`` maps each group id to the sum of its grants, added in
+    priority order.
     """
 
     grants: Mapping[str, Mapping[str, float]]
     starved: tuple = ()
     totals: Mapping[str, float] = NO_GRANTS
-
-    def grant(self, task_id: str, group_id: str) -> float:
-        return self.grants.get(task_id, NO_GRANTS).get(group_id, 0.0)

@@ -38,11 +38,13 @@ class ThresholdTable(Record):
     threshold (all zero when left empty), and the bands must not make
     neighbouring thresholds overlap. A falling table is the rising table
     of the negated signal: ``sign`` is -1.0 for it (1.0 for a rising one),
-    and ``rising`` holds the thresholds times ``sign``, in rising order.
+    ``rising`` holds the thresholds times ``sign``, in rising order, and
+    ``release[i]`` is ``rising[i]`` minus its band: the signed value below
+    which level ``i + 1`` is left.
     """
 
     _fields = ("signal", "thresholds", "direction", "hysteresis")
-    __slots__ = _fields + ("sign", "rising")
+    __slots__ = _fields + ("sign", "rising", "release")
 
     def __init__(
         self, signal: str, thresholds: Tuple[float, ...], direction: str = RISING, hysteresis: Tuple[float, ...] = ()
@@ -51,14 +53,7 @@ class ThresholdTable(Record):
         self.hysteresis = hysteresis or tuple(0.0 for _ in thresholds)
         self.sign = 1.0 if direction == RISING else -1.0
         self.rising = tuple(self.sign * t for t in thresholds)
-
-    def bucket(self, value: float) -> int:
-        """Stateless bucket index of ``value`` (no hysteresis)."""
-        return bisect_right(self.rising, self.sign * value)
-
-    def holds_level(self, value: float, level: int) -> bool:
-        """Whether ``value`` is still within the hysteresis band of ``level``."""
-        return self.sign * value >= self.rising[level - 1] - self.hysteresis[level - 1]
+        self.release = tuple(r - h for r, h in zip(self.rising, self.hysteresis))
 
     def next_level(self, value: float, previous_level: int) -> int:
         """Event level after sample ``value``, given the previous level.
@@ -67,11 +62,12 @@ class ThresholdTable(Record):
         previous level only happens once the value clears the hysteresis
         band of each level it leaves.
         """
-        bucket = self.bucket(value)
+        signed = self.sign * value
+        bucket = bisect_right(self.rising, signed)
         if bucket >= previous_level:
             return bucket
-        level = previous_level
-        while level > bucket and not self.holds_level(value, level):
+        level, release = previous_level, self.release
+        while level > bucket and signed < release[level - 1]:
             level -= 1
         return level
 

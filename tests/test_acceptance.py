@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from oneguard import cli
 from oneguard import config as cfg
 from oneguard import harness
-from oneguard.allocator import allocate
+from oneguard.allocator import GroupTable, allocate
 from oneguard.harness import ControlLoop
 from oneguard.model import DangerLevel
 from oneguard.plant import initial_state, plant_step
@@ -34,7 +34,7 @@ from oneguard.controllers import PidState, pid_step
 from oneguard.supervisor import OneEvaluation, SupervisorState, supervisor_step
 
 from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
-from test_allocator import assert_matches_oracle, random_instance
+from test_allocator import assert_matches_oracle, by_priority, grant_of, random_instance
 from test_harness import replayed_rows
 from test_plant import BOUNDARY, sample_polyline
 from test_supervisor import oracle_config_pairs
@@ -232,12 +232,12 @@ def test_c5_allocator_oracle_and_feasibility():
     instances = 100_000
     for _ in range(instances):
         requests, groups, priorities = random_instance(rng, multi_group=True)
-        alloc = allocate(requests, groups, priorities)
+        alloc = allocate(by_priority(requests, priorities), GroupTable(groups))
         for gid, g in groups.items():
             if alloc.totals[gid] > g.capacity + 1e-9:
                 feasibility_violations += 1
         for r in requests:
-            got = alloc.grant(r.task_id, r.group_id)
+            got = grant_of(alloc, r.task_id, r.group_id)
             if got != 0.0 and got + 1e-9 < r.min_acceptable:
                 feasibility_violations += 1
             if got > r.amount + 1e-12:
@@ -643,8 +643,8 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
     assert cs == diagnostics.schedule
     allocations = []
 
-    def recording_allocate(requests, groups, priorities):
-        allocations.append((list(requests), allocate(requests, groups, priorities)))
+    def recording_allocate(requests, table):
+        allocations.append((list(requests), allocate(requests, table)))
         return allocations[-1][1]
 
     # A patch, not a fixture: hypothesis refuses function-scoped fixtures.
@@ -678,5 +678,5 @@ def test_c8_generated_schedules_that_validate_run_clean(drawn):
         for gid, group in cs.groups.items():
             assert sum(grants.get(gid, 0.0) for grants in allocation.grants.values()) <= group.capacity + 1e-9
         for task_id, gid, amount, minimum in requests:
-            grant = allocation.grant(task_id, gid)
+            grant = grant_of(allocation, task_id, gid)
             assert grant == 0.0 or minimum - 1e-9 <= grant <= amount

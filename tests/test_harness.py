@@ -140,7 +140,7 @@ class TestRun:
         for k, distance in enumerate([0.6, 0.6, 0.4, 0.4, 0.6, 0.6]):
             loop.tick(dict(signals, d_ne_edge=distance), k * cs.run.dt, cs.run.dt)
             assert loop.sup_state.scenario_id == "normal"
-            runtimes.append(loop.runtimes.get("ff_gas_nor"))
+            runtimes.append(dict(loop.bound).get("ff_gas_nor"))
         assert runtimes[0] is runtimes[1] is not None
         assert runtimes[2] is None and runtimes[3] is None
         assert runtimes[4] is runtimes[5] is not runtimes[0]

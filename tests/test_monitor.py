@@ -122,8 +122,9 @@ class TestDiscretize:
                 prev = got
 
     def test_bucket_equals_a_linear_scan(self):
-        # The bucket search counts crossed thresholds like a scan from the
-        # worst one down, in both directions and exactly on a threshold.
+        # From level 0 the level is the stateless bucket. Its search counts
+        # crossed thresholds like a scan from the worst one down, in both
+        # directions and exactly on a threshold.
         def scan(thresholds, rising, value):
             for level in range(len(thresholds), 0, -1):
                 t = thresholds[level - 1]
@@ -141,14 +142,14 @@ class TestDiscretize:
             for t in thresholds:
                 values += [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
             for value in values:
-                assert table.bucket(value) == scan(thresholds, rising, value), (thresholds, value)
+                assert table.next_level(value, 0) == scan(thresholds, rising, value), (thresholds, value)
 
     def test_zero_hysteresis_equals_stateless_bucket(self):
         table = ThresholdTable(signal="x", thresholds=(1.0, 2.0, 3.0))
         for prev in range(4):
             value = -0.5
             while value < 4.0:
-                expected = table.bucket(value)
+                expected = table.next_level(value, 0)
                 assert table.next_level(value, prev) == expected
                 value += 0.01
 
