@@ -920,6 +920,7 @@ def validate(ps: PulseSchedule) -> Diagnostics:
         if one.direction not in (RISING, FALLING):
             out.append(Diagnostic("error", f"{path}.direction", f"must be {RISING!r} or {FALLING!r}"))
         ts, hs = one.thresholds, one.hysteresis
+        table = tables[one.id] = ThresholdTable(one.signal, ts, one.direction, hs)
         if not ts:
             out.append(Diagnostic("error", f"{path}.thresholds", "needs at least one threshold"))
         if len(hs) != len(ts):
@@ -930,14 +931,12 @@ def validate(ps: PulseSchedule) -> Diagnostics:
             if any(h < 0.0 for h in hs):
                 out.append(Diagnostic("error", f"{path}.hysteresis", "bands must be >= 0"))
             if one.direction in (RISING, FALLING):
-                # A falling table is the rising table of the negated signal; negation is exact.
-                sign, order = (1.0, "increasing") if one.direction == RISING else (-1.0, "decreasing")
-                rs = [sign * t for t in ts]
+                # The table holds a falling event's thresholds negated, so both read in rising order.
+                rs, order = table.rising, "increasing" if one.direction == RISING else "decreasing"
                 if any(a >= b for a, b in zip(rs, rs[1:])):
                     out.append(Diagnostic("error", f"{path}.thresholds", f"must be strictly {order}"))
-                elif any(rs[j] + hs[j] >= rs[j + 1] - hs[j + 1] for j in range(len(rs) - 1)):
+                elif any(rs[j] + hs[j] >= table.release[j + 1] for j in range(len(rs) - 1)):
                     out.append(Diagnostic("error", f"{path}.hysteresis", "bands overlap neighbouring thresholds"))
-        tables[one.id] = ThresholdTable(one.signal, ts, one.direction, hs)
         evaluations[one.id] = _check_classification(one, path, out)
 
     # Virtual events; an input names the first base event of its id.

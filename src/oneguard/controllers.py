@@ -2,14 +2,17 @@
 
 Each controller follows the same two-way contract with the actuator
 manager: it emits a resource request for the next tick and a command that
-never exceeds the grant it currently holds. The pure step functions carry
-the control laws; thin runtime wrappers bind them to a task for the loop
-and own whatever state survives between ticks. Runtime state lives per
-task binding and is discarded when the task deactivates. Task references
-are ``Waveform``s (the parser promotes a scalar to a constant one). Each
-runtime class carries its type's settings table; ``validate`` checks a
-schedule's settings against it and fills in its defaults in the same
-pass, and ``build_runtime`` passes the complete settings on.
+never exceeds the grant it currently holds. A runtime class binds one
+task to its law for the loop and owns whatever state survives between
+ticks. The PID and disruption-avoidance power laws are pure step
+functions that their runtimes call; the feedforward, gas-shaper and NTM
+laws live in their runtimes, the gas shaper's in ``_command``. Runtime
+state lives per task binding and is discarded when the task deactivates.
+Task references are ``Waveform``s (the parser promotes a scalar to a
+constant one). Each runtime class carries its type's settings table;
+``validate`` checks a schedule's settings against it and fills in its
+defaults in the same pass, and ``build_runtime`` passes the complete
+settings on.
 """
 
 from __future__ import annotations
@@ -75,17 +78,16 @@ class PidState(NamedTuple):
     fault: bool = False
 
 
-def pid_step(
-    reference: float, measurement: float, state: PidState, dt: float
-) -> Tuple[float, float, PidState]:
+def pid_step(reference: float, measurement: float, state: PidState, dt: float) -> Tuple[float, PidState]:
     """One positional PID update.
 
-    Returns ``(request, command, new_state)``; request and command are the
-    same clamped output. A non-finite measurement holds the previous
-    output and raises the fault flag instead of propagating the value.
+    Returns ``(output, new_state)``; the clamped output is both the
+    command and the next request. A non-finite measurement holds the
+    previous output and raises the fault flag instead of propagating the
+    value.
     """
     if not math.isfinite(measurement):
-        return state.last_output, state.last_output, state._replace(fault=True)
+        return state.last_output, state._replace(fault=True)
 
     error = reference - measurement
     integrator = state.integrator + state.ki * error * dt
@@ -100,16 +102,14 @@ def pid_step(
     new_state = PidState(
         state.kp, state.ki, state.kd, state.lo, state.hi, state.anti_windup, integrator, measurement, output
     )
-    return output, output, new_state
+    return output, new_state
 
 
 MODE_NORMAL = "normal"
 MODE_RECOVERY = "recovery"
 
 
-def da_power_step(
-    distance: float, d_critical1: float, gain: float, p_max: float, mode: str
-) -> Tuple[float, float]:
+def da_power_step(distance: float, d_critical1: float, gain: float, p_max: float, mode: str) -> float:
     """Disruption-avoidance heating law.
 
     In normal mode the extra power grows linearly with the gap below the
@@ -118,44 +118,15 @@ def da_power_step(
     asks for ``p_max``.
     """
     if mode == MODE_RECOVERY:
-        return p_max, p_max
+        return p_max
     if distance >= d_critical1:
-        return 0.0, 0.0
-    value = min(gain * (d_critical1 - distance), p_max)
-    return value, value
+        return 0.0
+    return min(gain * (d_critical1 - distance), p_max)
 
 
 MODE_SLOW_RAMP = "slow_ramp"
 MODE_FREEZE = "freeze"
 MODE_CUTOFF = "cutoff"
-
-
-def da_gas_step(
-    base_command: float,
-    mode: str,
-    *,
-    ramp_increment: float = 0.0,
-    factor: float = 1.0,
-    entry_value: float = 0.0,
-    entry_time: float = 0.0,
-    time: float = 0.0,
-    ramp_down: float = 0.0,
-) -> float:
-    """Shape a flux/power command for disruption avoidance or shutdown.
-
-    ``slow_ramp`` continues from the current command ``base_command`` at a
-    fraction ``factor`` of the reference ramp increment, ``freeze`` holds
-    the value captured at mode entry, and ``cutoff`` ramps that value
-    linearly to zero over ``ramp_down`` seconds.
-    """
-    if mode == MODE_SLOW_RAMP:
-        return base_command + factor * ramp_increment
-    if mode == MODE_FREEZE:
-        return entry_value
-    if ramp_down <= 0.0:
-        return 0.0
-    remaining = 1.0 - (time - entry_time) / ramp_down
-    return entry_value * min(max(remaining, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +237,20 @@ class PidRuntime(TaskRuntime):
         self.measurement = measurement
         self.state = PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
 
-    def _output(self, ctx: StepContext) -> Tuple[float, float, PidState]:
+    def _output(self, ctx: StepContext) -> Tuple[float, PidState]:
         ref = self.reference(ctx.time)
         meas = ctx.signals.get(self.measurement, math.nan)
         return pid_step(ref, meas, self.state, ctx.dt)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        request, _, _ = self._output(ctx)
-        return [ResourceRequest(self.task.id, self.task.group, max(request, 0.0))]
+        output, _ = self._output(ctx)
+        return [ResourceRequest(self.task.id, self.task.group, max(output, 0.0))]
 
     def step(self, ctx, grants):
-        request, command, self.state = self._output(ctx)
-        value = min(max(command, 0.0), grants.get(self.task.group, 0.0))
-        next_req = ResourceRequest(self.task.id, self.task.group, max(request, 0.0))
-        return [ActuatorCommand(self.task.group, value)], [next_req]
+        output, self.state = self._output(ctx)
+        desired = max(output, 0.0)
+        value = min(desired, grants.get(self.task.group, 0.0))
+        return [ActuatorCommand(self.task.group, value)], [ResourceRequest(self.task.id, self.task.group, desired)]
 
 
 class DaPowerRuntime(TaskRuntime):
@@ -308,8 +279,7 @@ class DaPowerRuntime(TaskRuntime):
         if not math.isfinite(distance):
             # No usable distance estimate: do not inject extra power.
             return 0.0 if self.mode == MODE_NORMAL else self.p_max
-        request, _ = da_power_step(distance, self.d_critical1, self.gain, self.p_max, self.mode)
-        return request
+        return da_power_step(distance, self.d_critical1, self.gain, self.p_max, self.mode)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         return [ResourceRequest(self.task.id, self.task.group, self._desired(ctx))]
@@ -325,8 +295,10 @@ class GasShaperRuntime(TaskRuntime):
     """Reduce, freeze or cut off a ramp command on one group.
 
     The shaper takes over whatever the group was last commanded to
-    (``prev_commands``) when its task activates; ``slow_ramp`` additionally
-    needs the task reference waveform whose increments it scales down.
+    (``prev_commands``) when its task activates. ``slow_ramp`` continues it
+    at ``factor`` times each increment of the task's reference waveform,
+    ``freeze`` holds the value captured at activation, and ``cutoff`` ramps
+    that value linearly to zero over ``ramp_down`` seconds.
     """
 
     settings = (
@@ -346,55 +318,33 @@ class GasShaperRuntime(TaskRuntime):
 
     needs_reference = staticmethod(lambda settings: settings.get("mode") == MODE_SLOW_RAMP)
 
-    def _shape(self, ctx: StepContext) -> float:
-        base = ctx.prev_commands.get(self.task.group, 0.0)
-        entry_value = base if self.entry_value is None else self.entry_value
-        entry_time = ctx.time if self.entry_value is None else self.entry_time
-        increment = 0.0
-        if self.waveform is not None:
-            increment = self.waveform(ctx.time) - self.waveform(ctx.time - ctx.dt)
-        value = da_gas_step(
-            base,
-            self.mode,
-            ramp_increment=increment,
-            factor=self.factor,
-            entry_value=entry_value,
-            entry_time=entry_time,
-            time=ctx.time,
-            ramp_down=self.ramp_down,
-        )
-        return max(value, 0.0)
+    def _command(self, base: float, time: float, before: float) -> float:
+        """The command at ``time`` that follows ``base``, the command at ``before``; never negative.
 
-    def _project(self, issued: float, ctx: StepContext) -> float:
-        """Expected command one tick ahead, for the next resource request."""
-        t_next = ctx.time + ctx.dt
+        Until ``step`` captures the entry, ``base`` at ``time`` stands in for it.
+        """
         if self.mode == MODE_SLOW_RAMP:
-            increment = 0.0
-            if self.waveform is not None:
-                increment = self.waveform(t_next) - self.waveform(ctx.time)
-            return max(issued + self.factor * increment, 0.0)
-        entry_value = issued if self.entry_value is None else self.entry_value
-        entry_time = ctx.time if self.entry_value is None else self.entry_time
-        value = da_gas_step(
-            issued,
-            self.mode,
-            entry_value=entry_value,
-            entry_time=entry_time,
-            time=t_next,
-            ramp_down=self.ramp_down,
-        )
+            value = base + self.factor * (self.waveform(time) - self.waveform(before))
+        else:
+            entry_value, entry_time = (base, time) if self.entry_value is None else (self.entry_value, self.entry_time)
+            if self.mode == MODE_FREEZE:
+                value = entry_value
+            elif self.ramp_down <= 0.0:
+                value = 0.0
+            else:
+                value = entry_value * min(max(1.0 - (time - entry_time) / self.ramp_down, 0.0), 1.0)
         return max(value, 0.0)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        return [ResourceRequest(self.task.id, self.task.group, self._shape(ctx))]
+        base = ctx.prev_commands.get(self.task.group, 0.0)
+        return [ResourceRequest(self.task.id, self.task.group, self._command(base, ctx.time, ctx.time - ctx.dt))]
 
     def step(self, ctx, grants):
+        base = ctx.prev_commands.get(self.task.group, 0.0)
         if self.entry_value is None:
-            self.entry_value = ctx.prev_commands.get(self.task.group, 0.0)
-            self.entry_time = ctx.time
-        desired = self._shape(ctx)
-        value = min(desired, grants.get(self.task.group, 0.0))
-        next_req = ResourceRequest(self.task.id, self.task.group, self._project(value, ctx))
+            self.entry_value, self.entry_time = base, ctx.time
+        value = min(self._command(base, ctx.time, ctx.time - ctx.dt), grants.get(self.task.group, 0.0))
+        next_req = ResourceRequest(self.task.id, self.task.group, self._command(value, ctx.time + ctx.dt, ctx.time))
         return [ActuatorCommand(self.task.group, value)], [next_req]
 
 

@@ -37,19 +37,17 @@ _SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATIO
 class TickRecord(Record):
     """Everything one tick decided, for the trace; ``cells`` holds its decision's ``decision_cells``."""
 
-    __slots__ = ("time", "signals", "cells", "group_grants", "commands", "task_commands", "faults", "violations")
+    __slots__ = ("time", "signals", "cells", "group_grants", "commands", "faults", "violations")
 
     def __init__(
         self, time: float, signals: Mapping[str, float], cells: Tuple[str, ...], group_grants: Mapping[str, float],
-        commands: Mapping[str, float], task_commands: List[Tuple[str, ActuatorCommand]],
-        faults: List[Tuple[str, str]], violations: List[Tuple[str, str, str]],
+        commands: Mapping[str, float], faults: List[Tuple[str, str]], violations: List[Tuple[str, str, str]],
     ) -> None:
         self.time = time
         self.signals = signals
         self.cells = cells
         self.group_grants = group_grants
         self.commands = commands
-        self.task_commands = task_commands
         self.faults = faults
         self.violations = violations
 
@@ -112,7 +110,7 @@ class ControlLoop:
 
         commands, violations = merge_commands(outputs, allocation, self.table)
         self.prev_commands = commands
-        return TickRecord(time, signals, self.cells, allocation.totals, commands, outputs, faults, violations)
+        return TickRecord(time, signals, self.cells, allocation.totals, commands, faults, violations)
 
 
 # ---------------------------------------------------------------------------

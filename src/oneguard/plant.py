@@ -156,13 +156,11 @@ class PlantState(Record):
     (``ne_edge_norm``, ``h98y2``), computed once when the state is made.
     """
 
-    __slots__ = (
-        "h98y2", "ne_edge_norm", "w_mj", "nbi_power", "nbi_energy", "gas_flux", "time", "distance", "disrupted",
-    )
+    __slots__ = ("h98y2", "ne_edge_norm", "w_mj", "nbi_power", "nbi_energy", "gas_flux", "distance", "disrupted")
 
     def __init__(
         self, h98y2: float, ne_edge_norm: float, w_mj: float, nbi_power: float, nbi_energy: float, gas_flux: float,
-        time: float, distance: float, disrupted: bool = False,
+        distance: float, disrupted: bool = False,
     ) -> None:
         self.h98y2 = h98y2
         self.ne_edge_norm = ne_edge_norm
@@ -170,7 +168,6 @@ class PlantState(Record):
         self.nbi_power = nbi_power
         self.nbi_energy = nbi_energy
         self.gas_flux = gas_flux
-        self.time = time
         self.distance = distance
         self.disrupted = disrupted
 
@@ -185,7 +182,6 @@ def initial_state(params: PlantParams) -> PlantState:
         nbi_power=0.0,
         nbi_energy=0.0,
         gas_flux=params.gas_init,
-        time=0.0,
         distance=params.boundary.signed_distance(ne, h98),
     )
 
@@ -199,7 +195,7 @@ def plant_step(
 ) -> PlantState:
     """Advance the surrogate one control period.
 
-    Disruption is absorbing: once set, every field except time freezes.
+    Disruption is absorbing: once set, the state no longer changes.
     Commands are magnitudes; negative values clamp to zero (the beam and
     the valve cannot run backwards), keeping injected energy
     non-decreasing no matter the caller.
@@ -210,7 +206,7 @@ def plant_step(
     gas_flux = max(gas_flux, 0.0)
 
     if state.disrupted:
-        return state._replace(time=state.time + dt)
+        return state
 
     w = state.w_mj + dt * (p_nbi + params.p_ohmic - state.w_mj / params.tau_e)
     target = params.k_gas * gas_flux
@@ -225,7 +221,6 @@ def plant_step(
         nbi_power=p_nbi,
         nbi_energy=nbi_energy,
         gas_flux=gas_flux,
-        time=state.time + dt,
         distance=dist,
         disrupted=dist <= 0.0,
     )

@@ -49,18 +49,18 @@ def rows_of(trace_text):
     return list(csv.DictReader(io.StringIO(trace_text)))
 
 
-def test_c1_density_limit_timeline(density_limit_compiled, monkeypatch):
-    task_rows = []
-    tick = ControlLoop.tick
+def test_c1_density_limit_timeline(density_limit_compiled):
+    task_outputs = []  # each tick's (task id, command) pairs, as handed to the merge
+    merge = harness.merge_commands
 
-    def recording_tick(loop, *args):
-        task_rows.append(tick(loop, *args))
-        return task_rows[-1]
+    def recording_merge(outputs, allocation, table):
+        task_outputs.append(list(outputs))
+        return merge(outputs, allocation, table)
 
-    monkeypatch.setattr(ControlLoop, "tick", recording_tick)
-    started = wallclock.monotonic()
-    result = harness.run(density_limit_compiled)
-    elapsed = wallclock.monotonic() - started
+    with mock.patch.object(harness, "merge_commands", recording_merge):
+        started = wallclock.monotonic()
+        result = harness.run(density_limit_compiled)
+        elapsed = wallclock.monotonic() - started
     rows = rows_of(result.trace_text)
 
     # Phase boundaries.
@@ -108,8 +108,8 @@ def test_c1_density_limit_timeline(density_limit_compiled, monkeypatch):
     assert all(b >= a - 1e-9 for a, b in zip(nbi, nbi[1:]))
     ff_values = [
         value
-        for record in task_rows
-        for tid, (gid, value) in record.task_commands
+        for outputs in task_outputs
+        for tid, (gid, value) in outputs
         if tid in ("ff_power_nor", "ff_power_rec")
     ]
     assert len(ff_values) == len(rows)
@@ -260,7 +260,7 @@ def test_c6_numerical_checks(density_limit_compiled):
     out = 0.0
     for k in range(n + 1):
         measurement = 1.0 - math.exp(-k * dt / tau)
-        _, out, state = pid_step(1.0, measurement, state, dt)
+        out, state = pid_step(1.0, measurement, state, dt)
     fine = dt / 100.0
     integral = 0.0
     for k in range(int(round(horizon / fine)) + 1):

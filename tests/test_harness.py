@@ -112,22 +112,27 @@ class TestRun:
             recovery = next(sc for sc in doc["scenarios"] if sc["id"] == "recovery")
             recovery["tasks"][0].update(id="ff_power_nor", reference=0.1)
 
-        ticks = []
-        real_tick = harness.ControlLoop.tick
+        ticks, merged = [], []
+        real_tick, real_merge = harness.ControlLoop.tick, harness.merge_commands
+
+        def merge(outputs, allocation, table):
+            merged.append(list(outputs))
+            return real_merge(outputs, allocation, table)
 
         def tick(loop, *args):
             record = real_tick(loop, *args)
-            ticks.append((loop.sup_state.scenario_id, record))
+            ticks.append((loop.sup_state.scenario_id, record, merged[-1]))
             return record
 
+        monkeypatch.setattr(harness, "merge_commands", merge)
         monkeypatch.setattr(harness.ControlLoop, "tick", tick)
         doc = yaml.safe_load(DENSITY_LIMIT.read_text())
         reuse(doc)
         compiled = cfg.compile_schedule(cfg.parse(yaml.safe_dump(doc, sort_keys=False)))
         harness.run(compiled)
-        first = next(record for scenario_id, record in ticks if scenario_id == "recovery")
+        first, outputs = next((record, outputs) for scenario_id, record, outputs in ticks if scenario_id == "recovery")
         assert first.time == pytest.approx(0.5)
-        assert ("ff_power_nor", ActuatorCommand("nbi", 0.65)) in first.task_commands
+        assert ("ff_power_nor", ActuatorCommand("nbi", 0.65)) in outputs
 
     def test_task_that_leaves_and_reenters_gets_a_fresh_runtime(self, density_limit_compiled):
         # ff_gas_nor is active only while d_ne_edge is at level 0; the
