@@ -36,13 +36,10 @@ class ActuatorGroup(Record):
     clamps the merged command of an exclusive group.
     """
 
-    __slots__ = ("id", "capacity", "command_range", "semantics", "unit")
+    __slots__ = ("id", "capacity", "command_range", "semantics")
 
-    def __init__(
-        self, id: str, capacity: float, command_range: Tuple[float, float], semantics: str = ADDITIVE, unit: str = ""
-    ) -> None:
-        self.id, self.capacity, self.command_range = id, capacity, command_range
-        self.semantics, self.unit = semantics, unit
+    def __init__(self, id: str, capacity: float, command_range: Tuple[float, float], semantics: str = ADDITIVE) -> None:
+        self.id, self.capacity, self.command_range, self.semantics = id, capacity, command_range, semantics
 
 
 class GroupTable:

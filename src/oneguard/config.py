@@ -224,7 +224,6 @@ class OneSpec(NamedTuple):
     direction: str
     thresholds: Tuple[float, ...]
     hysteresis: Tuple[float, ...]
-    unit: Optional[str]
     danger: Tuple[Tuple[int, str], ...]
     reaction: Tuple[Tuple[str, int], ...]
     irreversible: Tuple[int, ...]
@@ -375,13 +374,13 @@ def _settings(sh: _Shape, value: Any, path: str) -> Dict[str, Any]:
     return dict(value)
 
 
-def _one(hysteresis: Optional[Tuple[float, ...]], **fields: Any) -> OneSpec:
+def _one(unit: Optional[str], hysteresis: Optional[Tuple[float, ...]], **fields: Any) -> OneSpec:
     one = OneSpec(hysteresis=hysteresis, **fields)
     # No hysteresis: a zero band per threshold.
     return one if hysteresis is not None else one._replace(hysteresis=(0.0,) * len(one.thresholds))
 
 
-def _group(command_range: Optional[Tuple[float, float]], **fields: Any) -> ActuatorGroup:
+def _group(unit: str, command_range: Optional[Tuple[float, float]], **fields: Any) -> ActuatorGroup:
     group = ActuatorGroup(command_range=command_range, **fields)
     # No command range: from zero to the capacity.
     return group if command_range is not None else group._replace(command_range=(0.0, group.capacity))
@@ -652,22 +651,20 @@ def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[D
     reaction = _check_reaction_map(spec.reaction, f"{path}.reaction", out)
     for lvl in spec.irreversible:
         if not REACTION_MIN <= lvl <= REACTION_MAX:
-            out.append(Diagnostic("error", f"{path}.irreversible", f"level {lvl} outside [0, 4]"))
-    if not {3, 4} <= set(spec.irreversible):
-        out.append(
-            Diagnostic(
-                "warning",
-                f"{path}.irreversible",
-                "set does not cover the conventional irreversible levels {3, 4}",
-            )
-        )
+            message = f"level {lvl} outside [{REACTION_MIN}, {REACTION_MAX}]"
+            out.append(Diagnostic("error", f"{path}.irreversible", message))
     if errors_of(out[start:]):
         return None
-    return OneEvaluation(
+    evaluation = OneEvaluation(
         danger=tuple(_DANGER_NAMES[danger[lvl]] for lvl in range(spec.max_level + 1)),
         reaction=tuple(reaction[name] for name in _DANGER_NAMES),
         irreversible=frozenset(spec.irreversible),
     )
+    # The latch holds from its lowest level up, so it covers 3 and 4 exactly when it starts at 3 or below.
+    if evaluation.latch_from > 3:
+        message = "set does not cover the conventional irreversible levels {3, 4}"
+        out.append(Diagnostic("warning", f"{path}.irreversible", message))
+    return evaluation
 
 
 def _runtime_class(kind: Any) -> Optional[type]:
@@ -767,56 +764,43 @@ def _combos_with_max(per_one: Sequence[Sequence[int]], maxima: set) -> Iterator[
         yield from walk(0, (), REACTION_MIN - 1)
 
 
-def _fallback_rule(combo: Tuple[int, ...]) -> str:
-    top = max(combo)
-    if top == REACTION_MIN:
-        return "default scenario"
-    return f"max-severity fallback to type {SCENARIO_TYPE_FOR_REACTION[top].value!r}"
-
-
-def _coverage_diagnostics(
-    per_one: Sequence[Sequence[int]], row_map: Mapping[Tuple[int, ...], str], types_present: set
-) -> List[Diagnostic]:
-    """Check every reachable reaction tuple against the rows and the fallback rule.
+def _coverage_diagnostics(per_one: Sequence[Sequence[int]], mapping: OsMapping) -> List[Diagnostic]:
+    """Check every reachable reaction tuple against the rows and fallback table of ``mapping``.
 
     ``per_one`` holds the reachable reaction levels of each event, in event
-    order. A tuple without a row falls back on its maximum level alone, so
-    the tuples are counted per maximum level k instead of enumerated: the
-    reachable tuples with maximum k number prod|R_i & [0, k]| minus
-    prod|R_i & [0, k-1]|, less the rows among them. Only the tuples a
-    diagnostic names, and the rows met on the way to them, are walked.
+    order. A tuple without a row falls back on its maximum level k alone, so
+    the tuples are counted per k instead of enumerated: the reachable tuples
+    with maximum k number prod|R_i & [0, k]| minus prod|R_i & [0, k-1]|,
+    less the rows among them. Each k without a fallback scenario gets one
+    counted error. Only the tuples a diagnostic names, and the rows met on
+    the way to them, are walked.
     """
-    rows_by_max = Counter(max(c) for c in row_map if all(r in rs for r, rs in zip(c, per_one)))
+    rows, fallback = mapping.rows, mapping.fallback
+    rows_by_max = Counter(max(c) for c in rows if all(r in rs for r, rs in zip(c, per_one)))
     uncovered = {}
     below = 0  # reachable tuples whose levels all lie below k
     for k in range(REACTION_MIN, REACTION_MAX + 1):
         upto = math.prod(sum(r <= k for r in rs) for rs in per_one)
         uncovered[k] = upto - below - rows_by_max[k]
         below = upto
-    # The all-zero tuple always has the default scenario.
-    stranded = {
-        k for k, count in uncovered.items()
-        if k > REACTION_MIN and count and SCENARIO_TYPE_FOR_REACTION[k].value not in types_present
-    }
+
+    def examples(maxima: set) -> Iterator[Tuple[int, ...]]:
+        return itertools.islice((c for c in _combos_with_max(per_one, maxima) if c not in rows), 4)
 
     out: List[Diagnostic] = []
-    for combo in _combos_with_max(per_one, stranded):
-        if combo not in row_map:
-            wanted = SCENARIO_TYPE_FOR_REACTION[max(combo)]
-            out.append(
-                Diagnostic(
-                    "error",
-                    "os_mapping.rows",
-                    f"reachable combination {list(combo)} has no row and no "
-                    f"{wanted.value!r} scenario to fall back to",
-                )
-            )
-    n_fallback = sum(count for k, count in uncovered.items() if k not in stranded)
+    how = {REACTION_MIN: "default scenario"}  # each level with a fallback, and the rule that picks it
+    for k, count in uncovered.items():
+        if fallback[k] is None:
+            if count:
+                shown = "; ".join(str(list(c)) for c in examples({k}))
+                wanted = SCENARIO_TYPE_FOR_REACTION[k].value
+                message = f"{count} reachable combination(s) have no row and no {wanted!r} scenario to fall back to"
+                out.append(Diagnostic("error", "os_mapping.rows", f"{message}: {shown}"))
+        elif k > REACTION_MIN:
+            how[k] = f"max-severity fallback to type {mapping.scenarios[fallback[k]].type.value!r}"
+    n_fallback = sum(uncovered[k] for k in how)
     if n_fallback:
-        hits = itertools.islice(
-            (c for c in itertools.product(*per_one) if c not in row_map and max(c) not in stranded), 4
-        )
-        shown = "; ".join(f"{list(c)} -> {_fallback_rule(c)}" for c in hits)
+        shown = "; ".join(f"{list(c)} -> {how[max(c)]}" for c in examples(set(how)))
         out.append(
             Diagnostic(
                 "warning",
@@ -1054,7 +1038,8 @@ def validate(ps: PulseSchedule) -> Diagnostics:
             )
             continue
         if any(not REACTION_MIN <= r <= REACTION_MAX for r in reactions):
-            out.append(Diagnostic("error", path, f"reaction levels outside [0, 4]: {list(reactions)}"))
+            message = f"reaction levels outside [{REACTION_MIN}, {REACTION_MAX}]: {list(reactions)}"
+            out.append(Diagnostic("error", path, message))
         if reactions in seen_rows:
             out.append(Diagnostic("error", path, f"duplicate row for combination {list(reactions)}"))
         seen_rows.add(reactions)
@@ -1067,16 +1052,17 @@ def validate(ps: PulseSchedule) -> Diagnostics:
                 Diagnostic("error", path, "the all-zero combination must map to a normal-type scenario")
             )
 
-    # Coverage of reachable reaction combinations. A base event reports
-    # every level, a virtual one its rows' outputs; the latch adds no
-    # reaction. Without errors the event ids are unique, so ``evaluations``
-    # holds one evaluation per event, in event order.
+    # Coverage of reachable reaction combinations, on the mapping the
+    # supervisor runs. A base event reports every level, a virtual one its
+    # rows' outputs; the latch adds no reaction. Without errors the event
+    # ids are unique, so ``evaluations`` holds one per event, in order.
+    mapping = OsMapping(row_map, scenarios, ps.os_default)
     if n_ones > 0 and not errors_of(out):
         outputs = [range(one.max_level + 1) for one in ps.ones] + [rule.table.values() for rule in virtual_rules]
         per_one = [
             sorted({ev.reaction[ev.danger[lvl]] for lvl in levels}) for ev, levels in zip(evaluations.values(), outputs)
         ]
-        out.extend(_coverage_diagnostics(per_one, row_map, {sc.type for sc in ps.scenarios}))
+        out.extend(_coverage_diagnostics(per_one, mapping))
     if errors_of(out):
         return out
 
@@ -1085,7 +1071,7 @@ def validate(ps: PulseSchedule) -> Diagnostics:
     out.schedule = CompiledSchedule(
         run=ps.run,
         monitor=MonitorConfig(tables, tuple(virtual_rules), failure),
-        supervisor=SupervisorConfig(ps.one_ids, evaluations, OsMapping(row_map, scenarios, ps.os_default)),
+        supervisor=SupervisorConfig(ps.one_ids, evaluations, mapping),
         groups=groups,
         controllers=controllers,
         plant=ps.plant,

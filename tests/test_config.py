@@ -1,4 +1,6 @@
+import ast
 import itertools
+import re
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from oneguard import config as cfg
 from oneguard.controllers import RUNTIMES, Waveform
 from oneguard.errors import ConfigError
 from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
+from oneguard.supervisor import OsMapping, Scenario
 
 from conftest import DENSITY_LIMIT, DUAL_NTM
 
@@ -302,6 +305,18 @@ class TestValidate:
         assert error_messages(diagnostics) == []
         assert any(d.severity == "warning" and "irreversible" in d.path for d in diagnostics)
 
+    @pytest.mark.parametrize(
+        "irreversible, warns",
+        [([3], False), ([2], False), ([1, 3], False), ([4], True), ([], True)],
+        ids=["3", "2", "1-3", "4", "none"],
+    )
+    def test_irreversible_warning_follows_the_latch(self, irreversible, warns):
+        # The latch holds from the set's lowest level up, so [2] latches 3 and 4 too.
+        doc = minimal_doc()
+        doc["ones"][0]["irreversible"] = irreversible
+        warning = "warning: ones[0].irreversible: set does not cover the conventional irreversible levels {3, 4}"
+        assert (warning in [str(d) for d in validate_doc(doc)]) is warns
+
     def test_feedforward_task_requires_reference(self):
         doc = minimal_doc()
         del doc["scenarios"][0]["tasks"][0]["reference"]
@@ -508,7 +523,7 @@ CHECK_HOMES = [
     (
         "fallback_scenario",
         drop_recovery,
-        "error: os_mapping.rows: reachable combination [1] has no row and no 'recovery' scenario to fall back to",
+        "error: os_mapping.rows: 1 reachable combination(s) have no row and no 'recovery' scenario to fall back to: [1]",
     ),
     ("plant_failure_one", set_at("run.plant_failure_one", "ghost"), "error: run.plant_failure_one: unknown event 'ghost'"),
     # The run counts its ticks as int(round(value / dt)), which an infinite quotient cannot give.
@@ -911,6 +926,30 @@ def brute_force_coverage(per_one, row_map, types_present):
     return out
 
 
+def counted_per_level(diagnostics):
+    """``brute_force_coverage``'s output with its per-combination errors grouped by maximum level.
+
+    Each level gets one error: the count of its combinations, then the
+    first four in product order.
+    """
+    by_level = {}
+    for d in cfg.errors_of(diagnostics):
+        listed, wanted = re.fullmatch(
+            r"reachable combination (\[.*\]) has no row and no ('\w+') scenario to fall back to", d.message
+        ).groups()
+        by_level.setdefault(max(ast.literal_eval(listed)), (wanted, []))[1].append(listed)
+    counted = [
+        cfg.Diagnostic(
+            "error",
+            "os_mapping.rows",
+            f"{len(listed)} reachable combination(s) have no row and no {wanted} scenario to fall back to: "
+            + "; ".join(listed[:4]),
+        )
+        for _, (wanted, listed) in sorted(by_level.items())
+    ]
+    return counted + [d for d in diagnostics if d.severity == "warning"]
+
+
 @st.composite
 def coverage_cases(draw):
     n = draw(st.integers(1, 6))
@@ -927,9 +966,43 @@ class TestCoverage:
     @given(coverage_cases())
     def test_counting_matches_brute_force(self, case):
         per_one, row_map, types_present = case
-        assert cfg._coverage_diagnostics(per_one, row_map, types_present) == brute_force_coverage(
-            per_one, row_map, types_present
+        scenarios = {t: Scenario(t, ScenarioType(t)) for t in types_present}
+        mapping = OsMapping(row_map, scenarios, "normal")
+        assert cfg._coverage_diagnostics(per_one, mapping) == counted_per_level(
+            brute_force_coverage(per_one, row_map, types_present)
         )
+
+    def test_forty_stranded_events_give_one_counted_error(self):
+        # 2**40 - 1 combinations reach level 3 and none has a row or a
+        # soft_shutdown scenario: counted, not listed.
+        n = 40
+        doc = minimal_doc()
+        doc["ones"] = [
+            {
+                "id": f"watch{i}",
+                "signal": "h98y2",
+                "direction": "falling",
+                "thresholds": [0.5],
+                "danger": {0: "no", 1: "high"},
+                "reaction": {"no": 0, "low": 0, "medium": 1, "high": 3, "very_high": 3},
+            }
+            for i in range(n)
+        ]
+        doc["os_mapping"]["rows"] = [{"reactions": [0] * n, "scenario": "normal"}]
+        doc["scenarios"] = doc["scenarios"][:2]
+        ps = parse_doc(doc)
+
+        started = time.perf_counter()
+        diagnostics = cfg.validate(ps)
+        assert time.perf_counter() - started < 1.0
+
+        def tail(*levels):
+            return str([0] * (n - len(levels)) + list(levels))
+
+        assert error_messages(diagnostics) == [
+            f"error: os_mapping.rows: {2 ** n - 1} reachable combination(s) have no row and no 'soft_shutdown' "
+            f"scenario to fall back to: {tail(3)}; {tail(3, 0)}; {tail(3, 3)}; {tail(3, 0, 0)}"
+        ]
 
     def test_twenty_events_validate_by_counting(self):
         # 3**20 (about 3.5e9) reachable tuples: far too many to enumerate.

@@ -147,8 +147,8 @@ class TestMapScenario:
         # scenario of its fallback type covers, so the table has no gap
         # that a run can reach.
         assert (
-            "error: os_mapping.rows: reachable combination [1] has no row and no "
-            "'recovery' scenario to fall back to"
+            "error: os_mapping.rows: 1 reachable combination(s) have no row and no "
+            "'recovery' scenario to fall back to: [1]"
         ) in diagnose(drop_recovery)
 
     def test_arity_mismatch_rejected(self):
