@@ -44,20 +44,8 @@ from .model import (
     ScenarioType,
 )
 from .monitor import FALLING, MonitorConfig, RISING, ThresholdTable, VirtualOneRule
-from .plant import DisruptionBoundary, PlantParams
+from .plant import PLANT_SIGNALS, DisruptionBoundary, PlantParams
 from .supervisor import OneEvaluation, OsMapping, Scenario, SupervisorConfig
-
-#: Signals the surrogate plant publishes every tick.
-PLANT_SIGNALS = (
-    "h98y2",
-    "ne_edge_norm",
-    "stored_energy",
-    "nbi_power",
-    "nbi_energy",
-    "nbi_energy_frac",
-    "gas_flux",
-    "d_ne_edge",
-)
 
 _QUANTITY_RE = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([^\s]*)\s*")
 
@@ -752,16 +740,28 @@ def _combos_with_max(per_one: Sequence[Sequence[int]], maxima: set) -> Iterator[
     def reachable(i: int, top: int) -> bool:
         return any(k >= top and k >= ceiling[i] and (k == top or k in values[i]) for k in maxima)
 
-    def walk(i: int, prefix: Tuple[int, ...], top: int) -> Iterator[Tuple[int, ...]]:
-        if i == n:
-            yield prefix
-            return
-        for r in per_one[i]:
-            if reachable(i + 1, max(top, r)):
-                yield from walk(i + 1, prefix + (r,), max(top, r))
-
-    if reachable(0, REACTION_MIN - 1):
-        yield from walk(0, (), REACTION_MIN - 1)
+    if not reachable(0, REACTION_MIN - 1):  # true with no events, so per_one[0] exists below
+        return
+    # A depth-first walk on an explicit stack, so that the depth is not
+    # bounded by the interpreter's recursion limit. stack[i] holds the
+    # values position i has yet to try; tops[i] is the maximum of prefix[:i].
+    prefix: List[int] = []
+    tops = [REACTION_MIN - 1]
+    stack = [iter(per_one[0])]
+    while stack:
+        i = len(prefix)
+        r = next((r for r in stack[-1] if reachable(i + 1, max(tops[i], r))), None)
+        if r is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+                tops.pop()
+        elif i + 1 == n:
+            yield (*prefix, r)
+        else:
+            prefix.append(r)
+            tops.append(max(tops[i], r))
+            stack.append(iter(per_one[i + 1]))
 
 
 def _coverage_diagnostics(per_one: Sequence[Sequence[int]], mapping: OsMapping) -> List[Diagnostic]:

@@ -2,12 +2,10 @@
 
 Each controller follows the same two-way contract with the actuator
 manager: it emits a resource request for the next tick and a command that
-never exceeds the grant it currently holds. A runtime class binds one
-task to its law for the loop and owns whatever state survives between
-ticks. The PID and disruption-avoidance power laws are pure step
-functions that their runtimes call; the feedforward, gas-shaper and NTM
-laws live in their runtimes, the gas shaper's in ``_command``. Runtime
-state lives per task binding and is discarded when the task deactivates.
+never exceeds the grant it currently holds. Each controller type is one
+runtime class that binds a task for the loop and holds its settings, the
+state that survives between ticks and its law; the state is discarded
+when the task deactivates.
 Task references are ``Waveform``s (the parser promotes a scalar to a
 constant one). Each runtime class carries its type's settings table;
 ``validate`` checks a schedule's settings against it and fills in its
@@ -58,72 +56,8 @@ class Waveform(Record):
         return v0 + frac * (v1 - v0)
 
 
-class PidState(NamedTuple):
-    """Discrete PID state.
-
-    ``integrator`` stores the integral *term* (output units), clamped to
-    the output limits when anti-windup is on. The derivative acts on the
-    measurement, not the error, to avoid kicks on reference steps.
-    """
-
-    kp: float
-    ki: float
-    kd: float
-    lo: float
-    hi: float
-    anti_windup: bool
-    integrator: float = 0.0
-    prev_measurement: Optional[float] = None
-    last_output: float = 0.0
-    fault: bool = False
-
-
-def pid_step(reference: float, measurement: float, state: PidState, dt: float) -> Tuple[float, PidState]:
-    """One positional PID update.
-
-    Returns ``(output, new_state)``; the clamped output is both the
-    command and the next request. A non-finite measurement holds the
-    previous output and raises the fault flag instead of propagating the
-    value.
-    """
-    if not math.isfinite(measurement):
-        return state.last_output, state._replace(fault=True)
-
-    error = reference - measurement
-    integrator = state.integrator + state.ki * error * dt
-    if state.anti_windup:
-        integrator = min(max(integrator, state.lo), state.hi)
-    if state.prev_measurement is None:
-        derivative = 0.0
-    else:
-        derivative = -state.kd * (measurement - state.prev_measurement) / dt
-    output = state.kp * error + integrator + derivative
-    output = min(max(output, state.lo), state.hi)
-    new_state = PidState(
-        state.kp, state.ki, state.kd, state.lo, state.hi, state.anti_windup, integrator, measurement, output
-    )
-    return output, new_state
-
-
 MODE_NORMAL = "normal"
 MODE_RECOVERY = "recovery"
-
-
-def da_power_step(distance: float, d_critical1: float, gain: float, p_max: float, mode: str) -> float:
-    """Disruption-avoidance heating law.
-
-    In normal mode the extra power grows linearly with the gap below the
-    first critical distance (zero at and above it, so the law is
-    continuous there), clamped at ``p_max``. In recovery mode it always
-    asks for ``p_max``.
-    """
-    if mode == MODE_RECOVERY:
-        return p_max
-    if distance >= d_critical1:
-        return 0.0
-    return min(gain * (d_critical1 - distance), p_max)
-
-
 MODE_SLOW_RAMP = "slow_ramp"
 MODE_FREEZE = "freeze"
 MODE_CUTOFF = "cutoff"
@@ -218,6 +152,16 @@ class FeedforwardRuntime(TaskRuntime):
 
 
 class PidRuntime(TaskRuntime):
+    """Positional PID on one measured signal.
+
+    The clamped output is both the command and the next request.
+    ``integrator`` stores the integral *term* (output units), clamped to
+    the output limits when anti-windup is on. The derivative acts on the
+    measurement, not the error, to avoid kicks on reference steps. A
+    non-finite measurement holds the previous output, integrator and
+    measurement instead of propagating the value.
+    """
+
     settings = (
         Setting("kp", NUMBER, 0.0),
         Setting("ki", NUMBER, 0.0),
@@ -235,25 +179,45 @@ class PidRuntime(TaskRuntime):
         super().__init__(task)
         self.reference = task.reference
         self.measurement = measurement
-        self.state = PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
+        self.kp, self.ki, self.kd, self.lo, self.hi, self.anti_windup = kp, ki, kd, lo, hi, anti_windup
+        self.integrator = 0.0
+        self.prev_measurement: Optional[float] = None
+        self.last_output = 0.0
 
-    def _output(self, ctx: StepContext) -> Tuple[float, PidState]:
-        ref = self.reference(ctx.time)
-        meas = ctx.signals.get(self.measurement, math.nan)
-        return pid_step(ref, meas, self.state, ctx.dt)
+    def _law(self, ctx: StepContext) -> Tuple[float, float, Optional[float]]:
+        """This tick's ``(output, integrator, measurement)``, the state ``step`` commits."""
+        reference = self.reference(ctx.time)
+        measurement = ctx.signals.get(self.measurement, math.nan)
+        if not math.isfinite(measurement):
+            return self.last_output, self.integrator, self.prev_measurement
+        error = reference - measurement
+        integrator = self.integrator + self.ki * error * ctx.dt
+        if self.anti_windup:
+            integrator = min(max(integrator, self.lo), self.hi)
+        prev = self.prev_measurement
+        derivative = 0.0 if prev is None else -self.kd * (measurement - prev) / ctx.dt
+        output = min(max(self.kp * error + integrator + derivative, self.lo), self.hi)
+        return output, integrator, measurement
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        output, _ = self._output(ctx)
-        return [ResourceRequest(self.task.id, self.task.group, max(output, 0.0))]
+        return [ResourceRequest(self.task.id, self.task.group, max(self._law(ctx)[0], 0.0))]
 
     def step(self, ctx, grants):
-        output, self.state = self._output(ctx)
-        desired = max(output, 0.0)
+        self.last_output, self.integrator, self.prev_measurement = self._law(ctx)
+        desired = max(self.last_output, 0.0)
         value = min(desired, grants.get(self.task.group, 0.0))
         return [ActuatorCommand(self.task.group, value)], [ResourceRequest(self.task.id, self.task.group, desired)]
 
 
 class DaPowerRuntime(TaskRuntime):
+    """Disruption-avoidance heating law.
+
+    In normal mode the extra power grows linearly with the gap below the
+    first critical distance (zero at and above it, so the law is
+    continuous there), clamped at ``p_max``; a non-finite distance asks for
+    none. In recovery mode it always asks for ``p_max``.
+    """
+
     settings = (
         Setting("mode", (MODE_NORMAL, MODE_RECOVERY)),
         Setting("d_critical1", NUMBER),
@@ -275,11 +239,12 @@ class DaPowerRuntime(TaskRuntime):
     needs_reference = staticmethod(lambda settings: False)
 
     def _desired(self, ctx: StepContext) -> float:
+        if self.mode == MODE_RECOVERY:
+            return self.p_max
         distance = ctx.signals.get(self.signal, math.nan)
-        if not math.isfinite(distance):
-            # No usable distance estimate: do not inject extra power.
-            return 0.0 if self.mode == MODE_NORMAL else self.p_max
-        return da_power_step(distance, self.d_critical1, self.gain, self.p_max, self.mode)
+        if not math.isfinite(distance) or distance >= self.d_critical1:
+            return 0.0
+        return min(self.gain * (self.d_critical1 - distance), self.p_max)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
         return [ResourceRequest(self.task.id, self.task.group, self._desired(ctx))]

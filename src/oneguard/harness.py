@@ -219,6 +219,7 @@ def run(schedule: CompiledSchedule) -> RunResult:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(trace_header(cs))
 
+    rows = 0
     violations = 0
     faults = 0
     ticks_after_disruption = 0
@@ -234,6 +235,7 @@ def run(schedule: CompiledSchedule) -> RunResult:
             signals[name] = wf(t)
         record = loop.tick(signals, t, dt)
         writer.writerow(trace_row(cs, record, plant))
+        rows += 1
         violations += len(record.violations)
         faults += len(record.faults)
 
@@ -254,11 +256,10 @@ def run(schedule: CompiledSchedule) -> RunResult:
     else:
         exit_code = EXIT_CLEAN
 
-    text = buf.getvalue()
     return RunResult(
         exit_code=exit_code,
-        trace_text=text,
-        rows=text.count("\n") - 1,
+        trace_text=buf.getvalue(),
+        rows=rows,
         disrupted=plant.disrupted,
         final_scenario=final_scenario,
         violations=violations,

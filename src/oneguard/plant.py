@@ -226,8 +226,14 @@ def plant_step(
     )
 
 
+#: Signals the surrogate plant publishes every tick, in ``plant_signals`` order.
+PLANT_SIGNALS = (
+    "h98y2", "ne_edge_norm", "stored_energy", "nbi_power", "nbi_energy", "nbi_energy_frac", "gas_flux", "d_ne_edge",
+)
+
+
 def plant_signals(state: PlantState, params: PlantParams) -> dict:
-    """The generic continuous signals the monitor and controllers see."""
+    """The generic continuous signals the monitor and controllers see, keyed by ``PLANT_SIGNALS``."""
     return {
         "h98y2": state.h98y2,
         "ne_edge_norm": state.ne_edge_norm,

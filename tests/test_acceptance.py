@@ -30,11 +30,11 @@ from oneguard.allocator import GroupTable, allocate
 from oneguard.harness import ControlLoop
 from oneguard.model import DangerLevel
 from oneguard.plant import initial_state, plant_step
-from oneguard.controllers import PidState, pid_step
 from oneguard.supervisor import OneEvaluation, SupervisorState, supervisor_step
 
 from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
 from test_allocator import assert_matches_oracle, by_priority, grant_of, random_instance
+from test_controllers import pid_output, pid_runtime
 from test_harness import replayed_rows
 from test_plant import BOUNDARY, sample_polyline
 from test_supervisor import oracle_config_pairs
@@ -255,12 +255,12 @@ def test_c6_numerical_checks(density_limit_compiled):
     tau = 0.2
     dt = tau / 100.0
     horizon = 10.0 * tau
-    state = PidState(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0, anti_windup=True)
+    pid = pid_runtime(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0, anti_windup=True, reference=1.0)
     n = int(round(horizon / dt))
     out = 0.0
     for k in range(n + 1):
         measurement = 1.0 - math.exp(-k * dt / tau)
-        out, state = pid_step(1.0, measurement, state, dt)
+        out = pid_output(pid, measurement, dt)
     fine = dt / 100.0
     integral = 0.0
     for k in range(int(round(horizon / fine)) + 1):

@@ -8,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneguard import cli
 from oneguard import config as cfg
 from oneguard.controllers import RUNTIMES, Waveform
 from oneguard.errors import ConfigError
@@ -962,6 +963,29 @@ def coverage_cases(draw):
 
 
 class TestCoverage:
+    @settings(max_examples=300, deadline=None)
+    @given(coverage_cases(), st.sets(st.integers(0, 4)))
+    def test_walk_is_the_filtered_product(self, case, maxima):
+        per_one = case[0]
+        assert list(cfg._combos_with_max(per_one, maxima)) == [
+            c for c in itertools.product(*per_one) if max(c) in maxima
+        ]
+
+    def test_two_thousand_events_validate_and_run(self, tmp_path, capsys):
+        # The walk goes as deep as there are events; no recursion limit applies.
+        doc = yaml.safe_load(DUAL_NTM.read_text())
+        ntm21, ntm43 = doc["ones"]
+        doc["ones"] = [ntm21] + [dict(ntm43, id=f"ntm43_{i}") for i in range(1999)]
+        del doc["os_mapping"]["rows"]
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(doc))
+
+        started = time.perf_counter()
+        assert cli.main(["validate", str(path)]) in (0, 64)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "trace.csv")]) in (0, 64)
+        assert time.perf_counter() - started < 5.0
+        assert "Traceback" not in capsys.readouterr().err
+
     @settings(max_examples=300, deadline=None)
     @given(coverage_cases())
     def test_counting_matches_brute_force(self, case):

@@ -1,12 +1,14 @@
 import math
 import random
-from typing import List
+from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from oneguard.allocator import ActuatorCommand
 from oneguard.controllers import (
     MODE_FREEZE,
+    MODE_NORMAL,
+    MODE_RECOVERY,
     MODE_SLOW_RAMP,
     RUNTIMES,
     DaPowerRuntime,
@@ -14,11 +16,9 @@ from oneguard.controllers import (
     GasShaperRuntime,
     NtmRuntime,
     PidRuntime,
-    PidState,
     StepContext,
+    TaskRuntime,
     Waveform,
-    da_power_step,
-    pid_step,
 )
 from oneguard.model import ControlTask, ResourceRequest
 
@@ -68,28 +68,37 @@ class TestWaveform:
         assert request.amount == command.value == 0.65
 
 
-class TestPid:
-    def make_state(self, kp=1.0, ki=0.0, kd=0.0, lo=-10.0, hi=10.0, anti_windup=True):
-        return PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
+def pid_runtime(kp=1.0, ki=0.0, kd=0.0, lo=-10.0, hi=10.0, anti_windup=True, reference=1.0):
+    return PidRuntime(
+        task(reference=reference, group="g"),
+        kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, measurement="m", anti_windup=anti_windup,
+    )
 
+
+def pid_output(rt, measurement, dt=0.1, time=0.0):
+    """Commit one step of ``rt`` on ``measurement``; the law's clamped output."""
+    rt.step(ctx(time=time, dt=dt, signals={"m": measurement}), {"g": math.inf})
+    return rt.last_output
+
+
+class TestPid:
     def test_zero_error_zero_output(self):
-        out, _ = pid_step(1.0, 1.0, self.make_state(), 0.1)
-        assert out == 0.0
+        assert pid_output(pid_runtime(), 1.0) == 0.0
 
     def test_pure_proportional(self):
-        out, _ = pid_step(1.2, 1.0, self.make_state(kp=1.0), 0.1)
-        assert out == pytest.approx(0.2)
+        assert pid_output(pid_runtime(kp=1.0, reference=1.2), 1.0) == pytest.approx(0.2)
 
     def test_output_clamped_to_limits(self):
-        out, _ = pid_step(100.0, 0.0, self.make_state(kp=1.0, lo=0.0, hi=1.3), 0.1)
-        assert out == 1.3
+        assert pid_output(pid_runtime(kp=1.0, lo=0.0, hi=1.3, reference=100.0), 0.0) == 1.3
 
-    def test_non_finite_measurement_holds_output_and_flags(self):
-        state = self.make_state()
-        out, state = pid_step(1.0, 0.5, state, 0.1)
-        out2, state2 = pid_step(1.0, math.nan, state, 0.1)
-        assert out2 == out
-        assert state2.fault
+    def test_non_finite_measurement_holds_output_integrator_and_measurement(self):
+        rt = pid_runtime(ki=2.0, kd=0.1)
+        out = pid_output(rt, 0.5)
+        held = (rt.integrator, rt.prev_measurement)
+        for bad in (math.nan, math.inf, -math.inf):
+            out2 = pid_output(rt, bad)
+            assert out2 == out
+            assert (rt.last_output, rt.integrator, rt.prev_measurement) == (out,) + held
 
     def test_matches_fine_step_integration_oracle(self):
         # Drive the discrete controller with an exponentially settling
@@ -104,11 +113,11 @@ class TestPid:
         def measurement(t):
             return 1.0 - math.exp(-t / tau)
 
-        state = self.make_state(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0)
+        rt = pid_runtime(kp=kp, ki=ki, kd=kd, lo=-100.0, hi=100.0, reference=reference)
         n = int(round(horizon / dt))
         out = 0.0
         for k in range(n + 1):
-            out, state = pid_step(reference, measurement(k * dt), state, dt)
+            out = pid_output(rt, measurement(k * dt), dt)
 
         fine = dt / 100.0
         m = int(round(horizon / fine))
@@ -123,16 +132,17 @@ class TestPid:
 
     def test_anti_windup_bounds_integral_action(self):
         # Integral term clamped to the output span keeps the accumulated
-        # error below (hi - lo) / ki no matter the input sequence.
+        # error below (hi - lo) / ki no matter the input sequence. The
+        # reference steps to a new random value at each whole second.
         rng = random.Random(42)
         ki = 3.0
         lo, hi = -0.5, 1.3
-        state = self.make_state(kp=0.5, ki=ki, lo=lo, hi=hi)
-        for _ in range(2000):
-            ref = rng.uniform(-5.0, 5.0)
-            meas = rng.uniform(-5.0, 5.0)
-            _, state = pid_step(ref, meas, state, 0.01)
-            assert abs(state.integrator / ki) <= (hi - lo) / ki + 1e-12
+        inputs = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(2000)]
+        reference = Waveform(tuple((float(k), ref) for k, (ref, _) in enumerate(inputs)), "hold")
+        rt = pid_runtime(kp=0.5, ki=ki, lo=lo, hi=hi, reference=reference)
+        for k, (_, meas) in enumerate(inputs):
+            pid_output(rt, meas, 0.01, time=float(k))
+            assert abs(rt.integrator / ki) <= (hi - lo) / ki + 1e-12
 
     def test_inverted_limits_rejected(self):
         assert "error: controllers.probe: output limits inverted (lo > hi)" in diagnose(
@@ -140,21 +150,33 @@ class TestPid:
         )
 
 
+def da_desired(distance, d_critical1, gain, p_max, mode):
+    """The power a DA runtime asks for at ``distance``."""
+    rt = DaPowerRuntime(task(group="h"), mode=mode, d_critical1=d_critical1, gain=gain, p_max=p_max, signal="d")
+    (request,) = rt.requests(ctx(signals={"d": distance}))
+    return request.amount
+
+
 class TestDaPower:
     def test_no_extra_power_at_or_above_first_critical(self):
-        assert da_power_step(0.5, 0.45, gain=4.0, p_max=1.3, mode="normal") == 0.0
-        assert da_power_step(0.45, 0.45, gain=4.0, p_max=1.3, mode="normal") == 0.0
+        assert da_desired(0.5, 0.45, gain=4.0, p_max=1.3, mode="normal") == 0.0
+        assert da_desired(0.45, 0.45, gain=4.0, p_max=1.3, mode="normal") == 0.0
 
     def test_recovery_always_asks_for_maximum(self):
-        assert da_power_step(0.9, 0.45, gain=4.0, p_max=1.3, mode="recovery") == 1.3
+        assert da_desired(0.9, 0.45, gain=4.0, p_max=1.3, mode="recovery") == 1.3
 
     def test_clamped_at_p_max(self):
-        assert da_power_step(0.0, 0.45, gain=100.0, p_max=1.3, mode="normal") == 1.3
+        assert da_desired(0.0, 0.45, gain=100.0, p_max=1.3, mode="normal") == 1.3
 
     def test_continuous_at_threshold(self):
         for eps in (1e-3, 1e-6, 1e-9):
-            value = da_power_step(0.45 - eps, 0.45, gain=4.0, p_max=1.3, mode="normal")
+            value = da_desired(0.45 - eps, 0.45, gain=4.0, p_max=1.3, mode="normal")
             assert value == pytest.approx(4.0 * eps, abs=1e-12)
+
+    def test_non_finite_distance(self):
+        for distance in (math.nan, math.inf, -math.inf):
+            assert da_desired(distance, 0.45, gain=4.0, p_max=1.3, mode="normal") == 0.0
+            assert da_desired(distance, 0.45, gain=4.0, p_max=1.3, mode="recovery") == 1.3
 
     def test_unknown_mode_rejected(self):
         assert "error: controllers.probe: mode must be one of 'normal', 'recovery'" in diagnose(
@@ -434,3 +456,211 @@ def test_gas_shaper_command_matches_its_split_reference():
         seen.add((mode, ramp_down == 0.0))
     assert outputs >= 10000
     assert seen == {(mode, zero) for mode in ("slow_ramp", "freeze", "cutoff") for zero in (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# The PID and disruption-avoidance laws as they were while they were free
+# step functions that their runtimes wrapped. Kept verbatim, as the
+# reference that PidRuntime and DaPowerRuntime must match bit for bit.
+# ---------------------------------------------------------------------------
+
+class PidState(NamedTuple):
+    """Discrete PID state.
+
+    ``integrator`` stores the integral *term* (output units), clamped to
+    the output limits when anti-windup is on. The derivative acts on the
+    measurement, not the error, to avoid kicks on reference steps.
+    """
+
+    kp: float
+    ki: float
+    kd: float
+    lo: float
+    hi: float
+    anti_windup: bool
+    integrator: float = 0.0
+    prev_measurement: Optional[float] = None
+    last_output: float = 0.0
+    fault: bool = False
+
+
+def pid_step(reference: float, measurement: float, state: PidState, dt: float) -> Tuple[float, PidState]:
+    """One positional PID update.
+
+    Returns ``(output, new_state)``; the clamped output is both the
+    command and the next request. A non-finite measurement holds the
+    previous output and raises the fault flag instead of propagating the
+    value.
+    """
+    if not math.isfinite(measurement):
+        return state.last_output, state._replace(fault=True)
+
+    error = reference - measurement
+    integrator = state.integrator + state.ki * error * dt
+    if state.anti_windup:
+        integrator = min(max(integrator, state.lo), state.hi)
+    if state.prev_measurement is None:
+        derivative = 0.0
+    else:
+        derivative = -state.kd * (measurement - state.prev_measurement) / dt
+    output = state.kp * error + integrator + derivative
+    output = min(max(output, state.lo), state.hi)
+    new_state = PidState(
+        state.kp, state.ki, state.kd, state.lo, state.hi, state.anti_windup, integrator, measurement, output
+    )
+    return output, new_state
+
+
+def da_power_step(distance: float, d_critical1: float, gain: float, p_max: float, mode: str) -> float:
+    """Disruption-avoidance heating law.
+
+    In normal mode the extra power grows linearly with the gap below the
+    first critical distance (zero at and above it, so the law is
+    continuous there), clamped at ``p_max``. In recovery mode it always
+    asks for ``p_max``.
+    """
+    if mode == MODE_RECOVERY:
+        return p_max
+    if distance >= d_critical1:
+        return 0.0
+    return min(gain * (d_critical1 - distance), p_max)
+
+
+class StepPidRuntime(TaskRuntime):
+    def __init__(
+        self, task: ControlTask, *, kp: float, ki: float, kd: float, lo: float, hi: float, measurement: str,
+        anti_windup: bool,
+    ):
+        super().__init__(task)
+        self.reference = task.reference
+        self.measurement = measurement
+        self.state = PidState(kp=kp, ki=ki, kd=kd, lo=lo, hi=hi, anti_windup=anti_windup)
+
+    def _output(self, ctx: StepContext) -> Tuple[float, PidState]:
+        ref = self.reference(ctx.time)
+        meas = ctx.signals.get(self.measurement, math.nan)
+        return pid_step(ref, meas, self.state, ctx.dt)
+
+    def requests(self, ctx: StepContext) -> List[ResourceRequest]:
+        output, _ = self._output(ctx)
+        return [ResourceRequest(self.task.id, self.task.group, max(output, 0.0))]
+
+    def step(self, ctx, grants):
+        output, self.state = self._output(ctx)
+        desired = max(output, 0.0)
+        value = min(desired, grants.get(self.task.group, 0.0))
+        return [ActuatorCommand(self.task.group, value)], [ResourceRequest(self.task.id, self.task.group, desired)]
+
+
+class StepDaPowerRuntime(TaskRuntime):
+    def __init__(
+        self, task: ControlTask, *, mode: str, d_critical1: float, gain: float, p_max: float, signal: str
+    ):
+        super().__init__(task)
+        self.mode = mode
+        self.d_critical1 = d_critical1
+        self.gain = gain
+        self.p_max = p_max
+        self.signal = signal
+
+    def _desired(self, ctx: StepContext) -> float:
+        distance = ctx.signals.get(self.signal, math.nan)
+        if not math.isfinite(distance):
+            # No usable distance estimate: do not inject extra power.
+            return 0.0 if self.mode == MODE_NORMAL else self.p_max
+        return da_power_step(distance, self.d_critical1, self.gain, self.p_max, self.mode)
+
+    def requests(self, ctx: StepContext) -> List[ResourceRequest]:
+        return [ResourceRequest(self.task.id, self.task.group, self._desired(ctx))]
+
+    def step(self, ctx, grants):
+        desired = self._desired(ctx)
+        value = min(desired, grants.get(self.task.group, 0.0))
+        next_req = ResourceRequest(self.task.id, self.task.group, desired)
+        return [ActuatorCommand(self.task.group, value)], [next_req]
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def random_signal(rng):
+    """A signal value: finite, non-finite, or missing (``None``)."""
+    roll = rng.random()
+    if roll < 0.1:
+        return None
+    if roll < 0.25:
+        return rng.choice(NON_FINITE)
+    return rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-200.0, 200.0)])
+
+
+def random_gain(rng):
+    return rng.choice([0.0, rng.uniform(0.0, 5.0), rng.uniform(-5.0, 50.0)])
+
+
+def random_pid_settings(rng):
+    lo = rng.choice([0.0, rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0)])
+    return dict(
+        kp=random_gain(rng), ki=random_gain(rng), kd=random_gain(rng),
+        lo=lo, hi=lo + rng.choice([0.0, rng.uniform(0.0, 20.0)]),
+        measurement="m", anti_windup=rng.random() < 0.5,
+    )
+
+
+def random_da_settings(rng):
+    return dict(
+        mode=rng.choice([MODE_NORMAL, MODE_RECOVERY]), d_critical1=rng.uniform(-0.5, 1.0),
+        gain=random_gain(rng), p_max=rng.uniform(0.01, 5.0), signal="d",
+    )
+
+
+def drive_in_step(rng, runtimes, signal):
+    """Step both runtimes through one random run of ticks; assert each output is identical; count them."""
+    dt = rng.choice([0.01, rng.uniform(0.001, 0.1)])
+    t0 = rng.uniform(-0.5, 2.5)
+    outputs = 0
+    for k in range(rng.randint(1, 15)):
+        time = t0 + k * dt if rng.random() < 0.9 else rng.uniform(t0 - 1.0, t0)
+        value = random_signal(rng)
+        c = ctx(time=time, dt=dt, signals={} if value is None else {signal: value})
+        grant = rng.choice([None, 0.0, math.inf, rng.uniform(0.0, 10.0)])
+        grants = {} if grant is None else {"g": grant}
+        # The first tick bootstraps through requests, as the loop does.
+        if k == 0 or rng.random() < 0.3:
+            new, old = (repr(rt.requests(c)) for rt in runtimes)
+            assert new == old
+            outputs += 1
+        new, old = (repr(rt.step(c, grants)) for rt in runtimes)
+        assert new == old
+        outputs += 1
+    return outputs
+
+
+def test_pid_runtime_matches_its_step_function_reference():
+    rng = random.Random(0x91D)
+    outputs = 0
+    seen = set()
+    for _ in range(1200):
+        settings = random_pid_settings(rng)
+        times = sorted({round(rng.uniform(-1.0, 3.0), 3) for _ in range(rng.randint(1, 4))})
+        reference = Waveform(tuple((t, rng.uniform(-5.0, 5.0)) for t in times), rng.choice(["linear", "hold"]))
+        pid_task = task(reference=reference, group="g")
+        runtimes = [cls(pid_task, **settings) for cls in (PidRuntime, StepPidRuntime)]
+        outputs += drive_in_step(rng, runtimes, "m")
+        assert (runtimes[0].last_output, runtimes[0].integrator, runtimes[0].prev_measurement) == (
+            runtimes[1].state.last_output, runtimes[1].state.integrator, runtimes[1].state.prev_measurement)
+        seen.add((settings["kd"] != 0.0, settings["anti_windup"], settings["lo"] < 0.0))
+    assert outputs >= 10000
+    assert len(seen) == 8
+
+
+def test_da_power_runtime_matches_its_step_function_reference():
+    rng = random.Random(0xDA)
+    outputs = 0
+    modes = set()
+    for _ in range(1200):
+        settings = random_da_settings(rng)
+        runtimes = [cls(task(group="g"), **settings) for cls in (DaPowerRuntime, StepDaPowerRuntime)]
+        outputs += drive_in_step(rng, runtimes, "d")
+        modes.add(settings["mode"])
+    assert outputs >= 10000
+    assert modes == {MODE_NORMAL, MODE_RECOVERY}

@@ -76,6 +76,18 @@ class TestRun:
         header = result.trace_text.strip().splitlines()
         assert len(header) == 1 and header[0].startswith("time,")
 
+    def test_rows_count_ticks_when_a_task_id_holds_a_newline(self, density_limit_compiled):
+        # The trace quotes such an id over two lines; a row is still one tick.
+        def break_ids(doc):
+            for scenario in doc["scenarios"]:
+                for task in scenario["tasks"]:
+                    task["id"] += "\nsplit"
+
+        _, result = run_schedule(DENSITY_LIMIT, break_ids)
+        ticks = harness.run(density_limit_compiled).rows
+        assert result.trace_text.count("\n") - 1 > ticks
+        assert result.rows == len(rows_of(result.trace_text)) == ticks == 61
+
     def test_soft_shutdown_exit_code(self):
         # Pull the third critical distance up so the shutdown engages long
         # before the limit, then watch the run finish inside it.

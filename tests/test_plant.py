@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from oneguard import config as cfg
 from oneguard.errors import SimFault
 from oneguard.plant import (
     _EXTENSION,
+    PLANT_SIGNALS,
     DisruptionBoundary,
     PlantParams,
     PlantState,
@@ -253,6 +255,11 @@ class TestPlantStep:
             BOUNDARY.signed_distance(state.ne_edge_norm, state.h98y2)
         )
         assert signals["nbi_energy_frac"] == 0.0
+
+    def test_published_names_are_the_signal_keys(self):
+        p = params()
+        assert tuple(plant_signals(initial_state(p), p)) == PLANT_SIGNALS
+        assert cfg.PLANT_SIGNALS is PLANT_SIGNALS
 
 
 class TestCarriedDistance:
