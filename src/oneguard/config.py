@@ -562,6 +562,9 @@ def parse_file(path) -> PulseSchedule:
 
 _DANGER_NAMES = {d.label: d for d in DangerLevel}
 _SCENARIO_TYPES = {t.value: t for t in ScenarioType}
+#: Shows level combinations and their counts, cut as reprlib cuts past 16 levels or 40 digits.
+_SHORT = reprlib.Repr()
+_SHORT.maxlist = 16
 
 
 def _items(
@@ -792,20 +795,20 @@ def _coverage_diagnostics(per_one: Sequence[Sequence[int]], mapping: OsMapping) 
     for k, count in uncovered.items():
         if fallback[k] is None:
             if count:
-                shown = "; ".join(str(list(c)) for c in examples({k}))
+                shown = "; ".join(_SHORT.repr(list(c)) for c in examples({k}))
                 wanted = SCENARIO_TYPE_FOR_REACTION[k].value
-                message = f"{count} reachable combination(s) have no row and no {wanted!r} scenario to fall back to"
-                out.append(Diagnostic("error", "os_mapping.rows", f"{message}: {shown}"))
+                message = f"{_SHORT.repr(count)} reachable combination(s) have no row and no {wanted!r} scenario"
+                out.append(Diagnostic("error", "os_mapping.rows", f"{message} to fall back to: {shown}"))
         elif k > REACTION_MIN:
             how[k] = f"max-severity fallback to type {mapping.scenarios[fallback[k]].type.value!r}"
     n_fallback = sum(uncovered[k] for k in how)
     if n_fallback:
-        shown = "; ".join(f"{list(c)} -> {how[max(c)]}" for c in examples(set(how)))
+        shown = "; ".join(f"{_SHORT.repr(list(c))} -> {how[max(c)]}" for c in examples(set(how)))
         out.append(
             Diagnostic(
                 "warning",
                 "os_mapping.rows",
-                f"{n_fallback} reachable combination(s) have no explicit row and rely on "
+                f"{_SHORT.repr(n_fallback)} reachable combination(s) have no explicit row and rely on "
                 f"the fallback rule (max reaction level picks the scenario type): {shown}",
             )
         )
@@ -827,8 +830,8 @@ def _combiner_gap(ranges: Sequence[range], table: Mapping[Tuple[int, ...], int])
     examples = itertools.islice(
         (combo for combo in itertools.product(*ranges) if combo not in table), min(missing, 4)
     )
-    shown = ", ".join(str(list(c)) for c in examples)
-    return f"combiner not total: {missing} missing combinations (e.g. {shown})"
+    shown = ", ".join(_SHORT.repr(list(c)) for c in examples)
+    return f"combiner not total: {_SHORT.repr(missing)} missing combinations (e.g. {shown})"
 
 
 def validate(ps: PulseSchedule) -> Diagnostics:

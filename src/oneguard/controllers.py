@@ -283,13 +283,13 @@ class GasShaperRuntime(TaskRuntime):
 
     needs_reference = staticmethod(lambda settings: settings.get("mode") == MODE_SLOW_RAMP)
 
-    def _command(self, base: float, time: float, before: float) -> float:
-        """The command at ``time`` that follows ``base``, the command at ``before``; never negative.
+    def _command(self, base: float, time: float, rise: float) -> float:
+        """The command at ``time`` after ``base`` one tick before, as the reference rose by ``rise``; never negative.
 
         Until ``step`` captures the entry, ``base`` at ``time`` stands in for it.
         """
         if self.mode == MODE_SLOW_RAMP:
-            value = base + self.factor * (self.waveform(time) - self.waveform(before))
+            value = base + self.factor * rise
         else:
             entry_value, entry_time = (base, time) if self.entry_value is None else (self.entry_value, self.entry_time)
             if self.mode == MODE_FREEZE:
@@ -301,15 +301,17 @@ class GasShaperRuntime(TaskRuntime):
         return max(value, 0.0)
 
     def requests(self, ctx: StepContext) -> List[ResourceRequest]:
-        base = ctx.prev_commands.get(self.task.group, 0.0)
-        return [ResourceRequest(self.task.id, self.task.group, self._command(base, ctx.time, ctx.time - ctx.dt))]
+        base, waveform, t = ctx.prev_commands.get(self.task.group, 0.0), self.waveform, ctx.time
+        rise = waveform(t) - waveform(t - ctx.dt) if waveform is not None else 0.0
+        return [ResourceRequest(self.task.id, self.task.group, self._command(base, t, rise))]
 
     def step(self, ctx, grants):
-        base = ctx.prev_commands.get(self.task.group, 0.0)
+        base, waveform, t, dt = ctx.prev_commands.get(self.task.group, 0.0), self.waveform, ctx.time, ctx.dt
         if self.entry_value is None:
-            self.entry_value, self.entry_time = base, ctx.time
-        value = min(self._command(base, ctx.time, ctx.time - ctx.dt), grants.get(self.task.group, 0.0))
-        next_req = ResourceRequest(self.task.id, self.task.group, self._command(value, ctx.time + ctx.dt, ctx.time))
+            self.entry_value, self.entry_time = base, t
+        before, now, after = (waveform(t - dt), waveform(t), waveform(t + dt)) if waveform is not None else (0.0,) * 3
+        value = min(self._command(base, t, now - before), grants.get(self.task.group, 0.0))
+        next_req = ResourceRequest(self.task.id, self.task.group, self._command(value, t + dt, after - now))
         return [ActuatorCommand(self.task.group, value)], [next_req]
 
 

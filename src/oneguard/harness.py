@@ -55,20 +55,21 @@ class TickRecord(Record):
 class ControlLoop:
     """Monitor -> supervisor -> allocator -> controllers, one tick at a time.
 
-    Owns all cross-tick state (previous event levels, the supervisor
-    state with its last decision, controller runtimes, pending requests,
-    last merged commands). The plant stays outside so the same loop drives
-    both live runs and fuzzed signal traces. Only when the supervisor hands
-    over a new state are the decision's trace cells formatted and its tasks
-    bound to their runtimes (``bound``: ``(task_id, runtime)`` pairs in
-    priority order). A task that left loses its runtime and pending
-    requests; a new one gets its runtime built.
+    Owns all cross-tick state (previous event states and their levels, the
+    supervisor state with its last decision, controller runtimes, pending
+    requests, last merged commands). The plant stays outside so the same
+    loop drives both live runs and fuzzed signal traces. Only when the
+    supervisor hands over a new state are the decision's trace cells
+    formatted and its tasks bound to their runtimes (``bound``:
+    ``(task_id, runtime)`` pairs in priority order). A task that left loses
+    its runtime and pending requests; a new one gets its runtime built.
     """
 
     def __init__(self, schedule: CompiledSchedule):
         self.schedule = schedule
         self.table = GroupTable(schedule.groups)
         self.events: Dict[str, EventState] = {}
+        self.levels: Tuple[int, ...] = ()
         self.sup_state = SupervisorState.initial(schedule.supervisor)
         self.pending: Dict[str, Sequence[ResourceRequest]] = {}
         self.prev_commands: Dict[str, float] = {gid: 0.0 for gid in schedule.groups}
@@ -78,9 +79,9 @@ class ControlLoop:
     def tick(self, signals: Mapping[str, float], time: float, dt: float) -> TickRecord:
         cs = self.schedule
         events, faults = monitor_step(signals, cs.monitor, self.events)
-        self.events = events
-        levels = tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
-        state = supervisor_step(levels, self.sup_state, cs.supervisor, time)[4]
+        if events is not self.events:
+            self.events, self.levels = events, tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
+        state = supervisor_step(self.levels, self.sup_state, cs.supervisor, time)[4]
         if state is not self.sup_state:
             self.sup_state = state
             self.cells = decision_cells(cs.supervisor, state)

@@ -5,7 +5,9 @@ ordered thresholds with per-threshold hysteresis bands. Crossing threshold
 ``i`` in the worse direction raises the level to ``i`` immediately;
 recovering below level ``i`` requires re-crossing ``t_i`` by more than the
 band ``h_i``, which kills level chatter right at a threshold. With all
-bands at zero the output is the plain stateless bucket index.
+bands at zero the output is the plain stateless bucket index. While every
+signal stays inside the band that keeps its event's level, the monitor
+hands back its previous states; most ticks do.
 
 Virtual events combine the discrete levels of several base events through
 an explicit lookup table, one layer deep (no virtuals of virtuals).
@@ -40,11 +42,13 @@ class ThresholdTable(Record):
     of the negated signal: ``sign`` is -1.0 for it (1.0 for a rising one),
     ``rising`` holds the thresholds times ``sign``, in rising order, and
     ``release[i]`` is ``rising[i]`` minus its band: the signed value below
-    which level ``i + 1`` is left.
+    which level ``i + 1`` is left. ``next_level`` keeps level ``L`` exactly
+    for the signed values in ``bands[L] = [lo, hi)``: from its release (at 0
+    the least finite float, so -inf faults) to the next threshold or +inf.
     """
 
     _fields = ("signal", "thresholds", "direction", "hysteresis")
-    __slots__ = _fields + ("sign", "rising", "release")
+    __slots__ = _fields + ("sign", "rising", "release", "bands")
 
     def __init__(
         self, signal: str, thresholds: Tuple[float, ...], direction: str = RISING, hysteresis: Tuple[float, ...] = ()
@@ -54,6 +58,7 @@ class ThresholdTable(Record):
         self.sign = 1.0 if direction == RISING else -1.0
         self.rising = tuple(self.sign * t for t in thresholds)
         self.release = tuple(r - h for r, h in zip(self.rising, self.hysteresis))
+        self.bands = tuple(zip((math.nextafter(-math.inf, 0.0), *self.release), (*self.rising, math.inf)))
 
     def next_level(self, value: float, previous_level: int) -> int:
         """Event level after sample ``value``, given the previous level.
@@ -87,8 +92,7 @@ class VirtualOneRule(Record):
 
 def compose_virtual(events: Mapping[str, EventState], rule: VirtualOneRule) -> EventState:
     """Evaluate a virtual event from its base events' current states, keyed by event id."""
-    inputs = [events[one_id] for one_id in rule.inputs]
-    return EventState(rule.id, rule.table[tuple(e.level for e in inputs)])
+    return EventState(rule.id, rule.table[tuple([events[one_id].level for one_id in rule.inputs])])
 
 
 class MonitorConfig(Record):
@@ -101,13 +105,15 @@ class MonitorConfig(Record):
     is forced to on any fault: its maximum level.
     """
 
-    __slots__ = ("tables", "virtual_rules", "plant_failure")
+    _fields = ("tables", "virtual_rules", "plant_failure")
+    __slots__ = _fields + ("watch",)
 
     def __init__(
         self, tables: Mapping[str, ThresholdTable], virtual_rules: Tuple[VirtualOneRule, ...] = (),
         plant_failure: Optional[EventState] = None,
     ) -> None:
         self.tables, self.virtual_rules, self.plant_failure = tables, virtual_rules, plant_failure
+        self.watch = tuple((one_id, t.signal, t.sign, t.bands) for one_id, t in tables.items())
 
 
 def monitor_step(
@@ -121,8 +127,22 @@ def monitor_step(
     abort the other events: the affected event keeps its previous level
     and is reported in ``faults``. If ``plant_failure`` is configured,
     any fault also puts its event in that state. A base event whose level
-    did not move keeps its previous ``EventState`` object.
+    did not move keeps its previous ``EventState`` object. ``previous`` (the
+    last output) comes back itself while every signal stays inside its
+    level's band, unless a fault forced an event in it.
     """
+    forced = config.plant_failure
+    if forced is None or previous.get(forced.one_id) is not forced:
+        try:
+            for one_id, signal, sign, bands in config.watch:
+                lo, hi = bands[previous[one_id].level]
+                if not lo <= sign * signals[signal] < hi:
+                    break
+            else:
+                return previous, []
+        except KeyError:  # an event without a previous state, or a missing signal: the full path reports it
+            pass
+
     events: Dict[str, EventState] = {}
     faults: List[Tuple[str, str]] = []
 

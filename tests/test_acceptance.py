@@ -36,6 +36,7 @@ from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS
 from test_allocator import assert_matches_oracle, by_priority, grant_of, random_instance
 from test_controllers import pid_output, pid_runtime
 from test_harness import replayed_rows
+from test_monitor import reference_monitor_step
 from test_plant import BOUNDARY, sample_polyline
 from test_supervisor import oracle_config_pairs
 
@@ -458,16 +459,21 @@ def test_c8_validation_soundness(density_limit_schedule, dual_ntm_schedule):
                     signals[name] = rng.choice([-1e9, 1e9, 0.0])
                 else:
                     signals[name] = rng.uniform(-5.0, 5.0)
+            expected, expected_faults = reference_monitor_step(signals, cs.monitor, loop.events)
             try:
-                loop.tick(signals, k * cs.run.dt, cs.run.dt)
+                record = loop.tick(signals, k * cs.run.dt, cs.run.dt)
             except Exception as exc:
                 raise AssertionError(
                     f"validated schedule raised {type(exc).__name__} on fuzzed trace "
                     f"{trace_index}, tick {k}: {exc}"
                 ) from exc
+            # The monitor, carried or not, gives the levels and faults that re-deriving every event gives.
+            assert {i: e.level for i, e in loop.events.items()} == {i: e.level for i, e in expected.items()}
+            assert record.faults == expected_faults
+            assert loop.levels == tuple(expected[one_id].level for one_id in cs.one_ids)
     print(
         f"[acceptance] C8 validation soundness: PASS "
-        f"({len(schedules)} schedules, {traces} fuzzed traces, 0 exceptions)"
+        f"({len(schedules)} schedules, {traces} fuzzed traces, 0 exceptions, monitor matches its reference)"
     )
 
 

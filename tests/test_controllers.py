@@ -197,20 +197,20 @@ class TestGasShaper:
     def test_freeze_holds_entry_value(self):
         rt = self.shaper("freeze", entry=(42.0, 0.0))
         for t in (0.0, 0.5, 3.0):
-            assert rt._command(99.0, t, t - 0.01) == 42.0
+            assert rt._command(99.0, t, 0.012) == 42.0
 
     def test_slow_ramp_with_zero_factor_is_freeze(self):
-        out = self.shaper("slow_ramp", factor=0.0)._command(42.0, 1.0, 0.0)
+        out = self.shaper("slow_ramp", factor=0.0)._command(42.0, 1.0, self.RAMP(1.0) - self.RAMP(0.0))
         assert out == 42.0
 
     def test_cutoff_ramps_linearly_to_zero(self):
         f0, ramp = 10.0, 0.1
         rt = self.shaper("cutoff", ramp_down=ramp, entry=(f0, 0.0))
-        values = [rt._command(f0, t, t - 0.01) for t in (0.0, 0.05, 0.1, 0.2)]
+        values = [rt._command(f0, t, 0.012) for t in (0.0, 0.05, 0.1, 0.2)]
         assert values == [10.0, pytest.approx(5.0), 0.0, 0.0]
 
     def test_slow_ramp_scales_increment(self):
-        out = self.shaper("slow_ramp", factor=0.25)._command(50.0, 1.0, 0.0)
+        out = self.shaper("slow_ramp", factor=0.25)._command(50.0, 1.0, self.RAMP(1.0) - self.RAMP(0.0))
         assert out == pytest.approx(50.3)
 
 
@@ -276,6 +276,22 @@ class TestRuntimes:
             value = commands[0].value
             prev = {"gas": value}
         assert value == pytest.approx(50.0 + 5 * 0.25 * 1.2)
+
+    def test_gas_shaper_slow_ramp_evaluates_each_reference_time_once(self):
+        times = []
+
+        def reference(t):
+            times.append(t)
+            return 2.0 * t
+
+        rt = GasShaperRuntime(task(reference=reference, group="gas"), mode="slow_ramp", factor=0.5, ramp_down=0.1)
+        c = ctx(time=1.0, dt=0.25, prev={"gas": 3.0})
+        assert rt.requests(c)[0].amount == 3.25 and sorted(times) == [0.75, 1.0]
+        times.clear()
+        commands, requests = rt.step(c, {"gas": 1e9})
+        # This tick's end is the next request's start: three times, three evaluations.
+        assert sorted(times) == [0.75, 1.0, 1.25]
+        assert commands[0].value == 3.25 and requests[0].amount == 3.5
 
     def test_gas_shaper_freeze_captures_entry(self):
         rt = GasShaperRuntime(task(group="gas"), mode="freeze", factor=0.5, ramp_down=0.1)

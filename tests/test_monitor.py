@@ -1,5 +1,11 @@
+import itertools
 import math
 import random
+import sys
+from typing import Dict, List, Mapping, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneguard import config as cfg
 from oneguard.model import EventState
@@ -321,3 +327,143 @@ class TestMonitorStep:
             for one_id, table in config.tables.items():
                 levels[one_id] = table.next_level(signals[table.signal], levels[one_id])
                 assert events[one_id].level == levels[one_id]
+
+    def test_carried_call_returns_previous_itself(self):
+        config = density_limit_monitor()
+        signals = {"d_ne_edge": 0.3, "nbi_energy_frac": 0.2}
+        previous, _ = monitor_step(signals, config, {})
+        # 0.3 lies inside level 1's band of d_ne_edge, 0.96 inside level 1 of actuator_lim.
+        moved, _ = monitor_step({"d_ne_edge": 0.3, "nbi_energy_frac": 0.96}, config, previous)
+        assert moved is not previous
+        events, faults = monitor_step({"d_ne_edge": 0.46, "nbi_energy_frac": 0.95}, config, moved)
+        assert events is moved and faults == []
+
+    def test_forced_virtual_event_is_recomposed_on_the_next_clean_tick(self):
+        rule = VirtualOneRule("v", ("a",), {(0,): 0, (1,): 2})
+        config = MonitorConfig({"a": ThresholdTable("x", (1.0,))}, (rule,), plant_failure=EventState("v", 2))
+        events, _ = monitor_step({"x": 0.0}, config, {})
+        events, faults = monitor_step({}, config, events)
+        assert faults and events["v"] is config.plant_failure
+        # x = 0.0 keeps event a inside its level-0 band, but v must leave the forced state.
+        events, faults = monitor_step({"x": 0.0}, config, events)
+        assert faults == [] and events["v"] == EventState("v", 0)
+
+
+# ---------------------------------------------------------------------------
+# monitor_step as it was before the band check, which re-derives every
+# event on every call. Kept verbatim, as the reference that monitor_step
+# must match: the same levels and faults, and the same EventState objects
+# for the base events.
+# ---------------------------------------------------------------------------
+
+def reference_monitor_step(
+    signals: Mapping[str, float],
+    config: MonitorConfig,
+    previous: Mapping[str, EventState],
+) -> Tuple[Dict[str, EventState], List[Tuple[str, str]]]:
+    """Produce one event-level vector from one signal snapshot.
+
+    Returns ``(events, faults)``. A non-finite or missing signal does not
+    abort the other events: the affected event keeps its previous level
+    and is reported in ``faults``. If ``plant_failure`` is configured,
+    any fault also puts its event in that state. A base event whose level
+    did not move keeps its previous ``EventState`` object.
+    """
+    events: Dict[str, EventState] = {}
+    faults: List[Tuple[str, str]] = []
+
+    for one_id, table in config.tables.items():
+        prev = previous.get(one_id)
+        prev_level = 0 if prev is None else prev.level
+        value = signals.get(table.signal)
+        if value is None or not math.isfinite(value):
+            faults.append((one_id, f"signal {table.signal!r} unavailable or non-finite"))
+            level = prev_level
+        else:
+            level = table.next_level(value, prev_level)
+        events[one_id] = prev if prev is not None and level == prev_level else EventState(one_id, level)
+
+    for rule in config.virtual_rules:
+        events[rule.id] = compose_virtual(events, rule)
+
+    if faults and config.plant_failure is not None:
+        events[config.plant_failure.one_id] = config.plant_failure
+
+    return events, faults
+
+
+class TestBands:
+    def test_a_level_holds_exactly_inside_its_band(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            rising = rng.random() < 0.5
+            cuts = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)), reverse=not rising)
+            hysteresis = tuple(rng.choice([0.0, 0.125, 0.25]) for _ in cuts)
+            table = ThresholdTable("x", tuple(c / 2 for c in cuts), "rising" if rising else "falling", hysteresis)
+            values = [math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, rng.uniform(-5.0, 5.0)]
+            for edge in table.rising + table.release:
+                values += [table.sign * v for v in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf))]
+            for level, (lo, hi) in enumerate(table.bands):
+                for value in values:
+                    inside = lo <= table.sign * value < hi
+                    assert inside == (math.isfinite(value) and table.next_level(value, level) == level), (
+                        table, level, value)
+
+
+@st.composite
+def band_cases(draw):
+    """A monitor with rising and falling tables, maybe a virtual rule and a plant failure, and signal snapshots.
+
+    Every value is exact in binary, so the snapshots hit thresholds and
+    release points exactly, besides NaN, +-inf and missing signals. A third
+    of the snapshots repeat the last one that had every signal, so that
+    levels hold, also right after a fault.
+    """
+    tables, edges = {}, [0.0]
+    for i in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(-8, 8), min_size=1, max_size=3)))
+        rising = draw(st.booleans())
+        thresholds = tuple(c / 2 for c in (cuts if rising else cuts[::-1]))
+        hysteresis = tuple(draw(st.sampled_from([0.0, 0.125, 0.25])) for _ in cuts) if draw(st.booleans()) else ()
+        table = ThresholdTable(draw(st.sampled_from(["a", "b", "c"])), thresholds, "rising" if rising else "falling",
+                               hysteresis)
+        tables[f"e{i}"] = table
+        edges += [table.sign * v for v in table.rising + table.release]
+    rules = ()
+    if draw(st.booleans()):
+        inputs = tuple(draw(st.lists(st.sampled_from(sorted(tables)), min_size=1, max_size=2, unique=True)))
+        ranges = [range(len(tables[one_id].thresholds) + 1) for one_id in inputs]
+        rules = (VirtualOneRule("v", inputs, {key: draw(st.integers(0, 3)) for key in itertools.product(*ranges)}),)
+    forced = draw(st.sampled_from([None, *tables, *[rule.id for rule in rules]]))
+    top = len(tables[forced].thresholds) if forced in tables else 3
+    config = MonitorConfig(tables, rules, None if forced is None else EventState(forced, top))
+    names = sorted({table.signal for table in tables.values()})
+    value = st.sampled_from(edges + [math.nan, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
+    complete = st.fixed_dictionaries({name: value for name in names})
+    drawn = draw(st.lists(complete | st.dictionaries(st.sampled_from(names), value) | st.none(), min_size=1, max_size=30))
+    snapshots, last = [], {}
+    for snapshot in drawn:
+        if snapshot is None:
+            snapshot = last
+        elif len(snapshot) == len(names):
+            last = snapshot
+        snapshots.append(snapshot)
+    return config, snapshots
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_cases())
+def test_monitor_step_matches_its_reference(case):
+    config, snapshots = case
+    events, expected = {}, {}
+    for signals in snapshots:
+        new, faults = monitor_step(signals, config, events)
+        old, expected_faults = reference_monitor_step(signals, config, expected)
+        assert {k: e.level for k, e in new.items()} == {k: e.level for k, e in old.items()}
+        assert list(new) == list(old) and faults == expected_faults
+        for one_id in config.tables:
+            assert (new[one_id] is events.get(one_id)) == (old[one_id] is expected.get(one_id))
+            forced = faults and config.plant_failure is not None and config.plant_failure.one_id == one_id
+            if one_id in events and events[one_id].level == new[one_id].level and not forced:
+                assert new[one_id] is events[one_id]
+        events, expected = new, old
