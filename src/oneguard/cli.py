@@ -82,12 +82,20 @@ def _print_diagnostics(diagnostics) -> None:
         print(str(d), file=sys.stderr)
 
 
+def _refuse(exc: Exception) -> int:
+    """Report an unusable input: every diagnostic of a schedule that failed validation, else one error line."""
+    if isinstance(exc, cfg.ValidationFailed):
+        _print_diagnostics(exc.diagnostics)
+    else:
+        print(f"error: {exc}", file=sys.stderr)
+    return harness.EXIT_CONFIG
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         ps = cfg.parse_file(args.schedule)
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return harness.EXIT_CONFIG
+        return _refuse(exc)
     diagnostics = cfg.validate(ps)
     _print_diagnostics(diagnostics)
     n_err = len(cfg.errors_of(diagnostics))
@@ -101,12 +109,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         ps = _load_schedule(args.schedule, args.set or [], args.until)
         compiled = cfg.compile_schedule(ps)
         result = harness.run(compiled)
-    except cfg.ValidationFailed as exc:
-        _print_diagnostics(exc.diagnostics)
-        return harness.EXIT_CONFIG
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return harness.EXIT_CONFIG
+        return _refuse(exc)
     if not _write(result.trace_text, args.out, "trace"):
         return 1
     status = {
@@ -128,8 +132,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         compiled = cfg.compile_schedule(ps)
         rows = harness.replay_file(compiled, args.trace)
     except (ConfigError, TraceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return harness.EXIT_CONFIG
+        return _refuse(exc)
     if not _write(harness.replay_to_csv(rows, compiled), args.out, "decisions"):
         return 1
     return harness.EXIT_CLEAN

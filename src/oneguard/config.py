@@ -503,6 +503,9 @@ def load_yaml(text: str, what: str) -> Any:
     except (yaml.YAMLError, RecursionError) as exc:
         # RecursionError: PyYAML's pure-Python composer recurses per level too.
         raise ConfigError(f"{what} is not valid YAML: {exc}") from None
+    except ValueError as exc:
+        # From PyYAML's int() past Python's 4300-digit limit, or its date() on a 13th month.
+        raise ConfigError(f"{what} cannot be loaded: {str(exc)[:200]}") from None
 
 
 def _nests_deeper(text: str, limit: int) -> bool:
@@ -562,9 +565,26 @@ def parse_file(path) -> PulseSchedule:
 
 _DANGER_NAMES = {d.label: d for d in DangerLevel}
 _SCENARIO_TYPES = {t.value: t for t in ScenarioType}
-#: Shows level combinations and their counts, cut as reprlib cuts past 16 levels or 40 digits.
+#: Shows the non-zero levels of a combination of more than 16 events, cut as reprlib cuts past 16 of them.
 _SHORT = reprlib.Repr()
-_SHORT.maxlist = 16
+_SHORT.maxdict = 16
+
+
+def _example(combo: Sequence[int]) -> str:
+    """A level combination as diagnostics show it: whole up to 16 events, else its non-zero ``{position: level}``."""
+    if len(combo) <= 16:
+        return repr(list(combo))
+    return _SHORT.repr({i: level for i, level in enumerate(combo) if level})
+
+
+def _count(n: int) -> str:
+    """A count whole up to 40 digits, else as 1.23e+45: never converted whole (Python refuses past 4300 digits)."""
+    if n < 10**40:
+        return str(n)
+    e = int((n.bit_length() - 1) * math.log10(2))  # log10(n) rounded down, or one less
+    e += n >= 10 ** (e + 1)
+    lead = n // 10 ** (e - 2)
+    return f"{lead // 100}.{lead % 100:02d}e+{e}"
 
 
 def _items(
@@ -795,20 +815,20 @@ def _coverage_diagnostics(per_one: Sequence[Sequence[int]], mapping: OsMapping) 
     for k, count in uncovered.items():
         if fallback[k] is None:
             if count:
-                shown = "; ".join(_SHORT.repr(list(c)) for c in examples({k}))
+                shown = "; ".join(map(_example, examples({k})))
                 wanted = SCENARIO_TYPE_FOR_REACTION[k].value
-                message = f"{_SHORT.repr(count)} reachable combination(s) have no row and no {wanted!r} scenario"
+                message = f"{_count(count)} reachable combination(s) have no row and no {wanted!r} scenario"
                 out.append(Diagnostic("error", "os_mapping.rows", f"{message} to fall back to: {shown}"))
         elif k > REACTION_MIN:
             how[k] = f"max-severity fallback to type {mapping.scenarios[fallback[k]].type.value!r}"
     n_fallback = sum(uncovered[k] for k in how)
     if n_fallback:
-        shown = "; ".join(f"{_SHORT.repr(list(c))} -> {how[max(c)]}" for c in examples(set(how)))
+        shown = "; ".join(f"{_example(c)} -> {how[max(c)]}" for c in examples(set(how)))
         out.append(
             Diagnostic(
                 "warning",
                 "os_mapping.rows",
-                f"{_SHORT.repr(n_fallback)} reachable combination(s) have no explicit row and rely on "
+                f"{_count(n_fallback)} reachable combination(s) have no explicit row and rely on "
                 f"the fallback rule (max reaction level picks the scenario type): {shown}",
             )
         )
@@ -830,8 +850,8 @@ def _combiner_gap(ranges: Sequence[range], table: Mapping[Tuple[int, ...], int])
     examples = itertools.islice(
         (combo for combo in itertools.product(*ranges) if combo not in table), min(missing, 4)
     )
-    shown = ", ".join(_SHORT.repr(list(c)) for c in examples)
-    return f"combiner not total: {_SHORT.repr(missing)} missing combinations (e.g. {shown})"
+    shown = ", ".join(map(_example, examples))
+    return f"combiner not total: {_count(missing)} missing combinations (e.g. {shown})"
 
 
 def validate(ps: PulseSchedule) -> Diagnostics:

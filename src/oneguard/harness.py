@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from .errors import TraceError
 from .model import NO_GRANTS, EventState, Record, ResourceRequest, ScenarioType
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
-from .supervisor import SupervisorConfig, SupervisorState, supervisor_step
+from .supervisor import SupervisorState, supervisor_step
 
 EXIT_CLEAN = 0
 EXIT_DISRUPTED = 2
@@ -35,7 +36,7 @@ _SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATIO
 
 
 class TickRecord(Record):
-    """Everything one tick decided, for the trace; ``cells`` holds its decision's ``decision_cells``."""
+    """Everything one tick decided, for the trace; ``cells`` holds the ``ControlLoop.cells`` of its decision."""
 
     __slots__ = ("time", "signals", "cells", "group_grants", "commands", "faults", "violations")
 
@@ -58,11 +59,12 @@ class ControlLoop:
     Owns all cross-tick state (previous event states and their levels, the
     supervisor state with its last decision, controller runtimes, pending
     requests, last merged commands). The plant stays outside so the same
-    loop drives both live runs and fuzzed signal traces. Only when the
-    supervisor hands over a new state are the decision's trace cells
+    loop drives live runs and fuzzed signal traces; ``replay`` drives its
+    ``decide`` alone. Only on a new decision are its trace ``cells``
     formatted and its tasks bound to their runtimes (``bound``:
     ``(task_id, runtime)`` pairs in priority order). A task that left loses
-    its runtime and pending requests; a new one gets its runtime built.
+    its runtime and pending requests; a new one gets its runtime built and
+    its dry-run requests queued, so ``pending`` holds the bound tasks.
     """
 
     def __init__(self, schedule: CompiledSchedule):
@@ -76,29 +78,38 @@ class ControlLoop:
         self.cells: Tuple[str, ...] = ()
         self.bound: Tuple[Tuple[str, TaskRuntime], ...] = ()
 
+    def decide(self, levels: Tuple[int, ...], time: float) -> bool:
+        """Step the supervisor. On a new decision, format ``cells`` (evt, dng, rct per event, scenario, tasks)."""
+        config = self.schedule.supervisor
+        state = supervisor_step(levels, self.sup_state, config, time)[4]
+        if state is self.sup_state:
+            return False
+        self.sup_state = state
+        cells: List[str] = []
+        for one_id, level in zip(config.one_ids, state.levels):
+            cells += (str(level), state.dangers[one_id].label, str(state.reactions[one_id]))
+        self.cells = (*cells, state.scenario_id, ";".join([t.id for t in state.tasks]))
+        return True
+
     def tick(self, signals: Mapping[str, float], time: float, dt: float) -> TickRecord:
         cs = self.schedule
+        # Both per-tick records are built positionally: a keyword call builds a dict.
+        ctx = StepContext(time, dt, signals, self.prev_commands)
         events, faults = monitor_step(signals, cs.monitor, self.events)
         if events is not self.events:
             self.events, self.levels = events, tuple([events[one_id].level for one_id in cs.supervisor.one_ids])
-        state = supervisor_step(self.levels, self.sup_state, cs.supervisor, time)[4]
-        if state is not self.sup_state:
-            self.sup_state = state
-            self.cells = decision_cells(cs.supervisor, state)
+        pending = self.pending
+        if self.decide(self.levels, time):
             runtimes = dict(self.bound)
             self.bound = tuple(
                 (t.id, runtimes.get(t.id) or build_runtime(t, cs.controllers[t.controller], cs.groups))
-                for t in state.tasks
+                for t in self.sup_state.tasks
             )
-            self.pending = {t.id: self.pending[t.id] for t in state.tasks if t.id in self.pending}
-
-        # Both per-tick records are built positionally: a keyword call builds a dict.
-        ctx = StepContext(time, dt, signals, self.prev_commands)
-        pending = self.pending
+            # In bound order, which each step keeps: a kept task serves what it posted, a new one its dry run.
+            self.pending = pending = {i: pending[i] if i in runtimes else r.requests(ctx) for i, r in self.bound}
         requests: List[ResourceRequest] = []
-        for task_id, runtime in self.bound:
-            queued = pending.get(task_id)
-            requests.extend(queued if queued is not None else runtime.requests(ctx))
+        for queued in pending.values():
+            requests.extend(queued)
 
         allocation = allocate(requests, self.table)
 
@@ -131,15 +142,6 @@ def trace_header(schedule: CompiledSchedule) -> List[str]:
     for gid in schedule.groups:
         cols += [f"grant_{gid}", f"cmd_{gid}"]
     return cols + [*_PLANT_FLOATS, "disrupted"]
-
-
-def decision_cells(config: SupervisorConfig, state: SupervisorState) -> Tuple[str, ...]:
-    """A decision's cells, as trace and replay write them: evt, dng, rct per event, then scenario, tasks."""
-    cells: List[str] = []
-    for one_id, level in zip(config.one_ids, state.levels):
-        cells += (str(level), state.dangers[one_id].label, str(state.reactions[one_id]))
-    cells += (state.scenario_id, ";".join([t.id for t in state.tasks]))
-    return tuple(cells)
 
 
 def trace_row(schedule: CompiledSchedule, record: TickRecord, plant: PlantState) -> List[str]:
@@ -289,22 +291,19 @@ def replay_events(
     """Re-run the decision chain over recorded event levels.
 
     ``levels`` holds one level tuple per time, in ``schedule.one_ids``
-    order; rows follow ``replay_header``. Feeding a run's own event columns
-    back must reproduce its danger, reaction, scenario and task columns.
+    order; rows follow ``replay_header``. A ``ControlLoop`` that only
+    decides writes each row's cells, as in a run, so feeding a run's own
+    event columns back reproduces its danger, reaction, scenario and task columns.
     """
-    config = schedule.supervisor
-    state = SupervisorState.initial(config)
+    loop = ControlLoop(schedule)
     rows: List[List[str]] = []
     prev_t = None
     for t, lvl in zip(times, levels):
         if prev_t is not None and t <= prev_t:
             raise TraceError(f"trace times not strictly increasing at t={t!r}")
         prev_t = t
-        *_, new_state = supervisor_step(lvl, state, config, t)
-        if new_state is not state:
-            state = new_state
-            cells = decision_cells(config, state)
-        rows.append([repr(float(t)), *cells])
+        loop.decide(lvl, t)
+        rows.append([repr(float(t)), *loop.cells])
     return rows
 
 
@@ -330,14 +329,14 @@ def replay_file(schedule: CompiledSchedule, trace_path) -> List[List[str]]:
         except ValueError:
             t = math.nan
         if not math.isfinite(t):
-            raise TraceError(f"{trace_path}: bad time {time_cell!r}")
+            raise TraceError(f"{trace_path}: bad time {reprlib.repr(time_cell)}")
         times.append(t)
         lvl = []
         for (one_id, top), raw in zip(tops, cells):
             try:
                 value = int(raw)
             except ValueError:
-                raise TraceError(f"{trace_path}: bad event level {raw!r} for {one_id}") from None
+                raise TraceError(f"{trace_path}: bad event level {reprlib.repr(raw)} for {one_id}") from None
             if not 0 <= value <= top:
                 raise TraceError(
                     f"{trace_path}: event level {value} for {one_id} outside [0, {top}]"

@@ -986,7 +986,7 @@ class TestCoverage:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "trace.csv")]) in (0, 64)
         assert time.perf_counter() - started < 5.0
         assert "Traceback" not in validated.err + capsys.readouterr().err
-        # Each example combination is cut after 16 levels, so no diagnostic grows with the events.
+        # Each example shows at most 16 non-zero levels, so no diagnostic grows with the events.
         lines = (validated.out + validated.err).splitlines()
         assert any("rely on the fallback rule" in line for line in lines)
         assert max(len(line) for line in lines) <= 1000
@@ -999,6 +999,28 @@ class TestCoverage:
         mapping = OsMapping(row_map, scenarios, "normal")
         assert cfg._coverage_diagnostics(per_one, mapping) == counted_per_level(
             brute_force_coverage(per_one, row_map, types_present)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**300))
+    def test_counts_print_whole_up_to_forty_digits_else_as_an_exponent(self, n):
+        digits = str(n)
+        if len(digits) <= 40:
+            assert cfg._count(n) == digits
+        else:
+            assert cfg._count(n) == f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+
+    def test_counts_past_python_digit_limit_are_not_converted_whole(self):
+        # 2**15000 - 1 has 4516 digits, more than Python converts to text.
+        scenarios = {"normal": Scenario("normal", ScenarioType.NORMAL)}
+        (error, warning) = cfg._coverage_diagnostics([(0, 3)] * 15000, OsMapping({}, scenarios, "normal"))
+        assert error.message == (
+            "2.81e+4515 reachable combination(s) have no row and no 'soft_shutdown' scenario to fall back to: "
+            "{14999: 3}; {14998: 3}; {14998: 3, 14999: 3}; {14997: 3}"
+        )
+        assert warning.message.startswith("1 reachable combination(s) have no explicit row")
+        assert cfg._combiner_gap([range(2)] * 15000, {}) == (
+            "combiner not total: 2.81e+4515 missing combinations (e.g. {}, {14999: 1}, {14998: 1}, {14998: 1, 14999: 1})"
         )
 
     def test_forty_stranded_events_give_one_counted_error(self):
@@ -1025,11 +1047,11 @@ class TestCoverage:
         diagnostics = cfg.validate(ps)
         assert time.perf_counter() - started < 1.0
 
-        # Each example shows its first 16 levels: here all 0, as in every example.
-        shown = "[" + "0, " * 16 + "...]"
+        # Past 16 events an example shows its non-zero levels by event position,
+        # so the four examples differ where they differ: in the last events.
         assert error_messages(diagnostics) == [
             f"error: os_mapping.rows: {2 ** n - 1} reachable combination(s) have no row and no 'soft_shutdown' "
-            f"scenario to fall back to: {shown}; {shown}; {shown}; {shown}"
+            "scenario to fall back to: {39: 3}; {38: 3}; {38: 3, 39: 3}; {37: 3}"
         ]
 
     def test_twenty_events_validate_by_counting(self):
@@ -1064,15 +1086,15 @@ class TestCoverage:
         (warning,) = [d for d in diagnostics if d.path == "os_mapping.rows"]
         reachable_rows = 1 + n
 
-        # Each example shows its first 16 levels: here all 0, as in every example.
-        shown = "[" + "0, " * 16 + "...]"
+        # Each example shows its non-zero levels by event position; the one-hot
+        # level-1 rows are skipped.
         assert warning.message == (
             f"{3 ** n - reachable_rows} reachable combination(s) have no explicit row and rely on "
             "the fallback rule (max reaction level picks the scenario type): "
-            f"{shown} -> max-severity fallback to type 'backup'; "
-            f"{shown} -> max-severity fallback to type 'recovery'; "
-            f"{shown} -> max-severity fallback to type 'backup'; "
-            f"{shown} -> max-severity fallback to type 'backup'"
+            "{19: 2} -> max-severity fallback to type 'backup'; "
+            "{18: 1, 19: 1} -> max-severity fallback to type 'recovery'; "
+            "{18: 1, 19: 2} -> max-severity fallback to type 'backup'; "
+            "{18: 2} -> max-severity fallback to type 'backup'"
         )
 
 

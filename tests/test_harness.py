@@ -35,12 +35,17 @@ def rows_of(trace_text):
     return list(reader)
 
 
-def wide_schedule(seed):
-    """The compiled ``wide_switching`` schedule of ``seed`` (bench/wide.py)."""
+def wide_schedule(seed, mutate=None):
+    """The compiled ``wide_switching`` schedule of ``seed`` (bench/wide.py), its document edited by ``mutate``."""
     spec = importlib.util.spec_from_file_location("wide", REPO / "bench" / "wide.py")
     wide = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wide)
-    return cfg.compile_schedule(cfg.parse(wide.generate(seed)[0]))
+    text = wide.generate(seed)[0]
+    if mutate:
+        doc = yaml.safe_load(text)
+        mutate(doc)
+        text = yaml.safe_dump(doc, sort_keys=False)
+    return cfg.compile_schedule(cfg.parse(text))
 
 
 def nested(depth):
@@ -256,23 +261,28 @@ class TestReplay:
 
 @pytest.mark.parametrize("schedule", ["dual_ntm", "wide"])
 def test_decision_cells_are_formatted_once_per_new_state(schedule, dual_ntm_compiled, tmp_path, monkeypatch):
-    # run and replay format a decision when the supervisor hands over a new
-    # state, and reuse those cells on every tick that carries it.
+    # run and replay both decide through ControlLoop.decide. It formats a
+    # decision's cells once, when the supervisor hands over a new state, and
+    # every tick that carries the decision reuses them.
     cs = dual_ntm_compiled if schedule == "dual_ntm" else wide_schedule(0)
     stepped, formatted = [], []
-    real_step, real_cells = harness.supervisor_step, harness.decision_cells
+    real_step, real_decide = harness.supervisor_step, harness.ControlLoop.decide
 
     def step(*args):
         result = real_step(*args)
         stepped.append(result[4])
         return result
 
-    def cells(config, state):
-        formatted.append(state)
-        return real_cells(config, state)
+    def decide(loop, levels, time):
+        cells = loop.cells
+        new = real_decide(loop, levels, time)
+        assert new == (loop.cells is not cells)
+        if new:
+            formatted.append(loop.sup_state)
+        return new
 
     monkeypatch.setattr(harness, "supervisor_step", step)
-    monkeypatch.setattr(harness, "decision_cells", cells)
+    monkeypatch.setattr(harness.ControlLoop, "decide", decide)
     trace = tmp_path / "trace.csv"
     trace.write_text(harness.run(cs).trace_text)
     ticks = len(stepped)
@@ -371,6 +381,11 @@ class TestCli:
                 id="deep_controller_type",
             ),
             pytest.param(f"run.dt={nested(6000)}", "value nests collections more than 5000 deep", id="too_deep"),
+            pytest.param(
+                f"run.duration={'9' * 4301}", "value cannot be loaded: Exceeds the limit (4300 digits)", id="huge_int"
+            ),
+            pytest.param("run.dt=2020-13-45", "value cannot be loaded: month must be in 1..12", id="bad_date"),
+            pytest.param("run.dt=0x__", "value cannot be loaded: invalid literal for int()", id="empty_hex"),
         ],
     )
     def test_bad_override_exits_64(self, tmp_path, capsys, assignment, message):
@@ -476,6 +491,43 @@ class TestCli:
         argv["replay"] = [str(DUAL_NTM_EVENTS), str(deep)]
         assert cli.main([command] + argv[command]) == 64
         assert capsys.readouterr().err == "error: schedule nests collections more than 5000 deep\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "replay"])
+    def test_integer_past_python_digit_limit_exits_64(self, tmp_path, capsys, command):
+        # Python refuses to convert an integer literal of more than 4300 digits.
+        bad = tmp_path / "huge.yaml"
+        bad.write_text(DUAL_NTM.read_text().replace("priority: 1", "priority: " + "9" * 4301, 1))
+        argv = {"validate": [str(bad)], "run": [str(bad), "--out", str(tmp_path / "x.csv")]}
+        argv["replay"] = [str(DUAL_NTM_EVENTS), str(bad)]
+        assert cli.main([command] + argv[command]) == 64
+        assert capsys.readouterr().err == (
+            "error: schedule cannot be loaded: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit\n"
+        )
+
+    @pytest.mark.parametrize("cells", ["0.0,{},0", "{},0,0"], ids=["event_level", "time"])
+    def test_replay_echoes_a_bad_cell_shortened(self, tmp_path, capsys, cells):
+        bad = tmp_path / "events.csv"
+        bad.write_text("time,evt_ntm21,evt_ntm43\n" + cells.format("1" * 5000) + "\n")
+        assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: bad ") and "'111111111111...1111111111111'" in err
+        assert len(err) < 200
+
+    def test_run_and_replay_refuse_an_invalid_schedule_alike(self, tmp_path, capsys):
+        # Every diagnostic, the warnings included, one per line.
+        doc = yaml.safe_load(DUAL_NTM.read_text())
+        del doc["ones"][0]["reaction"]["medium"]
+        doc["ones"][1]["irreversible"] = [4]
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert cli.main(["validate", str(bad)]) == 64
+        diagnostics = capsys.readouterr().err
+        assert "error: " in diagnostics and "warning: " in diagnostics
+        assert cli.main(["run", str(bad), "--out", str(tmp_path / "x.csv")]) == 64
+        assert capsys.readouterr().err == diagnostics
+        assert cli.main(["replay", str(DUAL_NTM_EVENTS), str(bad)]) == 64
+        assert capsys.readouterr().err == diagnostics
 
     def test_unparseable_yaml_run_exits_64(self, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"
