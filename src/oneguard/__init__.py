@@ -6,31 +6,4 @@ allocation and generic controllers into a deterministic fixed-period
 control loop, closed against a 0-D surrogate plasma.
 """
 
-from .errors import ConfigError, SimFault, TraceError
-from .model import (
-    Activation,
-    Allocation,
-    ControlTask,
-    DangerLevel,
-    EventState,
-    EventTrigger,
-    ResourceRequest,
-    ScenarioType,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Activation",
-    "Allocation",
-    "ConfigError",
-    "ControlTask",
-    "DangerLevel",
-    "EventState",
-    "EventTrigger",
-    "ResourceRequest",
-    "ScenarioType",
-    "SimFault",
-    "TraceError",
-    "__version__",
-]

@@ -75,10 +75,11 @@ def allocate(requests: Sequence[ResourceRequest], table: GroupTable) -> Allocati
     The requests come in non-decreasing priority of their tasks, as the
     loop walks its active tasks. Tasks whose request cannot reach its
     minimum acceptable amount are granted zero and listed in
-    ``Allocation.starved``, in request order. The minimum comparison
-    carries a 1e-9 slack so accumulated float error in the remaining
-    capacity cannot starve an exactly-satisfiable request. Each group's
-    total adds its grants from 0.0 in the same priority order.
+    ``Allocation.starved``, in request order. So is a request whose amount
+    is NaN, which would otherwise poison the remaining capacity. The
+    minimum comparison carries a 1e-9 slack so accumulated float error in
+    the remaining capacity cannot starve an exactly-satisfiable request.
+    Each group's total adds its grants from 0.0 in the same priority order.
     """
     remaining = dict(table.capacity)
     totals = dict.fromkeys(remaining, 0.0)
@@ -86,7 +87,7 @@ def allocate(requests: Sequence[ResourceRequest], table: GroupTable) -> Allocati
     starved: List[Tuple[str, str]] = []
     for task_id, gid, amount, minimum in requests:
         granted = min(amount, remaining[gid])
-        if granted + 1e-9 < minimum or (amount > 0.0 and granted <= 0.0):
+        if not (granted + 1e-9 >= minimum and (granted > 0.0 or amount <= 0.0)):  # a NaN amount fails too
             starved.append((task_id, gid))
             continue
         remaining[gid] -= granted
@@ -102,7 +103,8 @@ def merge_commands(
 
     Returns ``(commands, violations)`` where ``commands`` maps group id to
     the merged value (0 for groups nobody commands) and ``violations``
-    lists dropped contributions as ``(task, group, reason)``. An additive
+    lists dropped contributions as ``(task, group, reason)``; a NaN command
+    is always dropped, so no merged command is NaN. An additive
     sum starts from the int 0, so a lone ``-0.0`` command merges to
     ``0.0``, not ``-0.0``.
     """
@@ -116,10 +118,10 @@ def merge_commands(
         if grant <= 0.0:
             if value != 0.0:
                 violations.append((task_id, gid, "no grant"))
-        elif gid in exclusive:
+        elif gid in exclusive and value == value:
             merged.setdefault(gid, value)
-        elif abs(value) > grant + 1e-12:
-            violations.append((task_id, gid, "command exceeds grant"))
+        elif not abs(value) <= grant + 1e-12:  # a NaN command, exclusive or additive, fails too
+            violations.append((task_id, gid, "command exceeds grant" if value == value else "command is NaN"))
         else:
             merged[gid] = merged.get(gid, 0) + value
 

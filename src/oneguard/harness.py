@@ -195,7 +195,6 @@ class RunResult(NamedTuple):
     exit_code: int
     trace_text: str
     rows: int
-    disrupted: bool
     final_scenario: str
     violations: int
     faults: int
@@ -263,7 +262,6 @@ def run(schedule: CompiledSchedule) -> RunResult:
         exit_code=exit_code,
         trace_text=buf.getvalue(),
         rows=rows,
-        disrupted=plant.disrupted,
         final_scenario=final_scenario,
         violations=violations,
         faults=faults,

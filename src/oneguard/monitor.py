@@ -63,18 +63,17 @@ class ThresholdTable(Record):
     def next_level(self, value: float, previous_level: int) -> int:
         """Event level after sample ``value``, given the previous level.
 
-        Escalation follows the stateless bucket; de-escalation from the
-        previous level only happens once the value clears the hysteresis
-        band of each level it leaves.
+        Inside the previous level's band the level holds. Above it, the
+        level is the stateless bucket of the thresholds; below it, the
+        number of releases at or under the value.
         """
         signed = self.sign * value
-        bucket = bisect_right(self.rising, signed)
-        if bucket >= previous_level:
-            return bucket
-        level, release = previous_level, self.release
-        while level > bucket and signed < release[level - 1]:
-            level -= 1
-        return level
+        lo, hi = self.bands[previous_level]
+        if signed < lo:
+            return bisect_right(self.release, signed)
+        if signed >= hi:
+            return bisect_right(self.rising, signed)
+        return previous_level
 
 
 class VirtualOneRule(Record):

@@ -77,12 +77,14 @@ class ReferenceLoop:
                 pending[task.id] = self.pending[task.id]
             runtimes[task.id] = runtime
         priorities = {task.id: task.priority for task in tasks}
-        requests = [request for queued in pending.values() for request in queued]
+        # A NaN amount is starved, and a NaN command is dropped.
+        requests = [request for queued in pending.values() for request in queued if request.amount == request.amount]
         allocation = sorting_allocate(requests, cs.groups, priorities)
         outputs = []
         for task_id, runtime in runtimes.items():
             issued, pending[task_id] = runtime.step(ctx, allocation.grants.get(task_id, NO_GRANTS))
             outputs += [(task_id, command) for command in issued]
+        outputs = [(task_id, command) for task_id, command in outputs if command.value == command.value]
         self.commands, _ = sorting_merge_commands(outputs, allocation, cs.groups, priorities)
         self.runtimes, self.pending = runtimes, pending
 

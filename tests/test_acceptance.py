@@ -118,7 +118,7 @@ def test_c1_density_limit_timeline(density_limit_compiled):
 
     # The discharge ends in a disruption before any shutdown is ordered,
     # with the energy-limit event never firing.
-    assert result.exit_code == harness.EXIT_DISRUPTED and result.disrupted
+    assert result.exit_code == harness.EXIT_DISRUPTED
     assert all(r["scenario"] != "soft_shutdown" for r in rows)
     assert all(r["evt_actuator_lim"] == "0" for r in rows)
     assert result.violations == 0
@@ -542,10 +542,30 @@ TASK_POOL = {
 
 
 @st.composite
+def activations(draw, event_ids):
+    """A task activation for the 0.2 s, 0.01 s-tick run of ``MINIMAL_PLANT``.
+
+    A time window that opens or closes inside the run, on the tick grid or
+    between ticks, an event trigger on one of ``event_ids``, both or
+    neither.
+    """
+    activation = {}
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 20)) / 100 + draw(st.sampled_from([0.0, 0.0, 0.005]))
+        end = start + draw(st.integers(1, 10)) / 100 + draw(st.sampled_from([0.0, 0.0, 0.003]))
+        activation.update(t_start=start, t_end=draw(st.sampled_from([None, end])))
+    if draw(st.booleans()):
+        low = draw(st.integers(0, 3))
+        top = draw(st.sampled_from([None, low, low + 1]))
+        activation["event"] = {"one": draw(st.sampled_from(event_ids)), "min_level": low, "max_level": top}
+    return activation
+
+
+@st.composite
 def generated_schedules(draw):
     """A schedule with random total danger and reaction maps, irreversible
-    sets, scenario types, task lists and os_mapping rows, and 0 or 1
-    virtual event over 1-2 base events with a total combiner."""
+    sets, scenario types, task lists, task activations and os_mapping rows,
+    and 0 or 1 virtual event over 1-2 base events with a total combiner."""
     ones = []
     for i in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, 3))
@@ -588,6 +608,8 @@ def generated_schedules(draw):
             task = dict(TASK_POOL[name], id=name, priority=priority)
             if name in ("heat", "beta"):
                 task["reference"] = draw(st.integers(0, 13)) / 10
+            if draw(st.booleans()):
+                task["activation"] = draw(activations(event_ids))
             tasks.append(task)
         scenarios.append({"id": sid, "type": scenario_type, "tasks": tasks})
     row = st.tuples(st.tuples(*[st.integers(0, 4)] * len(event_ids)), st.sampled_from(sorted(types)))

@@ -58,6 +58,13 @@ class TestAllocate:
         assert grant_of(alloc, "b", "g") == 0.0
         assert ("b", "g") in alloc.starved
 
+    def test_nan_request_is_starved_and_leaves_the_capacity(self):
+        requests = [req("a", "g", math.nan), req("b", "g", 1.0, minimum=1.0)]
+        alloc = allocate(requests, GroupTable({"g": group("g", 1.0)}))
+        assert alloc.starved == (("a", "g"),)
+        assert alloc.grants == {"b": {"g": 1.0}}
+        assert alloc.totals == {"g": 1.0}
+
     # The request checks below live in validate and in the loop, not in
     # allocate: these tests pin the diagnostics and the loop behaviour.
     def test_duplicate_task_group_request_rejected(self):
@@ -156,6 +163,16 @@ class TestMergeCommands:
         commands, violations = self.merged([("a", ActuatorCommand("aim", 0.6))], alloc, groups)
         assert commands["aim"] == 0.0
         assert violations == []
+
+    @pytest.mark.parametrize("semantics", ["additive", "exclusive"])
+    def test_nan_command_dropped_and_reported(self, semantics):
+        # Both tasks hold a grant; the NaN comes first, as from the higher priority.
+        groups = {"g": group("g", 2.0, semantics=semantics)}
+        alloc = allocate([req("a", "g", 1.0), req("b", "g", 1.0)], GroupTable(groups))
+        outputs = [("a", ActuatorCommand("g", math.nan)), ("b", ActuatorCommand("g", 0.5))]
+        commands, violations = self.merged(outputs, alloc, groups)
+        assert commands == {"g": 0.5}
+        assert violations == [("a", "g", "command is NaN")]
 
     def test_uncommanded_group_reads_zero(self):
         alloc = allocate([], GroupTable(self.GROUPS))

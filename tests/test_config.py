@@ -1,6 +1,7 @@
 import ast
 import itertools
 import re
+import sys
 import time
 
 import pytest
@@ -963,6 +964,27 @@ def coverage_cases(draw):
 
 
 class TestCoverage:
+    def test_validate_work_per_event_stays_flat(self):
+        # Work counted, not timed: the Python and C function calls made inside
+        # validate, per event, on dual_ntm widened as in the 2000-event case.
+        # A call per pair of events, or per row per event, would grow it with n.
+        def calls_per_event(n):
+            doc = yaml.safe_load(DUAL_NTM.read_text())
+            ntm21, ntm43 = doc["ones"]
+            doc["ones"] = [ntm21] + [dict(ntm43, id=f"ntm43_{i}") for i in range(n - 1)]
+            del doc["os_mapping"]["rows"]
+            ps = cfg.parse_document(doc)
+            calls = []
+            sys.setprofile(lambda frame, event, arg: event in ("call", "c_call") and calls.append(None))
+            try:
+                cfg.validate(ps)
+            finally:
+                sys.setprofile(None)
+            return len(calls) / n
+
+        per_event = {n: calls_per_event(n) for n in (64, 256, 1024)}
+        assert max(per_event.values()) <= 1.25 * per_event[64], per_event
+
     @settings(max_examples=300, deadline=None)
     @given(coverage_cases(), st.sets(st.integers(0, 4)))
     def test_walk_is_the_filtered_product(self, case, maxima):

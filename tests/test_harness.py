@@ -48,6 +48,18 @@ def wide_schedule(seed, mutate=None):
     return cfg.compile_schedule(cfg.parse(text))
 
 
+#: Overrides of ``dual_ntm`` that validate clean and make a task command NaN:
+#: the PID's infinite proportional and derivative terms cancel, and the
+#: feedforward reference interpolates ``v0 + 0.0 * inf`` at its first point.
+NAN_COMMAND_OVERRIDES = {
+    "pid_inf_minus_inf": [
+        "scenarios.0.tasks.1.reference=5.0", "controllers.beta_pid.kp=1.0e+308", "controllers.beta_pid.kd=1.0e+308",
+        "controllers.beta_pid.hi=1.0e+308", "controllers.beta_pid.measurement=nbi_power",
+    ],
+    "waveform_zero_times_inf": ["scenarios.0.tasks.0.reference={points: [[0.0, -1.0e+308], [0.2, 1.0e+308]]}"],
+}
+
+
 def nested(depth):
     return "[" * depth + "]" * depth
 
@@ -66,7 +78,7 @@ class TestRun:
     def test_density_limit_exit_code_is_disrupted(self, density_limit_compiled):
         result = harness.run(density_limit_compiled)
         assert result.exit_code == harness.EXIT_DISRUPTED
-        assert result.disrupted and result.final_scenario == "recovery"
+        assert result.final_scenario == "recovery"
 
     def test_dual_ntm_completes_cleanly(self, dual_ntm_compiled):
         result = harness.run(dual_ntm_compiled)
@@ -102,7 +114,6 @@ class TestRun:
 
         _, result = run_schedule(DENSITY_LIMIT, mutate)
         assert result.exit_code == harness.EXIT_SHUTDOWN
-        assert not result.disrupted
         assert result.final_scenario == "soft_shutdown"
 
     def test_one_tick_actuation_delay(self, density_limit_compiled):
@@ -609,6 +620,21 @@ class TestCli:
         assert result.returncode == 64
         assert "Traceback" not in result.stderr
         assert "error: run.duration: tick count duration / dt must be finite" in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(NAN_COMMAND_OVERRIDES))
+    def test_a_nan_command_is_dropped_not_a_traceback(self, case, tmp_path):
+        # The NaN is starved and dropped in the actuator round, so it never
+        # reaches the plant's own non-finite check.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "trace.csv"
+        sets = [arg for value in NAN_COMMAND_OVERRIDES[case] for arg in ("--set", value)]
+        argv = [sys.executable, "-m", "oneguard.cli", "run", str(DUAL_NTM), *sets, "--out", str(out)]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "command violation(s)" in result.stderr and " 0 command violation(s)" not in result.stderr
+        assert "nan" not in out.read_text(encoding="utf-8").lower()
 
     def test_import_does_not_load_numpy(self):
         env = dict(os.environ)

@@ -12,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
+from oneguard import cli
 from oneguard import config as cfg
 from oneguard import harness
 from oneguard.plant import initial_state
@@ -19,7 +20,7 @@ from oneguard.plant import initial_state
 from conftest import DENSITY_LIMIT, DUAL_NTM
 from reference_loop import ReferenceLoop, fuzzed_signals, plant_cells, reference_run
 from test_acceptance import generated_schedules
-from test_harness import wide_schedule
+from test_harness import NAN_COMMAND_OVERRIDES, wide_schedule
 
 
 def assert_run_matches(cs):
@@ -43,26 +44,21 @@ def test_shipped_runs_match_the_reference_loop(path):
     assert_run_matches(cfg.compile_schedule(cfg.parse_file(path)))
 
 
+@pytest.mark.parametrize("case", sorted(NAN_COMMAND_OVERRIDES))
+def test_runs_with_nan_commands_match_the_reference_loop(case):
+    assert_run_matches(cfg.compile_schedule(cli._load_schedule(str(DUAL_NTM), NAN_COMMAND_OVERRIDES[case], None)))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_wide_runs_match_the_reference_loop(seed):
     # CI runs all 64 pinned seeds through tests/reference_loop.py.
     assert_run_matches(wide_schedule(seed))
 
 
-def add_time_windows(doc, rng):
-    """Give about half the tasks an activation window that opens or closes inside the 0.2 s run."""
-    for scenario in doc["scenarios"]:
-        for task in scenario["tasks"]:
-            if rng.random() < 0.5:
-                start = rng.randrange(20) / 100
-                task["activation"] = {"t_start": start, "t_end": start + rng.randint(1, 10) / 100}
-
-
 @settings(max_examples=50, deadline=None)
 @given(generated_schedules())
 def test_generated_schedules_match_the_reference_loop(drawn):
     doc, seed = drawn
-    add_time_windows(doc, random.Random(seed))
     diagnostics = cfg.validate(cfg.parse(yaml.safe_dump(doc, sort_keys=False)))
     if diagnostics.schedule is None:
         return
