@@ -34,14 +34,13 @@ from .errors import ConfigError
 from .model import (
     Activation,
     ControlTask,
-    DangerLevel,
+    DANGER_LEVELS,
     EventState,
     EventTrigger,
     REACTION_MAX,
     REACTION_MIN,
     Record,
-    SCENARIO_TYPE_FOR_REACTION,
-    ScenarioType,
+    SCENARIO_TYPES,
 )
 from .monitor import FALLING, MonitorConfig, RISING, ThresholdTable, VirtualOneRule
 from .plant import PLANT_SIGNALS, DisruptionBoundary, PlantParams
@@ -563,8 +562,6 @@ def parse_file(path) -> PulseSchedule:
 # Validate (semantic pass).
 # ---------------------------------------------------------------------------
 
-_DANGER_NAMES = {d.label: d for d in DangerLevel}
-_SCENARIO_TYPES = {t.value: t for t in ScenarioType}
 #: Shows the non-zero levels of a combination of more than 16 events, cut as reprlib cuts past 16 of them.
 _SHORT = reprlib.Repr()
 _SHORT.maxdict = 16
@@ -619,7 +616,7 @@ def _check_danger_map(
     for lvl, name in danger:
         if lvl < 0 or lvl > max_level:
             out.append(Diagnostic("error", path, f"level {lvl} outside [0, {max_level}]"))
-        if name not in _DANGER_NAMES:
+        if name not in DANGER_LEVELS:
             out.append(Diagnostic("error", path, f"unknown danger name {name!r}"))
         if lvl in seen:
             out.append(Diagnostic("error", path, f"duplicate entry for level {lvl}"))
@@ -636,7 +633,7 @@ def _check_reaction_map(reaction: Tuple[Tuple[str, int], ...], path: str, out: L
     """Check that ``reaction`` is total over the danger names and return its known names as a dict."""
     seen = {}
     for name, lvl in reaction:
-        if name not in _DANGER_NAMES:
+        if name not in DANGER_LEVELS:
             out.append(Diagnostic("error", path, f"unknown danger name {name!r}"))
             continue
         if not REACTION_MIN <= lvl <= REACTION_MAX:
@@ -646,7 +643,7 @@ def _check_reaction_map(reaction: Tuple[Tuple[str, int], ...], path: str, out: L
         if name in seen:
             out.append(Diagnostic("error", path, f"duplicate entry for danger {name!r}"))
         seen[name] = lvl
-    missing = [n for n in _DANGER_NAMES if n not in seen]
+    missing = [n for n in DANGER_LEVELS if n not in seen]
     if missing:
         out.append(Diagnostic("error", path, f"non-total mapping: missing danger levels {missing}"))
     return seen
@@ -667,8 +664,8 @@ def _check_classification(spec: OneSpec | VirtualOneSpec, path: str, out: List[D
     if errors_of(out[start:]):
         return None
     evaluation = OneEvaluation(
-        danger=tuple(_DANGER_NAMES[danger[lvl]] for lvl in range(spec.max_level + 1)),
-        reaction=tuple(reaction[name] for name in _DANGER_NAMES),
+        danger=tuple(DANGER_LEVELS.index(danger[lvl]) for lvl in range(spec.max_level + 1)),
+        reaction=tuple(reaction[name] for name in DANGER_LEVELS),
         irreversible=frozenset(spec.irreversible),
     )
     # The latch holds from its lowest level up, so it covers 3 and 4 exactly when it starts at 3 or below.
@@ -816,11 +813,10 @@ def _coverage_diagnostics(per_one: Sequence[Sequence[int]], mapping: OsMapping) 
         if fallback[k] is None:
             if count:
                 shown = "; ".join(map(_example, examples({k})))
-                wanted = SCENARIO_TYPE_FOR_REACTION[k].value
-                message = f"{_count(count)} reachable combination(s) have no row and no {wanted!r} scenario"
-                out.append(Diagnostic("error", "os_mapping.rows", f"{message} to fall back to: {shown}"))
+                message = f"{_count(count)} reachable combination(s) have no row and no {SCENARIO_TYPES[k]!r}"
+                out.append(Diagnostic("error", "os_mapping.rows", f"{message} scenario to fall back to: {shown}"))
         elif k > REACTION_MIN:
-            how[k] = f"max-severity fallback to type {mapping.scenarios[fallback[k]].type.value!r}"
+            how[k] = f"max-severity fallback to type {mapping.scenarios[fallback[k]].type!r}"
     n_fallback = sum(uncovered[k] for k in how)
     if n_fallback:
         shown = "; ".join(f"{_example(c)} -> {how[max(c)]}" for c in examples(set(how)))
@@ -986,8 +982,8 @@ def validate(ps: PulseSchedule) -> Diagnostics:
     scenarios: Dict[str, Scenario] = {}
     for path, sc in _items("scenarios", ps.scenarios, "scenario", out):
         tasks = tuple(sorted(sc.tasks, key=lambda t: t.priority))
-        scenarios[sc.id] = Scenario(sc.id, _SCENARIO_TYPES.get(sc.type), tasks)
-        if sc.type not in _SCENARIO_TYPES:
+        scenarios[sc.id] = Scenario(sc.id, sc.type, tasks)
+        if sc.type not in SCENARIO_TYPES:
             out.append(Diagnostic("error", f"{path}.type", f"unknown scenario type {sc.type!r}"))
         seen_prio: Dict[int, str] = {}
         for tpath, task in _items(f"{path}.tasks", sc.tasks, "task", out):
@@ -1049,7 +1045,7 @@ def validate(ps: PulseSchedule) -> Diagnostics:
     n_ones = len(ps.one_ids)
     if ps.os_default not in scenarios:
         out.append(Diagnostic("error", "os_mapping.default", f"unknown scenario {ps.os_default!r}"))
-    elif scenarios[ps.os_default].type is not ScenarioType.NORMAL:
+    elif scenarios[ps.os_default].type != "normal":
         out.append(Diagnostic("error", "os_mapping.default", "default scenario must be of type normal"))
     seen_rows = set()
     row_map = {}
@@ -1070,7 +1066,7 @@ def validate(ps: PulseSchedule) -> Diagnostics:
             out.append(Diagnostic("error", path, f"unknown scenario {scenario_id!r}"))
             continue
         row_map[reactions] = scenario_id
-        if all(r == 0 for r in reactions) and scenarios[scenario_id].type is not ScenarioType.NORMAL:
+        if all(r == 0 for r in reactions) and scenarios[scenario_id].type != "normal":
             out.append(
                 Diagnostic("error", path, "the all-zero combination must map to a normal-type scenario")
             )

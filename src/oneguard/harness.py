@@ -22,7 +22,7 @@ from .allocator import ActuatorCommand, GroupTable, allocate, merge_commands
 from .config import CompiledSchedule
 from .controllers import StepContext, TaskRuntime, build_runtime
 from .errors import TraceError
-from .model import NO_GRANTS, EventState, Record, ResourceRequest, ScenarioType
+from .model import DANGER_LEVELS, NO_GRANTS, EventState, Record, ResourceRequest
 from .monitor import monitor_step
 from .plant import PlantState, initial_state, plant_signals, plant_step
 from .supervisor import SupervisorState, supervisor_step
@@ -32,7 +32,7 @@ EXIT_DISRUPTED = 2
 EXIT_SHUTDOWN = 3
 EXIT_CONFIG = 64
 
-_SHUTDOWN_TYPES = (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATION)
+_SHUTDOWN_TYPES = ("soft_shutdown", "disruption_mitigation")
 
 
 class TickRecord(Record):
@@ -87,7 +87,7 @@ class ControlLoop:
         self.sup_state = state
         cells: List[str] = []
         for one_id, level in zip(config.one_ids, state.levels):
-            cells += (str(level), state.dangers[one_id].label, str(state.reactions[one_id]))
+            cells += (str(level), DANGER_LEVELS[state.dangers[one_id]], str(state.reactions[one_id]))
         self.cells = (*cells, state.scenario_id, ";".join([t.id for t in state.tasks]))
         return True
 
@@ -167,7 +167,7 @@ def read_trace(path, columns: Sequence[str]) -> Tuple[List[str], List[List[str]]
     the order given; a name the header repeats reads its last column.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -250,7 +250,7 @@ def run(schedule: CompiledSchedule) -> RunResult:
         )
 
     final_scenario = loop.sup_state.scenario_id
-    scenario_type = cs.supervisor.scenarios[final_scenario].type
+    scenario_type = cs.supervisor.os_mapping.scenarios[final_scenario].type
     if plant.disrupted:
         exit_code = EXIT_DISRUPTED
     elif scenario_type in _SHUTDOWN_TYPES:

@@ -2,59 +2,34 @@
 
 Plain values passed between the event monitor, the supervisor, the
 actuator manager and the controllers. Everything here is safe to copy
-across execution contexts; nothing mutates after construction. The values
-built on every tick (``EventState``, ``ResourceRequest``, ``Allocation``)
-are named tuples. The records read on every tick are ``Record`` classes:
-slots and a written-out ``__init__``, so that defining them costs no code
-generation at import and reading a field costs no tuple indexing.
+across execution contexts; nothing mutates after construction.
+
+The off-normal-event (ONE) standard's two ordinal scales are tuples of the
+names that schedules and traces use: a danger level or a scenario type is
+its index in ``DANGER_LEVELS`` or ``SCENARIO_TYPES``, and a combination
+without an explicit scenario-mapping row whose maximum reaction level is k
+falls back to a scenario of type ``SCENARIO_TYPES[k]``.
+
+The values built on every tick (``EventState``, ``ResourceRequest``,
+``Allocation``) are named tuples. The records read on every tick are
+``Record`` classes: slots and a written-out ``__init__``, so that defining
+them costs no code generation at import and reading a field costs no
+tuple indexing.
 """
 
 from __future__ import annotations
 
-from enum import Enum, IntEnum
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional
 
+#: Both ordered from harmless to worst.
+DANGER_LEVELS = ("no", "low", "medium", "high", "very_high")
+SCENARIO_TYPES = ("normal", "recovery", "backup", "soft_shutdown", "disruption_mitigation")
 
-class DangerLevel(IntEnum):
-    """Per-event severity classification, ordered from harmless to worst."""
-
-    NO = 0
-    LOW = 1
-    MEDIUM = 2
-    HIGH = 3
-    VERY_HIGH = 4
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-
-#: Required-response classification attached to each off-normal event.
-#: Plain integers 0..4; by default 3 and 4 are treated as irreversible.
+#: Required-response classification attached to each off-normal event:
+#: one level per scenario type; by default 3 and 4 are irreversible.
 REACTION_MIN = 0
-REACTION_MAX = 4
-
-
-class ScenarioType(Enum):
-    """The five kinds of control scenario a supervisor can select."""
-
-    NORMAL = "normal"
-    RECOVERY = "recovery"
-    BACKUP = "backup"
-    SOFT_SHUTDOWN = "soft_shutdown"
-    DISRUPTION_MITIGATION = "disruption_mitigation"
-
-
-#: Reaction level k escalates to a scenario of this type when the
-#: scenario mapping has no explicit row for the observed combination.
-SCENARIO_TYPE_FOR_REACTION = {
-    0: ScenarioType.NORMAL,
-    1: ScenarioType.RECOVERY,
-    2: ScenarioType.BACKUP,
-    3: ScenarioType.SOFT_SHUTDOWN,
-    4: ScenarioType.DISRUPTION_MITIGATION,
-}
+REACTION_MAX = len(SCENARIO_TYPES) - 1
 
 
 #: The one shared empty mapping: no grants, no totals.

@@ -16,38 +16,30 @@ import math
 from bisect import bisect_right
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .model import (
-    ControlTask,
-    DangerLevel,
-    REACTION_MAX,
-    Record,
-    SCENARIO_TYPE_FOR_REACTION,
-    ScenarioType,
-)
+from .model import ControlTask, REACTION_MAX, Record, SCENARIO_TYPES
 
 
 class OneEvaluation(Record):
     """The whole decision table of one off-normal event.
 
-    ``danger[level]`` classifies an event level, ``reaction[danger]`` maps
-    a danger level to a reaction level, and a previous reaction at or
-    above the lowest level in ``irreversible`` latches: the reaction can
-    then only stay or rise, so escalation past an irreversible level stays
-    possible while de-escalation is forbidden. Memoryless otherwise: any
-    debouncing lives in the monitor's hysteresis bands. Idempotent: a
-    level evaluated against its own result gives that result again.
+    ``danger[level]`` classifies an event level (an index into
+    ``DANGER_LEVELS``), ``reaction[danger]`` maps a danger level to a
+    reaction level, and a previous reaction at or above the lowest level
+    in ``irreversible`` latches: the reaction can then only stay or rise,
+    so escalation past an irreversible level stays possible while
+    de-escalation is forbidden. Memoryless otherwise: any debouncing lives
+    in the monitor's hysteresis bands. Idempotent: a level evaluated
+    against its own result gives that result again.
     """
 
     _fields = ("danger", "reaction", "irreversible")
     __slots__ = _fields + ("latch_from",)
 
-    def __init__(
-        self, danger: Tuple[DangerLevel, ...], reaction: Tuple[int, ...], irreversible: FrozenSet[int]
-    ) -> None:
+    def __init__(self, danger: Tuple[int, ...], reaction: Tuple[int, ...], irreversible: FrozenSet[int]) -> None:
         self.danger, self.reaction, self.irreversible = danger, reaction, irreversible
         self.latch_from = min(irreversible, default=REACTION_MAX + 1)
 
-    def evaluate(self, level: int, previous: int) -> Tuple[DangerLevel, int]:
+    def evaluate(self, level: int, previous: int) -> Tuple[int, int]:
         danger = self.danger[level]
         reaction = self.reaction[danger]
         if previous >= self.latch_from and previous > reaction:
@@ -56,7 +48,7 @@ class OneEvaluation(Record):
 
 
 class Scenario(Record):
-    """A named, typed, prioritized task list.
+    """A named, typed, prioritized task list; ``type`` is one of ``SCENARIO_TYPES``.
 
     ``tasks`` are in priority order (1 first), with unique priorities.
     ``boundaries`` holds the sorted times at which one of their activation
@@ -66,7 +58,7 @@ class Scenario(Record):
     _fields = ("id", "type", "tasks")
     __slots__ = _fields + ("boundaries",)
 
-    def __init__(self, id: str, type: ScenarioType, tasks: Tuple[ControlTask, ...] = ()) -> None:
+    def __init__(self, id: str, type: str, tasks: Tuple[ControlTask, ...] = ()) -> None:
         self.id, self.type, self.tasks = id, type, tasks
         times = {-math.inf, math.inf}
         for t in tasks:
@@ -82,7 +74,7 @@ class OsMapping(Record):
     event, in configuration order) to scenario ids. A combination without
     a row falls back on its maximum reaction level k alone:
     ``fallback[k]``, built once, holds ``default`` for k = 0 and otherwise
-    the lexicographically smallest scenario id of the type matching k
+    the lexicographically smallest scenario id of type ``SCENARIO_TYPES[k]``
     (None if there is none: ``validate`` makes such a k unreachable).
     """
 
@@ -91,12 +83,10 @@ class OsMapping(Record):
 
     def __init__(self, rows: Mapping[Tuple[int, ...], str], scenarios: Mapping[str, Scenario], default: str) -> None:
         self.rows, self.scenarios, self.default = rows, scenarios, default
-        first_of_type: Dict[ScenarioType, str] = {}
+        first_of_type: Dict[str, str] = {}
         for scenario in sorted(scenarios.values(), key=lambda s: s.id):
             first_of_type.setdefault(scenario.type, scenario.id)
-        table = [default]
-        table += [first_of_type.get(SCENARIO_TYPE_FOR_REACTION[k]) for k in range(1, REACTION_MAX + 1)]
-        self.fallback = tuple(table)
+        self.fallback = (default, *[first_of_type.get(t) for t in SCENARIO_TYPES[1:]])
 
     def select(self, reactions: Tuple[int, ...]) -> str:
         hit = self.rows.get(reactions)
@@ -115,10 +105,6 @@ class SupervisorConfig(Record):
     ) -> None:
         self.one_ids, self.evaluations, self.os_mapping = one_ids, evaluations, os_mapping
 
-    @property
-    def scenarios(self) -> Mapping[str, Scenario]:
-        return self.os_mapping.scenarios
-
 
 class SupervisorState(Record):
     """The last decision, and the carry-over between ticks.
@@ -132,7 +118,7 @@ class SupervisorState(Record):
     __slots__ = ("scenario_id", "tasks", "dangers", "reactions", "levels", "since", "until")
 
     def __init__(
-        self, scenario_id: str, tasks: Tuple[ControlTask, ...], dangers: Mapping[str, DangerLevel],
+        self, scenario_id: str, tasks: Tuple[ControlTask, ...], dangers: Mapping[str, int],
         reactions: Mapping[str, int], levels: Optional[Tuple[int, ...]] = None, since: float = 0.0, until: float = 0.0,
     ) -> None:
         self.scenario_id, self.tasks, self.dangers, self.reactions = scenario_id, tasks, dangers, reactions
@@ -153,7 +139,7 @@ def supervisor_step(
     state: SupervisorState,
     config: SupervisorConfig,
     time: float,
-) -> Tuple[str, Tuple[ControlTask, ...], Dict[str, DangerLevel], Dict[str, int], SupervisorState]:
+) -> Tuple[str, Tuple[ControlTask, ...], Dict[str, int], Dict[str, int], SupervisorState]:
     """One decision pass.
 
     Returns ``(scenario_id, active_tasks, dangers, reactions, new_state)``.
@@ -167,7 +153,7 @@ def supervisor_step(
     if levels == state.levels and state.since <= time < state.until:
         return state.scenario_id, state.tasks, state.dangers, state.reactions, state
 
-    dangers: Dict[str, DangerLevel] = {}
+    dangers: Dict[str, int] = {}
     reactions: Dict[str, int] = {}
     for one_id, level in zip(config.one_ids, levels):
         dangers[one_id], reactions[one_id] = config.evaluations[one_id].evaluate(
@@ -175,7 +161,7 @@ def supervisor_step(
         )
 
     scenario_id = config.os_mapping.select(tuple(reactions.values()))
-    scenario = config.scenarios[scenario_id]
+    scenario = config.os_mapping.scenarios[scenario_id]
     tasks = tuple(activate_tasks(scenario, time, dict(zip(config.one_ids, levels))))
     i = bisect_right(scenario.boundaries, time)
     since, until = scenario.boundaries[i - 1 : i + 1]

@@ -31,7 +31,7 @@ from oneguard import config as cfg
 from oneguard import harness
 from oneguard.config import CompiledSchedule
 from oneguard.controllers import StepContext, build_runtime
-from oneguard.model import NO_GRANTS, ScenarioType
+from oneguard.model import DANGER_LEVELS, NO_GRANTS
 from oneguard.plant import PLANT_SIGNALS, PlantState, initial_state, plant_signals, plant_step
 from oneguard.supervisor import SupervisorState, supervisor_step
 
@@ -92,7 +92,8 @@ class ReferenceLoop:
         for one_id, level in zip(cs.one_ids, levels):
             signal = cs.event_signals[one_id]
             value = None if signal is None else signals.get(signal)
-            row += ["" if value is None else repr(value), str(level), dangers[one_id].label, str(reactions[one_id])]
+            cell = "" if value is None else repr(value)
+            row += [cell, str(level), DANGER_LEVELS[dangers[one_id]], str(reactions[one_id])]
         row += [scenario_id, ";".join(task.id for task in tasks)]
         for gid in cs.groups:
             row += [repr(allocation.totals[gid]), repr(self.commands[gid])]
@@ -138,10 +139,10 @@ def reference_run(schedule: CompiledSchedule) -> Tuple[int, str]:
             plant, cs.plant, p_nbi=commands[cs.plant.nbi_group], gas_flux=commands[cs.plant.gas_group], dt=dt
         )
 
-    scenario_type = cs.supervisor.scenarios[loop.state.scenario_id].type
+    scenario_type = cs.supervisor.os_mapping.scenarios[loop.state.scenario_id].type
     if plant.disrupted:
         exit_code = harness.EXIT_DISRUPTED
-    elif scenario_type in (ScenarioType.SOFT_SHUTDOWN, ScenarioType.DISRUPTION_MITIGATION):
+    elif scenario_type in ("soft_shutdown", "disruption_mitigation"):
         exit_code = harness.EXIT_SHUTDOWN
     else:
         exit_code = harness.EXIT_CLEAN

@@ -28,7 +28,7 @@ from oneguard import config as cfg
 from oneguard import harness
 from oneguard.allocator import GroupTable, allocate
 from oneguard.harness import ControlLoop
-from oneguard.model import DangerLevel
+from oneguard.model import DANGER_LEVELS
 from oneguard.plant import initial_state, plant_step
 from oneguard.supervisor import OneEvaluation, SupervisorState, supervisor_step
 
@@ -179,7 +179,7 @@ def test_c3_irreversibility_latch():
         ]
         evaluations = [
             OneEvaluation(
-                danger=tuple(DangerLevel(danger_maps[i][lvl]) for lvl in range(max_level + 1)),
+                danger=tuple(danger_maps[i][lvl] for lvl in range(max_level + 1)),
                 reaction=tuple(reaction_maps[i][d] for d in range(5)),
                 irreversible=irreversible[i],
             )
@@ -528,7 +528,6 @@ def test_c8_clean_validate_means_run_cannot_raise(doc):
         assert code in (harness.EXIT_CLEAN, harness.EXIT_DISRUPTED, harness.EXIT_SHUTDOWN)
 
 
-DANGER_NAMES = [d.label for d in DangerLevel]
 OPTIONAL_TYPES = ["recovery", "backup", "soft_shutdown", "disruption_mitigation"]
 WATCHED = ["h98y2", "ne_edge_norm", "stored_energy", "nbi_energy_frac", "d_ne_edge"]
 TASK_POOL = {
@@ -576,8 +575,8 @@ def generated_schedules(draw):
             "signal": draw(st.sampled_from(WATCHED)),
             "direction": "rising" if rising else "falling",
             "thresholds": [c / 10 for c in sorted(cuts, reverse=not rising)],
-            "danger": {lvl: draw(st.sampled_from(DANGER_NAMES)) for lvl in range(k + 1)},
-            "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_NAMES},
+            "danger": {lvl: draw(st.sampled_from(DANGER_LEVELS)) for lvl in range(k + 1)},
+            "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_LEVELS},
             "irreversible": draw(st.lists(st.integers(0, 4), unique=True, max_size=5)),
         })
     virtuals = []
@@ -590,8 +589,8 @@ def generated_schedules(draw):
             "id": "combo",
             "inputs": [o["id"] for o in inputs],
             "rows": rows,
-            "danger": {lvl: draw(st.sampled_from(DANGER_NAMES)) for lvl in range(top + 1)},
-            "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_NAMES},
+            "danger": {lvl: draw(st.sampled_from(DANGER_LEVELS)) for lvl in range(top + 1)},
+            "reaction": {name: draw(st.integers(0, 4)) for name in DANGER_LEVELS},
             "irreversible": draw(st.lists(st.integers(0, 4), unique=True, max_size=5)),
         })
     event_ids = [o["id"] for o in ones + virtuals]

@@ -13,7 +13,7 @@ from oneguard import cli
 from oneguard import config as cfg
 from oneguard.controllers import RUNTIMES, Waveform
 from oneguard.errors import ConfigError
-from oneguard.model import SCENARIO_TYPE_FOR_REACTION, ScenarioType
+from oneguard.model import SCENARIO_TYPES
 from oneguard.supervisor import OsMapping, Scenario
 
 from conftest import DENSITY_LIMIT, DUAL_NTM
@@ -870,7 +870,7 @@ class TestCompile:
 
     def test_task_references_become_waveforms_or_scalars(self, density_limit_compiled):
         # A scalar reference becomes a constant (one-point hold) waveform.
-        normal = density_limit_compiled.supervisor.scenarios["normal"]
+        normal = density_limit_compiled.supervisor.os_mapping.scenarios["normal"]
         by_id = {t.id: t for t in normal.tasks}
         assert by_id["ff_power_nor"].reference == Waveform(points=((0.0, 0.65),), interpolation="hold")
         assert by_id["ff_gas_nor"].reference(0.0) == 15.0
@@ -881,7 +881,7 @@ class TestCompile:
             0, {"id": "late", "priority": 2, "controller": "ff", "group": "nbi", "reference": 0.1}
         )
         compiled = cfg.compile_schedule(parse_doc(doc))
-        assert [t.id for t in compiled.supervisor.scenarios["normal"].tasks] == ["heat", "late"]
+        assert [t.id for t in compiled.supervisor.os_mapping.scenarios["normal"].tasks] == ["heat", "late"]
 
     def test_command_range_defaults_to_capacity_and_keeps_zero(self):
         doc = minimal_doc()
@@ -903,18 +903,18 @@ def brute_force_coverage(per_one, row_map, types_present):
         if all(r == 0 for r in combo):
             fallback_hits.append((combo, "default scenario"))
             continue
-        wanted = SCENARIO_TYPE_FOR_REACTION[max(combo)]
-        if wanted.value not in types_present:
+        wanted = SCENARIO_TYPES[max(combo)]
+        if wanted not in types_present:
             out.append(
                 cfg.Diagnostic(
                     "error",
                     "os_mapping.rows",
                     f"reachable combination {list(combo)} has no row and no "
-                    f"{wanted.value!r} scenario to fall back to",
+                    f"{wanted!r} scenario to fall back to",
                 )
             )
         else:
-            fallback_hits.append((combo, f"max-severity fallback to type {wanted.value!r}"))
+            fallback_hits.append((combo, f"max-severity fallback to type {wanted!r}"))
     if fallback_hits:
         shown = "; ".join(f"{list(c)} -> {how}" for c, how in fallback_hits[:4])
         out.append(
@@ -959,7 +959,7 @@ def coverage_cases(draw):
     # Rows mostly name reachable levels, so that they cover tuples the walk must skip.
     levels = [st.sampled_from(rs) | st.integers(0, 4) if rs else st.integers(0, 4) for rs in per_one]
     rows = draw(st.lists(st.tuples(*levels), max_size=12))
-    types_present = draw(st.sets(st.sampled_from([t.value for t in ScenarioType])))
+    types_present = draw(st.sets(st.sampled_from(SCENARIO_TYPES)))
     return per_one, {row: "s" for row in rows}, types_present
 
 
@@ -1017,7 +1017,7 @@ class TestCoverage:
     @given(coverage_cases())
     def test_counting_matches_brute_force(self, case):
         per_one, row_map, types_present = case
-        scenarios = {t: Scenario(t, ScenarioType(t)) for t in types_present}
+        scenarios = {t: Scenario(t, t) for t in types_present}
         mapping = OsMapping(row_map, scenarios, "normal")
         assert cfg._coverage_diagnostics(per_one, mapping) == counted_per_level(
             brute_force_coverage(per_one, row_map, types_present)
@@ -1034,7 +1034,7 @@ class TestCoverage:
 
     def test_counts_past_python_digit_limit_are_not_converted_whole(self):
         # 2**15000 - 1 has 4516 digits, more than Python converts to text.
-        scenarios = {"normal": Scenario("normal", ScenarioType.NORMAL)}
+        scenarios = {"normal": Scenario("normal", "normal")}
         (error, warning) = cfg._coverage_diagnostics([(0, 3)] * 15000, OsMapping({}, scenarios, "normal"))
         assert error.message == (
             "2.81e+4515 reachable combination(s) have no row and no 'soft_shutdown' scenario to fall back to: "

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import random
 import subprocess
@@ -17,12 +18,12 @@ from oneguard.allocator import ActuatorCommand
 from oneguard.errors import TraceError
 from oneguard.plant import initial_state, plant_signals
 
-from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS, REPO
+from conftest import DENSITY_LIMIT, DUAL_NTM, DUAL_NTM_EVENTS, REPO, SCHEDULES
 from test_config import set_at
 
 
 def run_schedule(path, mutate=None):
-    doc = yaml.safe_load(open(path).read())
+    doc = yaml.safe_load(path.read_text())
     if mutate:
         mutate(doc)
     ps = cfg.parse(yaml.safe_dump(doc, sort_keys=False))
@@ -35,17 +36,26 @@ def rows_of(trace_text):
     return list(reader)
 
 
-def wide_schedule(seed, mutate=None):
-    """The compiled ``wide_switching`` schedule of ``seed`` (bench/wide.py), its document edited by ``mutate``."""
+def wide_text(seed):
+    """The text of the ``wide_switching`` schedule of ``seed``, as bench/wide.py generates it."""
     spec = importlib.util.spec_from_file_location("wide", REPO / "bench" / "wide.py")
     wide = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wide)
-    text = wide.generate(seed)[0]
+    return wide.generate(seed)[0]
+
+
+def wide_schedule(seed, mutate=None):
+    """The compiled ``wide_switching`` schedule of ``seed`` (bench/wide.py), its document edited by ``mutate``."""
+    text = wide_text(seed)
     if mutate:
         doc = yaml.safe_load(text)
         mutate(doc)
         text = yaml.safe_dump(doc, sort_keys=False)
     return cfg.compile_schedule(cfg.parse(text))
+
+
+#: sha256 of ``oneguard validate``'s stderr and its exit code, by shipped schedule name or wide seed.
+VALIDATE_PINS = json.loads((REPO / "tests" / "validate_pins.json").read_text())
 
 
 #: Overrides of ``dual_ntm`` that validate clean and make a task command NaN:
@@ -313,7 +323,7 @@ class TestCli:
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_validate_reports_errors(self, tmp_path, capsys):
-        doc = yaml.safe_load(open(DENSITY_LIMIT).read())
+        doc = yaml.safe_load(DENSITY_LIMIT.read_text())
         del doc["ones"][0]["reaction"]["medium"]
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(doc, sort_keys=False))
@@ -469,6 +479,15 @@ class TestCli:
         assert cli.main(["replay", str(bad), str(DUAL_NTM)]) == 64
         assert capsys.readouterr().err.startswith(f"error: {bad}: trace is not UTF-8 text: ")
 
+    def test_trace_with_a_byte_order_mark_replays_as_without(self, tmp_path):
+        # Schedules with a UTF-8 byte-order mark load, so traces with one replay.
+        trace, marked = tmp_path / "trace.csv", tmp_path / "marked.csv"
+        assert cli.main(["run", str(DUAL_NTM), "--out", str(trace)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+        for path in (trace, marked):
+            assert cli.main(["replay", str(path), str(DUAL_NTM), "--out", f"{path}.replay"]) == 0
+        assert (tmp_path / "marked.csv.replay").read_bytes() == (tmp_path / "trace.csv.replay").read_bytes()
+
     def test_replay_of_non_numeric_time_exits_64(self, tmp_path, capsys):
         lines = DUAL_NTM_EVENTS.read_text().splitlines()
         lines[2] = "soon," + lines[2].split(",", 1)[1]
@@ -578,8 +597,21 @@ class TestCli:
         assert data.count(b"\n") - 1 == rows
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    @pytest.mark.parametrize("name", ["density_limit", "dual_ntm", *map(str, range(16))])
+    def test_validate_output_is_pinned(self, tmp_path, capsys, name):
+        # The sha256 of validate's diagnostics (stderr) and its exit code, for
+        # the shipped schedules and the first 16 wide seeds; CI checks all 64.
+        if name.isdigit():
+            path = tmp_path / f"wide_{name}.yaml"
+            path.write_text(wide_text(int(name)), encoding="utf-8")
+        else:
+            path = SCHEDULES / f"{name}.yaml"
+        code = cli.main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert {"stderr_sha256": hashlib.sha256(err.encode()).hexdigest(), "exit_code": code} == VALIDATE_PINS[name]
+
     def test_run_validates_once_and_reports_every_diagnostic(self, tmp_path, monkeypatch, capsys):
-        doc = yaml.safe_load(open(DENSITY_LIMIT).read())
+        doc = yaml.safe_load(DENSITY_LIMIT.read_text())
         del doc["ones"][0]["reaction"]["medium"]
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(doc, sort_keys=False))

@@ -5,10 +5,10 @@ from oneguard.controllers import Waveform
 from oneguard.model import (
     Activation,
     ControlTask,
-    DangerLevel,
+    DANGER_LEVELS,
     EventTrigger,
-    SCENARIO_TYPE_FOR_REACTION,
-    ScenarioType,
+    REACTION_MAX,
+    SCENARIO_TYPES,
 )
 from oneguard.monitor import MonitorConfig, ThresholdTable, monitor_step
 
@@ -21,36 +21,42 @@ def compile_doc(doc):
 
 class TestEnums:
     def test_five_danger_levels_ordered(self):
-        assert [d.value for d in DangerLevel] == [0, 1, 2, 3, 4]
-        assert DangerLevel.NO < DangerLevel.LOW < DangerLevel.MEDIUM
-        assert DangerLevel.HIGH < DangerLevel.VERY_HIGH
+        assert DANGER_LEVELS == ("no", "low", "medium", "high", "very_high")
 
     def test_danger_order_agrees_with_integers(self):
-        for a in DangerLevel:
-            for b in DangerLevel:
-                assert (a < b) == (int(a) < int(b))
+        # A compiled danger level is the integer index of its name, so
+        # comparing two compares their severity.
+        doc = minimal_doc()
+        one = doc["ones"][0]
+        one.update(thresholds=[0.5, 0.4, 0.3, 0.2], danger=dict(zip(range(5), reversed(DANGER_LEVELS))))
+        danger = compile_doc(doc).supervisor.evaluations["watch"].danger
+        assert [DANGER_LEVELS[d] for d in danger] == list(reversed(DANGER_LEVELS))
+        for a in range(5):
+            for b in range(5):
+                assert (danger[a] < danger[b]) == (a > b)
 
     def test_danger_names_round_trip(self):
         # A danger map naming every level compiles to the levels in order;
         # the reaction map is read by name, whatever order it is written in.
         doc = minimal_doc()
         one = doc["ones"][0]
-        one.update(thresholds=[0.5, 0.4, 0.3, 0.2], danger={d.value: d.label for d in DangerLevel})
+        one.update(thresholds=[0.5, 0.4, 0.3, 0.2], danger=dict(enumerate(DANGER_LEVELS)))
         one["reaction"] = dict(reversed(one["reaction"].items()))
         evaluation = compile_doc(doc).supervisor.evaluations["watch"]
-        assert evaluation.danger == tuple(DangerLevel)
+        assert evaluation.danger == (0, 1, 2, 3, 4)
         assert evaluation.reaction == (0, 0, 1, 3, 3)
 
     def test_five_scenario_types(self):
-        assert len(ScenarioType) == 5
-        for kind in ScenarioType:
+        assert len(SCENARIO_TYPES) == 5
+        for kind in SCENARIO_TYPES:
             doc = minimal_doc()
-            doc["scenarios"][1]["type"] = kind.value
-            assert compile_doc(doc).supervisor.os_mapping.scenarios["recovery"].type is kind
+            doc["scenarios"][1]["type"] = kind
+            assert compile_doc(doc).supervisor.os_mapping.scenarios["recovery"].type == kind
 
     def test_reaction_levels_map_onto_scenario_types(self):
-        assert SCENARIO_TYPE_FOR_REACTION[0] is ScenarioType.NORMAL
-        assert SCENARIO_TYPE_FOR_REACTION[4] is ScenarioType.DISRUPTION_MITIGATION
+        assert REACTION_MAX == len(SCENARIO_TYPES) - 1 == 4
+        assert SCENARIO_TYPES[0] == "normal"
+        assert SCENARIO_TYPES[4] == "disruption_mitigation"
 
 
 class TestValues:

@@ -1,10 +1,11 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneguard.model import Activation, ControlTask, DangerLevel, EventTrigger, ScenarioType
+from oneguard.model import Activation, ControlTask, DANGER_LEVELS, EventTrigger, SCENARIO_TYPES
 from oneguard.supervisor import (
     OneEvaluation,
     OsMapping,
@@ -17,14 +18,16 @@ from oneguard.supervisor import (
 
 from test_config import diagnose, drop, drop_recovery, set_at
 
-D = DangerLevel
+#: Danger levels by name (D.NO, D.LOW, ...): each is its index in DANGER_LEVELS.
+D = SimpleNamespace(**{name.upper(): level for level, name in enumerate(DANGER_LEVELS)})
+ALL_DANGERS = tuple(range(len(DANGER_LEVELS)))
 
 #: Reaction tables, indexed by danger level.
 FULL_REACTION = (0, 1, 2, 3, 4)
 CAPPED_REACTION = (0, 1, 1, 1, 1)
 
 
-def evaluation(danger=tuple(D), reaction=FULL_REACTION, irreversible=frozenset({3, 4})):
+def evaluation(danger=ALL_DANGERS, reaction=FULL_REACTION, irreversible=frozenset({3, 4})):
     return OneEvaluation(danger=tuple(danger), reaction=reaction, irreversible=irreversible)
 
 
@@ -92,13 +95,13 @@ class TestReactionStep:
 def small_mapping(rows, scenarios=None, default="normal"):
     if scenarios is None:
         scenarios = {
-            "normal": Scenario(id="normal", type=ScenarioType.NORMAL),
-            "recovery_1": Scenario(id="recovery_1", type=ScenarioType.RECOVERY),
-            "recovery_2": Scenario(id="recovery_2", type=ScenarioType.RECOVERY),
-            "recovery_3": Scenario(id="recovery_3", type=ScenarioType.RECOVERY),
-            "backup1": Scenario(id="backup1", type=ScenarioType.BACKUP),
-            "soft_shutdown": Scenario(id="soft_shutdown", type=ScenarioType.SOFT_SHUTDOWN),
-            "mitigation": Scenario(id="mitigation", type=ScenarioType.DISRUPTION_MITIGATION),
+            "normal": Scenario(id="normal", type="normal"),
+            "recovery_1": Scenario(id="recovery_1", type="recovery"),
+            "recovery_2": Scenario(id="recovery_2", type="recovery"),
+            "recovery_3": Scenario(id="recovery_3", type="recovery"),
+            "backup1": Scenario(id="backup1", type="backup"),
+            "soft_shutdown": Scenario(id="soft_shutdown", type="soft_shutdown"),
+            "mitigation": Scenario(id="mitigation", type="disruption_mitigation"),
         }
     return OsMapping(rows=rows, scenarios=scenarios, default=default)
 
@@ -158,7 +161,7 @@ class TestMapScenario:
 
 class TestActivateTasks:
     def test_backup_scenario_activates_its_three_tasks(self, dual_ntm_compiled):
-        scenario = dual_ntm_compiled.supervisor.scenarios["backup1"]
+        scenario = dual_ntm_compiled.supervisor.os_mapping.scenarios["backup1"]
         tasks = activate_tasks(scenario, 0.1, {"ntm21": 2, "ntm43": 1})
         assert [t.id for t in tasks] == [
             "ntm21_stabilization",
@@ -167,7 +170,7 @@ class TestActivateTasks:
         ]
 
     def test_da_tasks_wait_for_distance_trigger(self, density_limit_compiled):
-        scenario = density_limit_compiled.supervisor.scenarios["normal"]
+        scenario = density_limit_compiled.supervisor.os_mapping.scenarios["normal"]
         quiet = {"d_ne_edge": 0, "actuator_lim": 0}
         assert [t.id for t in activate_tasks(scenario, 0.2, quiet)] == [
             "ff_power_nor",
@@ -181,22 +184,22 @@ class TestActivateTasks:
         ]
 
     def test_empty_scenario_activates_nothing(self):
-        scenario = Scenario(id="idle", type=ScenarioType.NORMAL)
+        scenario = Scenario(id="idle", type="normal")
         assert activate_tasks(scenario, 0.0, {}) == []
 
     def test_tasks_sorted_by_priority(self, dual_ntm_compiled):
-        scenario = dual_ntm_compiled.supervisor.scenarios["recovery_3"]
+        scenario = dual_ntm_compiled.supervisor.os_mapping.scenarios["recovery_3"]
         tasks = activate_tasks(scenario, 0.0, {})
         assert [t.priority for t in tasks] == sorted(t.priority for t in tasks)
 
 
 def two_one_config(rows=None):
     scenarios = {
-        "normal": Scenario(id="normal", type=ScenarioType.NORMAL),
-        "recovery": Scenario(id="recovery", type=ScenarioType.RECOVERY),
-        "backup": Scenario(id="backup", type=ScenarioType.BACKUP),
-        "soft_shutdown": Scenario(id="soft_shutdown", type=ScenarioType.SOFT_SHUTDOWN),
-        "mitigation": Scenario(id="mitigation", type=ScenarioType.DISRUPTION_MITIGATION),
+        "normal": Scenario(id="normal", type="normal"),
+        "recovery": Scenario(id="recovery", type="recovery"),
+        "backup": Scenario(id="backup", type="backup"),
+        "soft_shutdown": Scenario(id="soft_shutdown", type="soft_shutdown"),
+        "mitigation": Scenario(id="mitigation", type="disruption_mitigation"),
     }
     return SupervisorConfig(
         one_ids=("one_a", "one_b"),
@@ -216,7 +219,7 @@ class TestSupervisorStep:
             evaluations={},
             os_mapping=OsMapping(
                 rows={},
-                scenarios={"normal": Scenario(id="normal", type=ScenarioType.NORMAL)},
+                scenarios={"normal": Scenario(id="normal", type="normal")},
                 default="normal",
             ),
         )
@@ -276,13 +279,6 @@ class TestSupervisorStep:
         for combo in itertools.product(range(5), range(2)):
             rows[combo] = names[max(combo)]
         config = two_one_config(rows)
-        order = {
-            ScenarioType.NORMAL: 0,
-            ScenarioType.RECOVERY: 1,
-            ScenarioType.BACKUP: 2,
-            ScenarioType.SOFT_SHUTDOWN: 3,
-            ScenarioType.DISRUPTION_MITIGATION: 4,
-        }
         rng = random.Random(1234)
         for _ in range(200):
             state = SupervisorState.initial(config)
@@ -290,7 +286,7 @@ class TestSupervisorStep:
             for t in range(40):
                 levels = (rng.randint(0, 4), rng.randint(0, 4))
                 scenario_id, _, _, _, state = supervisor_step(levels, state, config, float(t))
-                rank = order[config.scenarios[scenario_id].type]
+                rank = SCENARIO_TYPES.index(config.os_mapping.scenarios[scenario_id].type)
                 if terminal_seen >= 3:
                     assert rank >= terminal_seen
                 if rank >= 3:
@@ -382,7 +378,7 @@ def oracle_config_pairs(seed, n_ones, max_level):
         one_ids=tuple(names),
         evaluations={
             name: evaluation(
-                danger=[D(danger_maps[i][k]) for k in range(max_level + 1)],
+                danger=[danger_maps[i][k] for k in range(max_level + 1)],
                 reaction=tuple(reaction_maps[i][d] for d in range(5)),
                 irreversible=irreversible[i],
             )
@@ -391,7 +387,7 @@ def oracle_config_pairs(seed, n_ones, max_level):
         os_mapping=OsMapping(
             rows=rows,
             scenarios={
-                sid: Scenario(id=sid, type=ScenarioType(t)) for sid, t in scenario_types.items()
+                sid: Scenario(id=sid, type=t) for sid, t in scenario_types.items()
             },
             default="normal",
         ),
@@ -434,7 +430,7 @@ def test_held_levels_reuse_the_decision_until_a_window_opens():
     config = SupervisorConfig(
         one_ids=("one_a",),
         evaluations={"one_a": evaluation(reaction=(0, 0, 0, 0, 0))},
-        os_mapping=small_mapping({}, scenarios={"normal": Scenario("normal", ScenarioType.NORMAL, (late,))}),
+        os_mapping=small_mapping({}, scenarios={"normal": Scenario("normal", "normal", (late,))}),
     )
     quiet = (0,)
     *first, state = supervisor_step(quiet, SupervisorState.initial(config), config, 0.0)
@@ -457,7 +453,7 @@ def decision_cases(draw):
     tops = [draw(st.integers(1, 3)) for _ in names]
     evaluations = {
         name: evaluation(
-            danger=draw(st.lists(st.sampled_from(list(D)), min_size=top + 1, max_size=top + 1)),
+            danger=draw(st.lists(st.sampled_from(ALL_DANGERS), min_size=top + 1, max_size=top + 1)),
             reaction=tuple(draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))),
             irreversible=frozenset(draw(st.lists(st.integers(0, 4), max_size=4))),
         )
@@ -465,8 +461,7 @@ def decision_cases(draw):
     }
     tick = st.integers(0, 20)
     scenarios = {}
-    for scenario_type in ScenarioType:
-        sid = scenario_type.value
+    for sid in SCENARIO_TYPES:
         tasks = []
         for j in range(draw(st.integers(0, 3))):
             t_start = draw(tick)
@@ -477,7 +472,7 @@ def decision_cases(draw):
                 low = draw(st.integers(0, tops[i]))
                 trigger = EventTrigger(names[i], low, draw(st.none() | st.integers(low, tops[i])))
             tasks.append(task(sid, j, t_start * DT, None if t_end is None else t_end * DT, trigger))
-        scenarios[sid] = Scenario(sid, scenario_type, tuple(tasks))
+        scenarios[sid] = Scenario(sid, sid, tuple(tasks))
     combo = st.tuples(*[st.integers(0, 4)] * n_ones)
     rows = draw(st.dictionaries(combo, st.sampled_from(sorted(scenarios)), max_size=6))
     config = SupervisorConfig(names, evaluations, OsMapping(rows=rows, scenarios=scenarios, default="normal"))
